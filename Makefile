@@ -2,7 +2,7 @@ GO ?= go
 # BENCHTIME tunes the bench target (e.g. BENCHTIME=1x for a CI smoke pass).
 BENCHTIME ?= 1s
 
-.PHONY: all build lint test race vet bench bench-all cover examples clean
+.PHONY: all build lint test race vet bench bench-all benchmark cover examples clean
 
 all: build vet lint test
 
@@ -43,6 +43,13 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkFigure4Sweep|BenchmarkPetascalePoint|BenchmarkSolverVsSimulation|BenchmarkFitSolverVsSimulation|BenchmarkExploreSolve|BenchmarkSweepSolveCache' -benchmem -benchtime $(BENCHTIME) -timeout 60m . > BENCH_sweep.txt || { cat BENCH_sweep.txt; exit 1; }
 	cat BENCH_sweep.txt
 	$(GO) run ./cmd/benchjson -in BENCH_sweep.txt -out BENCH_sweep.json
+
+# End-to-end benchmark (benchmark/README.md): one set of every workload, each
+# run in fresh child processes. Exits non-zero when any report differs from
+# the seed-1 references in benchmark/testdata/ (labels, methods, cache labels,
+# measures, total_events). Time metrics are printed but never gated on.
+benchmark:
+	bash benchmark/run.sh
 
 # Every benchmark in the repository (slow).
 bench-all:

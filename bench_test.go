@@ -417,11 +417,11 @@ func miniWeibullCertifySolve(b *testing.B, opts statespace.Options) {
 // optimization round, at two granularities.
 //
 // The sweep-scale pair is the headline: "sweep-prepr" replays the pre-PR
-// solver pre-pass over three fingerprint-identical MiniWeibull points (the
+// solver pre-pass over three identical MiniWeibull points (the
 // cross-check-twin workload: every duplicate paid a full sequential
 // certify+solve on the reference implementations), while "sweep-cached" runs
 // the same three points through sweep.Run — interned parallel exploration,
-// gather solver kernels, and the content-addressed solve cache deduplicating
+// gather solver kernels, and the per-configuration solve cache deduplicating
 // the duplicates to one computation.
 //
 // The point-scale pair isolates the kernels without the cache on a single
@@ -475,8 +475,8 @@ func BenchmarkExploreSolve(b *testing.B) {
 	})
 }
 
-// BenchmarkSweepSolveCache measures the sweep's content-addressed solve cache
-// on analytic points: "unique" sweeps four fingerprint-distinct mini
+// BenchmarkSweepSolveCache measures the sweep's per-configuration solve cache
+// on analytic points: "unique" sweeps four distinct mini
 // configurations (every point certifies and solves — all misses), "duplicate"
 // sweeps four copies of the same configuration (one miss, three hits sharing
 // its memoized outcome). Both sweeps produce full reports; the gap is the
@@ -487,7 +487,7 @@ func BenchmarkSweepSolveCache(b *testing.B) {
 		points := make([]sweep.Point, 4)
 		for i := range points {
 			cfg := abe.MiniExponential()
-			// Distinct disk MTBFs give every point its own fingerprint
+			// Distinct disk MTBFs give every point its own cache entry
 			// without changing the model's shape or state space.
 			cfg.Storage.Disk.MTBFHours = 1000 + 100*float64(i)
 			points[i] = sweep.Point{Label: benchName("unique", i), Config: cfg}

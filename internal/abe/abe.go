@@ -9,7 +9,9 @@ package abe
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/dist"
@@ -888,7 +890,8 @@ func MeasuresFromStudy(cfg Config, study *san.StudyResult) (Measures, error) {
 		RewardLostJobsCFS:       yearScale,
 		RewardLostJobsTransient: yearScale,
 	}
-	for name := range study.Summaries {
+	// Sorted, so the first interval to fail names the error deterministically.
+	for _, name := range slices.Sorted(maps.Keys(study.Summaries)) {
 		ci, err := study.Interval(name)
 		if err != nil {
 			return Measures{}, fmt.Errorf("abe: interval for %q: %w", name, err)

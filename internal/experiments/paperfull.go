@@ -178,7 +178,8 @@ func (r *PaperFullResult) Render() string {
 }
 
 // paperFullReport extends the sweep's machine-readable report (schema in
-// ROADMAP.md) with the calibration, the tables, and the round trip.
+// docs/statespace.md, "Report schema") with the calibration, the tables, and
+// the round trip.
 type paperFullReport struct {
 	sweep.Report
 	Calibration calibrate.Report `json:"calibration"`

@@ -84,6 +84,9 @@ func DefaultConfig(root string) Config {
 			"repro/internal/phfit",
 			"repro/internal/stats",
 			"repro/internal/report",
+			"repro/internal/abe",
+			"repro/internal/raid",
+			"repro/internal/cluster",
 		},
 		SANPath:  "repro/internal/san",
 		DistPath: "repro/internal/dist",

@@ -164,6 +164,70 @@ func (sm staticMarking) Tokens(p *Place) int {
 	return sm[p.index]
 }
 
+// chainStability answers the stable-enabling proof a multi-stage chain
+// rewrite needs: no other activity consumes from, and no gate transform
+// writes, any of the rewritten activity's input places. The facts are those
+// of the model as it stood when the pass began, before any rewrite added
+// places, activities or gates. The gate transforms are probed (executed
+// against synthetic markings with panic recovery, exactly like Analyze) only
+// when the first chain asks, because the probe is the pass's dominant cost
+// and most non-memoryless delays never reach a multi-stage chain.
+type chainStability struct {
+	consumers  []int      // input-arc consumers per place
+	initial    []int      // initial marking, the probes' base
+	transforms []GateFunc // every input- and output-gate transform
+	probes     *probeSet  // nil until a chain first needs the proof
+}
+
+func newChainStability(m *Model) *chainStability {
+	s := &chainStability{consumers: make([]int, len(m.places)), initial: m.InitialMarking()}
+	for _, a := range m.activities {
+		for _, arc := range a.inputArcs {
+			s.consumers[arc.Place.index]++
+		}
+		for _, g := range a.inputGates {
+			if g.Transform != nil {
+				s.transforms = append(s.transforms, g.Transform)
+			}
+		}
+		for _, c := range a.cases {
+			for _, og := range c.OutputGates {
+				if og.Transform != nil {
+					s.transforms = append(s.transforms, og.Transform)
+				}
+			}
+		}
+	}
+	return s
+}
+
+// refusal returns why a's enabling cannot be proven stable across a chain,
+// or "" when it can.
+func (s *chainStability) refusal(a *Activity) string {
+	if len(a.inputArcs) == 0 {
+		return ""
+	}
+	if s.probes == nil {
+		s.probes = newProbeSet(len(s.initial))
+		bases := baseMarkings(s.initial)
+		for _, fn := range s.transforms {
+			s.probes.probe(bases, func(pm *probeMarking) { fn(pm) })
+		}
+	}
+	if s.probes.opaque {
+		return "a gate transform is unanalyzable, so enabling stability cannot be proven"
+	}
+	for _, arc := range a.inputArcs {
+		if s.consumers[arc.Place.index] > 1 {
+			return fmt.Sprintf("input place %q has other consumers, so enabling stability cannot be proven", arc.Place.name)
+		}
+		if s.probes.writes[arc.Place.index] {
+			return fmt.Sprintf("input place %q is written by a gate transform, so enabling stability cannot be proven", arc.Place.name)
+		}
+	}
+	return ""
+}
+
 // ExpandPhases rewrites, in place, every timed activity of m whose delay has
 // an exact finite phase-type form (Erlang, sum of exponential stages) into a
 // chain of per-phase exponential activities, and reports classified
@@ -181,35 +245,7 @@ func ExpandPhases(m *Model) (*ExpansionReport, error) {
 		return nil, fmt.Errorf("san: expand phases: %w", err)
 	}
 	report := &ExpansionReport{}
-
-	// Static write/consume discovery for the stable-enabling proof: which
-	// places does any gate transform write, and how many activities consume
-	// (input-arc) each place. Probing runs every transform against synthetic
-	// markings with panic recovery, exactly like Analyze.
-	ps := newProbeSet(len(m.places))
-	bases := baseMarkings(m.InitialMarking())
-	for _, a := range m.activities {
-		for _, g := range a.inputGates {
-			if g.Transform != nil {
-				fn := g.Transform
-				ps.probe(bases, func(pm *probeMarking) { fn(pm) })
-			}
-		}
-		for _, c := range a.cases {
-			for _, og := range c.OutputGates {
-				if og.Transform != nil {
-					fn := og.Transform
-					ps.probe(bases, func(pm *probeMarking) { fn(pm) })
-				}
-			}
-		}
-	}
-	consumers := make([]int, len(m.places))
-	for _, a := range m.activities {
-		for _, arc := range a.inputArcs {
-			consumers[arc.Place.index]++
-		}
-	}
+	stable := newChainStability(m)
 
 	refuse := func(a *Activity, format string, args ...any) {
 		report.Refusals = append(report.Refusals, fmt.Sprintf(
@@ -259,23 +295,8 @@ func ExpandPhases(m *Model) (*ExpansionReport, error) {
 				refuse(a, "input-gate enabling cannot be proven stable across the phase chain")
 				continue
 			}
-			if ps.opaque && len(a.inputArcs) > 0 {
-				refuse(a, "a gate transform is unanalyzable, so enabling stability cannot be proven")
-				continue
-			}
-			unstable := ""
-			for _, arc := range a.inputArcs {
-				if consumers[arc.Place.index] > 1 {
-					unstable = fmt.Sprintf("input place %q has other consumers", arc.Place.name)
-					break
-				}
-				if !ps.opaque && ps.writes[arc.Place.index] {
-					unstable = fmt.Sprintf("input place %q is written by a gate transform", arc.Place.name)
-					break
-				}
-			}
-			if unstable != "" {
-				refuse(a, "%s, so enabling stability cannot be proven", unstable)
+			if reason := stable.refusal(a); reason != "" {
+				refuse(a, "%s", reason)
 				continue
 			}
 		}

@@ -2,6 +2,8 @@ package san
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -248,6 +250,102 @@ func TestExpandPhasesRefusals(t *testing.T) {
 			}
 			if m.NumActivities() != before {
 				t.Fatalf("refused model must keep its shape: %d -> %d activities", before, m.NumActivities())
+			}
+		})
+	}
+}
+
+// TestChainProofProbesLazily pins when the expansion and fit passes run gate
+// transforms: only once a multi-stage chain needs the stable-enabling proof,
+// and then once per pass, however many chains ask. A model whose only
+// non-memoryless delays are Uniform and Weibull — the shape of the flat ABE
+// configurations — is refused (or fitted as a mixture, which needs no proof)
+// without a single probe, with the refusals the passes always gave it.
+func TestChainProofProbesLazily(t *testing.T) {
+	// build returns the fixture with the given number of extra chain
+	// candidates, and a pointer to its gate transform's call count.
+	build := func(t *testing.T, chain dist.Distribution, chains int) (*Model, *int) {
+		calls := new(int)
+		m := NewModel("lazy-probe")
+		up := m.AddPlace("up", 1)
+		down := m.AddPlace("down", 0)
+		m.AddTimedActivity("disk_fail", mustWeibull(t, 0.7, 1000)).AddInputArc(up, 1).AddOutputArc(down, 1)
+		m.AddTimedActivity("disk_replace", mustUniform(t, 99, 101)).AddInputArc(down, 1).
+			AddCase(Case{OutputGates: []*OutputGate{{
+				Name:      "restore",
+				Transform: func(mw MarkingWriter) { *calls++; mw.Add(up, 1) },
+			}}})
+		for i := range chains {
+			p := m.AddPlace(fmt.Sprintf("pending%d", i), 1)
+			m.AddTimedActivity(fmt.Sprintf("chain%d", i), chain).AddInputArc(p, 1)
+		}
+		return m, calls
+	}
+	passes := []struct {
+		name     string
+		run      func(m *Model) (refusals []string, rewritten int, err error)
+		chain    dist.Distribution // a delay the pass rewrites into a multi-stage chain
+		refusals []string
+	}{
+		{
+			name: "ExpandPhases",
+			run: func(m *Model) ([]string, int, error) {
+				rep, err := ExpandPhases(m)
+				if err != nil {
+					return nil, 0, err
+				}
+				return rep.Refusals, len(rep.Expanded), nil
+			},
+			chain: mustErlang(t, 3, 0.5),
+			refusals: []string{
+				`non-expandable: activity "disk_fail": weibull(scale=1000, shape=0.7) has no exact finite phase-type form`,
+				`non-expandable: activity "disk_replace": uniform(hi=101, lo=99) has no exact finite phase-type form`,
+			},
+		},
+		{
+			name: "FitPhases",
+			run: func(m *Model) ([]string, int, error) {
+				rep, err := FitPhases(m, 0.1)
+				if err != nil {
+					return nil, 0, err
+				}
+				return rep.Refusals, len(rep.Fits), nil
+			},
+			chain: mustWeibull(t, 1.5, 1000),
+			refusals: []string{
+				`non-fittable: activity "disk_replace": phfit: no phase-type surrogate within tolerance: ` +
+					`uniform(hi=101, lo=99) has squared coefficient of variation 3.333e-05; matching it needs more than the 64-phase budget`,
+			},
+		},
+	}
+	for _, pass := range passes {
+		t.Run(pass.name, func(t *testing.T) {
+			m, calls := build(t, pass.chain, 0)
+			refusals, _, err := pass.run(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *calls != 0 {
+				t.Errorf("no chain needs the proof, yet the gate transform ran %d times", *calls)
+			}
+			if !slices.Equal(refusals, pass.refusals) {
+				t.Errorf("refusals = %q, want %q", refusals, pass.refusals)
+			}
+			// Chain candidates do probe, once for the whole pass.
+			probes := make([]int, 3)
+			for chains := 1; chains < len(probes); chains++ {
+				m, calls := build(t, pass.chain, chains)
+				_, rewritten, err := pass.run(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rewritten < chains {
+					t.Fatalf("%d chain candidate(s), only %d rewritten", chains, rewritten)
+				}
+				probes[chains] = *calls
+			}
+			if probes[1] == 0 || probes[2] != probes[1] {
+				t.Errorf("gate transform calls with 1 and 2 chains = %d, %d; want the same nonzero count", probes[1], probes[2])
 			}
 		})
 	}

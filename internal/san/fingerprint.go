@@ -14,9 +14,11 @@ import (
 // hash over everything that determines the model's stochastic behavior —
 // places, activities, arcs, gates, delay distribution specs, case
 // probabilities, impulse and rate rewards, and the initial marking. Two
-// compiled models with equal fingerprints describe the same chain, so solver
-// results keyed by the fingerprint (plus mission time and solver options) can
-// be shared between sweep points without re-certifying or re-solving.
+// compiled models with equal fingerprints describe the same chain, whatever
+// built them. Computing one probes every closure of the model, so it is a
+// diagnostic, not a cache key: the sweep's solve cache keys on the point's
+// abe.Config, the only input abe.Build reads (see docs/determinism.md,
+// "The solve-cache rule").
 //
 // Closures (gate predicates and transforms, marking-dependent delays, case
 // probabilities, reward functions) have no inspectable structure, so they are

@@ -160,33 +160,7 @@ func FitPhases(m *Model, tol float64) (*FitReport, error) {
 		return nil, fmt.Errorf("san: fit phases: %w", err)
 	}
 	report := &FitReport{}
-
-	// Static write/consume discovery for the chain rewrite's stable-enabling
-	// proof, exactly as in ExpandPhases.
-	ps := newProbeSet(len(m.places))
-	bases := baseMarkings(m.InitialMarking())
-	for _, a := range m.activities {
-		for _, g := range a.inputGates {
-			if g.Transform != nil {
-				fn := g.Transform
-				ps.probe(bases, func(pm *probeMarking) { fn(pm) })
-			}
-		}
-		for _, c := range a.cases {
-			for _, og := range c.OutputGates {
-				if og.Transform != nil {
-					fn := og.Transform
-					ps.probe(bases, func(pm *probeMarking) { fn(pm) })
-				}
-			}
-		}
-	}
-	consumers := make([]int, len(m.places))
-	for _, a := range m.activities {
-		for _, arc := range a.inputArcs {
-			consumers[arc.Place.index]++
-		}
-	}
+	stable := newChainStability(m)
 
 	refuse := func(a *Activity, format string, args ...any) {
 		report.Refusals = append(report.Refusals, fmt.Sprintf(
@@ -228,7 +202,7 @@ func FitPhases(m *Model, tol float64) (*FitReport, error) {
 			// The chain realization reuses the expansion rewrite and needs
 			// its stable-enabling argument: a disabled half-walked chain
 			// would not model the surrogate's cancel-and-resample.
-			if reason := chainStabilityRefusal(a, ps, consumers, sur.Describe()); reason != "" {
+			if reason := chainStabilityRefusal(a, stable, sur.Describe()); reason != "" {
 				refuse(a, "%s", reason)
 				continue
 			}
@@ -267,25 +241,14 @@ func FitPhases(m *Model, tol float64) (*FitReport, error) {
 
 // chainStabilityRefusal checks the expansion pass's stable-enabling
 // preconditions for a chain rewrite of a, returning a refusal reason or "".
-func chainStabilityRefusal(a *Activity, ps *probeSet, consumers []int, surrogate string) string {
+func chainStabilityRefusal(a *Activity, stable *chainStability, surrogate string) string {
 	if a.reactivate {
 		return fmt.Sprintf("reactivation resamples the whole delay on marking changes; a fitted chain (%s) cannot", surrogate)
 	}
 	if len(a.inputGates) > 0 {
 		return "input-gate enabling cannot be proven stable across a fitted chain"
 	}
-	if ps.opaque && len(a.inputArcs) > 0 {
-		return "a gate transform is unanalyzable, so enabling stability cannot be proven"
-	}
-	for _, arc := range a.inputArcs {
-		if consumers[arc.Place.index] > 1 {
-			return fmt.Sprintf("input place %q has other consumers, so enabling stability cannot be proven", arc.Place.name)
-		}
-		if !ps.opaque && ps.writes[arc.Place.index] {
-			return fmt.Sprintf("input place %q is written by a gate transform, so enabling stability cannot be proven", arc.Place.name)
-		}
-	}
-	return ""
+	return stable.refusal(a)
 }
 
 // fitMixtureActivity realizes a two-branch hyperexponential surrogate on a:

@@ -3,9 +3,12 @@ package sweep
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/abe"
+	"repro/internal/san"
 )
 
 // cachePoints mixes duplicate analytic configurations (MiniExponential
@@ -46,23 +49,13 @@ func solverCaches(t *testing.T, res *Result) []string {
 	return labels
 }
 
-// withoutCacheLabels strips the cache labels so results can be compared for
-// the everything-else-identical property of a hit.
-func withoutCacheLabels(points []PointResult) []PointResult {
-	out := append([]PointResult(nil), points...)
-	for i := range out {
-		out[i].Solver.Cache = ""
-	}
-	return out
-}
-
 func TestSweepCacheLabelsDuplicatePoints(t *testing.T) {
 	res, err := Run(cachePoints(), testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first holder of each fingerprint is the miss; later duplicates are
-	// hits. The refused ABE point is computed (and cached) too.
+	// The first holder of each configuration is the miss; later duplicates
+	// are hits. The refused ABE point is computed (and cached) too.
 	want := []string{CacheMiss, CacheMiss, CacheHit, CacheHit}
 	got := make([]string, len(res.Points))
 	for i, pt := range res.Points {
@@ -90,40 +83,6 @@ func TestSweepCacheLabelsDuplicatePoints(t *testing.T) {
 	}
 	if res.Points[1].Solver.Method != MethodSimulation {
 		t.Errorf("ABE point method = %q, want simulation", res.Points[1].Solver.Method)
-	}
-}
-
-func TestSweepCacheWarmReuseAcrossSweeps(t *testing.T) {
-	opts := testOpts()
-	cold, err := Run(cachePoints(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := NewSolveCache()
-	first, err := RunWithCache(cachePoints(), opts, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := RunWithCache(cachePoints(), opts, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The warm sweep reuses every memoized outcome.
-	want := []string{CacheHit, CacheHit, CacheHit, CacheHit}
-	got := make([]string, len(second.Points))
-	for i, pt := range second.Points {
-		got[i] = pt.Solver.Cache
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("warm sweep cache labels = %v, want %v", got, want)
-	}
-	// A hit is bit-identical to a recompute: cache labels aside, the warm
-	// sweep and a cold Run agree exactly.
-	if !reflect.DeepEqual(withoutCacheLabels(second.Points), withoutCacheLabels(cold.Points)) {
-		t.Error("warm sweep results differ from a cold recompute")
-	}
-	if !reflect.DeepEqual(withoutCacheLabels(first.Points), withoutCacheLabels(cold.Points)) {
-		t.Error("caller-cache sweep results differ from a cold Run")
 	}
 }
 
@@ -177,30 +136,157 @@ func TestSweepCacheForceSimulationUnlabeled(t *testing.T) {
 	}
 }
 
-func TestSweepCacheFitTierKeysSeparately(t *testing.T) {
-	// The same configuration under a different solver cascade (fit tolerance
-	// enabled) must key separately: a warm cache from the plain cascade must
-	// not answer for the fitted one.
-	cache := NewSolveCache()
-	plain := testOpts()
-	point := []Point{{Config: abe.MiniWeibull()}}
-	first, err := RunWithCache(point, plain, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Points[0].Solver.Method != MethodSimulation {
-		t.Fatalf("plain cascade method = %q, want simulation", first.Points[0].Solver.Method)
-	}
+// TestSweepCacheKey pins what the solve cache keys on: the point's
+// abe.Config value within one Run. Labels and seeds are not part of the key,
+// the configuration's Name is, a forced point takes no entry, and the fit
+// tolerance — fixed for the whole Run — still selects the cascade.
+func TestSweepCacheKey(t *testing.T) {
+	renamed := abe.MiniExponential()
+	renamed.Name += " (renamed)"
 	fit := testOpts()
 	fit.PHFitTolerance = 0.1
-	second, err := RunWithCache(point, fit, cache)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name    string
+		points  []Point
+		opts    san.Options
+		cache   []string
+		methods []string
+	}{
+		{
+			name: "same config under another label and seed hits",
+			points: []Point{
+				{Label: "a", Config: abe.MiniExponential()},
+				{Label: "b", Config: abe.MiniExponential(), Seed: 99},
+			},
+			opts:    testOpts(),
+			cache:   []string{CacheMiss, CacheHit},
+			methods: []string{MethodUniformization, MethodUniformization},
+		},
+		{
+			name:    "config differing only in Name misses",
+			points:  []Point{{Config: abe.MiniExponential()}, {Config: renamed}},
+			opts:    testOpts(),
+			cache:   []string{CacheMiss, CacheMiss},
+			methods: []string{MethodUniformization, MethodUniformization},
+		},
+		{
+			name: "forced twin gets no label",
+			points: []Point{
+				{Label: "twin", Config: abe.MiniExponential(), ForceSimulation: true},
+				{Label: "analytic", Config: abe.MiniExponential()},
+				{Label: "twin again", Config: abe.MiniExponential(), ForceSimulation: true},
+			},
+			opts:    testOpts(),
+			cache:   []string{"", CacheMiss, ""},
+			methods: []string{MethodSimulation, MethodUniformization, MethodSimulation},
+		},
+		{
+			name:    "plain cascade simulates MiniWeibull",
+			points:  []Point{{Config: abe.MiniWeibull()}},
+			opts:    testOpts(),
+			cache:   []string{CacheMiss},
+			methods: []string{MethodSimulation},
+		},
+		{
+			name:    "fit tolerance answers MiniWeibull approximately",
+			points:  []Point{{Config: abe.MiniWeibull()}},
+			opts:    fit,
+			cache:   []string{CacheMiss},
+			methods: []string{MethodUniformizationApprox},
+		},
 	}
-	if got := second.Points[0].Solver.Cache; got != CacheMiss {
-		t.Errorf("fitted cascade cache = %q, want miss (distinct tier key)", got)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Run(tc.points, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cache := make([]string, len(res.Points))
+			methods := make([]string, len(res.Points))
+			for i, pt := range res.Points {
+				cache[i], methods[i] = pt.Solver.Cache, pt.Solver.Method
+			}
+			if !reflect.DeepEqual(cache, tc.cache) {
+				t.Errorf("cache labels = %q, want %q", cache, tc.cache)
+			}
+			if !reflect.DeepEqual(solverCaches(t, res), tc.cache) {
+				t.Errorf("JSON cache labels = %q, want %q", solverCaches(t, res), tc.cache)
+			}
+			if !reflect.DeepEqual(methods, tc.methods) {
+				t.Errorf("methods = %q, want %q", methods, tc.methods)
+			}
+			// A hit shares the exact outcome of the first unforced point with
+			// its configuration: the same certificate object and, the label
+			// aside, the same solver record and measures.
+			for i, pt := range res.Points {
+				if pt.Solver.Cache != CacheHit {
+					continue
+				}
+				first := res.Points[slices.IndexFunc(tc.points, func(p Point) bool {
+					return !p.ForceSimulation && p.Config == tc.points[i].Config
+				})]
+				if pt.Solver.Certificate != first.Solver.Certificate {
+					t.Errorf("point %d: hit does not share the miss's certificate", i)
+				}
+				hit, miss := pt.Solver, first.Solver
+				hit.Cache, miss.Cache = "", ""
+				if !reflect.DeepEqual(hit, miss) || !reflect.DeepEqual(pt.Measures, first.Measures) {
+					t.Errorf("point %d: hit differs from its miss", i)
+				}
+			}
+		})
 	}
-	if second.Points[0].Solver.Method != MethodUniformizationApprox {
-		t.Errorf("fitted cascade method = %q, want uniformization-approx", second.Points[0].Solver.Method)
+}
+
+// TestConfigIsPlainComparableValue pins what the solve-cache key relies on:
+// abe.Config holds only numbers, bools, strings, and structs and arrays of
+// them. A slice, map or func field would stop the map key compiling; an
+// interface, pointer, chan or unsafe pointer field would compile, then
+// panic at run time or compare by identity.
+func TestConfigIsPlainComparableValue(t *testing.T) {
+	if bad := referenceFields(reflect.TypeOf(abe.Config{}), "Config"); len(bad) > 0 {
+		t.Fatalf("abe.Config is no longer a plain value: %v", bad)
 	}
+	// The walk itself must reach through nested structs and arrays.
+	type inner struct {
+		OK [3]int
+		S  []int
+		P  *int
+	}
+	type fixture struct {
+		OK     float64
+		Nested inner
+		Arr    [2]struct{ M map[string]int }
+		F      func()
+		C      chan int
+		I      any
+		U      unsafe.Pointer
+	}
+	want := []string{
+		"fixture.Nested.S (slice)", "fixture.Nested.P (ptr)", "fixture.Arr[].M (map)",
+		"fixture.F (func)", "fixture.C (chan)", "fixture.I (interface)", "fixture.U (unsafe.Pointer)",
+	}
+	if got := referenceFields(reflect.TypeOf(fixture{}), "fixture"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("referenceFields(fixture) = %q, want %q", got, want)
+	}
+}
+
+// referenceFields lists the path of every field under t, through nested
+// structs and arrays, whose kind is not a plain value.
+func referenceFields(t reflect.Type, path string) []string {
+	switch t.Kind() {
+	case reflect.Struct:
+		var out []string
+		for i := range t.NumField() {
+			f := t.Field(i)
+			out = append(out, referenceFields(f.Type, path+"."+f.Name)...)
+		}
+		return out
+	case reflect.Array:
+		return referenceFields(t.Elem(), path+"[]")
+	case reflect.Slice, reflect.Map, reflect.Func, reflect.Chan,
+		reflect.Interface, reflect.Pointer, reflect.UnsafePointer:
+		return []string{path + " (" + t.Kind().String() + ")"}
+	}
+	return nil
 }

@@ -83,11 +83,10 @@ type Solver struct {
 	// Certificate is the structural certificate when certification ran (it
 	// is skipped under ForceSimulation).
 	Certificate *san.Certificate
-	// Cache is CacheMiss when this point's solver outcome was computed during
-	// the sweep and CacheHit when it was shared from an earlier point (or a
-	// warm SolveCache) with the same content fingerprint, mission, solver
-	// tier, and fit tolerance. Empty under ForceSimulation, where no solver
-	// work is cacheable. Labels are assigned in point order, never by
+	// Cache is CacheMiss when this point's solver outcome was computed for
+	// it and CacheHit when it was shared from an earlier point of the same
+	// sweep with an equal abe.Config. Empty under ForceSimulation, where no
+	// solver work is cacheable. Labels are assigned in point order, never by
 	// execution timing, and a hit is byte-identical to a recompute.
 	Cache string
 }
@@ -222,25 +221,12 @@ func fittedCertify(cfg abe.Config, tol float64) (*statespace.Generator, san.Cert
 // Run evaluates every point of the sweep under the given study options
 // (opts.Seed is the sweep-level master seed; opts.Parallelism sizes the
 // shared worker pool). It returns per-point measures in input order. Solver
-// outcomes are deduplicated within the sweep through a fresh SolveCache.
+// outcomes are deduplicated within the sweep by configuration: points with
+// equal abe.Config values certify and solve once, and a hit is invisible in
+// the results except for the per-point Solver.Cache label.
 func Run(points []Point, opts san.Options) (*Result, error) {
-	return RunWithCache(points, opts, nil)
-}
-
-// RunWithCache is Run with a caller-held solve cache: points whose
-// (fingerprint, mission, solver tier, fit tolerance) key is already in the
-// cache — from an earlier point of this sweep or from a previous sweep —
-// reuse the memoized solver outcome instead of re-certifying and re-solving.
-// A nil cache gets a fresh one. Cached reuse is invisible in the results
-// except for the per-point Solver.Cache label: a hit returns the exact
-// rewards, method, reasons, and certificate the original computation
-// produced.
-func RunWithCache(points []Point, opts san.Options, cache *SolveCache) (*Result, error) {
 	if len(points) == 0 {
 		return nil, ErrNoPoints
-	}
-	if cache == nil {
-		cache = NewSolveCache()
 	}
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -273,59 +259,59 @@ func RunWithCache(points []Point, opts san.Options, cache *SolveCache) (*Result,
 	// by uniformization — exact, zero variance, no replications. Points
 	// whose certificate is refused (or whose solve fails numerically)
 	// simulate, with the structured reasons recorded; ForceSimulation skips
-	// certification outright. Outcomes are memoized in the solve cache by
-	// content fingerprint, so duplicate configurations — common-random-number
-	// design comparisons, repeated calibrated sweeps — certify and solve
-	// once; the sync.Once per entry makes concurrent duplicates block on the
-	// first computation instead of racing it. The pre-pass runs the points on
-	// opts.Parallelism workers; every memoized object is shared read-only
-	// afterwards.
+	// certification outright. Outcomes are memoized per abe.Config — the
+	// only input abe.Build reads, while mission, solver tier and fit
+	// tolerance are fixed for the whole sweep — so duplicate configurations
+	// certify and solve once. Entries are created here, in point order, so
+	// the first holder of a Config is the miss and every later holder a hit,
+	// whichever worker computes the entry; the sync.Once per entry makes
+	// concurrent duplicates block on the first computation instead of racing
+	// it. The pre-pass runs the points on opts.Parallelism workers; every
+	// memoized object is shared read-only afterwards.
 	analytic := make([]map[string]float64, len(points))
 	solverInfo := make([]Solver, len(points))
-	keys := make([]solveKey, len(points))
-	hasKey := make([]bool, len(points))
+	entries := make([]*solveEntry, len(points))
+	labels := make([]string, len(points))
+	cache := make(map[abe.Config]*solveEntry, len(points))
+	for i, pt := range points {
+		if pt.ForceSimulation {
+			solverInfo[i] = Solver{Method: MethodSimulation, Reasons: []string{"forced: point requests simulation"}}
+			continue
+		}
+		e, ok := cache[pt.Config]
+		if ok {
+			labels[i] = CacheHit
+		} else {
+			e = &solveEntry{}
+			cache[pt.Config] = e
+			labels[i] = CacheMiss
+		}
+		entries[i] = e
+	}
 	preErr := make([]error, len(points))
-	prior := cache.snapshot()
-	tier := solverTier(opts)
 	idxCh := make(chan int, len(points))
 	for i := range points {
 		idxCh <- i
 	}
 	close(idxCh)
-	preWorkers := opts.Parallelism
-	if preWorkers > len(points) {
-		preWorkers = len(points)
-	}
-	if preWorkers < 1 {
-		preWorkers = 1
-	}
+	preWorkers := min(opts.Parallelism, len(points))
 	var preWG sync.WaitGroup
 	for w := 0; w < preWorkers; w++ {
 		preWG.Add(1)
 		go func() {
 			defer preWG.Done()
 			for i := range idxCh {
-				pt := points[i]
-				if pt.ForceSimulation {
-					solverInfo[i] = Solver{Method: MethodSimulation, Reasons: []string{"forced: point requests simulation"}}
-					continue
+				pp, e := plans[i], entries[i]
+				if e == nil {
+					continue // forced to simulate
 				}
-				pp := plans[i]
-				pp.build(pt.Config)
+				pp.build(points[i].Config)
 				if pp.buildErr != nil {
 					preErr[i] = pp.buildErr
 					continue
 				}
-				k := solveKey{
-					fingerprint: pp.compiled.Fingerprint(),
-					mission:     pp.opts.Mission,
-					tier:        tier,
-					fitTol:      opts.PHFitTolerance,
-				}
-				keys[i], hasKey[i] = k, true
-				e := cache.entry(k)
 				e.once.Do(func() {
-					e.rewards, e.solver, e.err = solvePoint(pt.Config, pp.compiled, pp.opts.Mission, opts.PHFitTolerance)
+					e.rewards, e.solver, e.err = solvePoint(points[i].Config, pp.compiled, opts.Mission, opts.PHFitTolerance)
 				})
 				if e.err != nil {
 					preErr[i] = e.err
@@ -333,6 +319,7 @@ func RunWithCache(points []Point, opts san.Options, cache *SolveCache) (*Result,
 				}
 				analytic[i] = e.rewards
 				solverInfo[i] = e.solver
+				solverInfo[i].Cache = labels[i]
 			}
 		}()
 	}
@@ -341,22 +328,6 @@ func RunWithCache(points []Point, opts san.Options, cache *SolveCache) (*Result,
 		if err != nil {
 			return nil, fmt.Errorf("sweep: point %d (%s): %w", i, points[i].label(), err)
 		}
-	}
-	// Hit/miss labels, assigned in point order against the cache's pre-sweep
-	// contents: the lowest-indexed point holding a key not already in the
-	// cache is the miss, every later holder is a hit — regardless of which
-	// worker actually computed the entry.
-	seen := make(map[solveKey]bool, len(points))
-	for i := range points {
-		if !hasKey[i] {
-			continue
-		}
-		if prior[keys[i]] || seen[keys[i]] {
-			solverInfo[i].Cache = CacheHit
-		} else {
-			solverInfo[i].Cache = CacheMiss
-		}
-		seen[keys[i]] = true
 	}
 
 	// One flat job list over the whole sweep, enqueued configuration-major.
@@ -491,9 +462,9 @@ func RunWithCache(points []Point, opts san.Options, cache *SolveCache) (*Result,
 // ---------------------------------------------------------------------------
 
 // Report is the machine-readable form of a sweep result (see Result.Report).
-// The schema is documented in ROADMAP.md; it deliberately excludes execution
-// details such as Parallelism so reports are byte-identical however the sweep
-// was scheduled.
+// The schema is documented in docs/statespace.md ("Report schema"); it
+// deliberately excludes execution details such as Parallelism so reports are
+// byte-identical however the sweep was scheduled.
 type Report struct {
 	MissionHours float64       `json:"mission_hours"`
 	Replications int           `json:"replications"`
@@ -527,9 +498,9 @@ type ReportPoint struct {
 // per-activity CDF distance bounds are in the certificate's approximations),
 // "simulation" otherwise — with the certificate's structured refusals (or the
 // ForceSimulation override, or a numerical solver error) as the reasons.
-// The cache field is "miss" when the point's solver outcome was computed
-// during the sweep, "hit" when it was shared from a fingerprint-identical
-// point (or a warm cache), and absent under ForceSimulation; a hit is
+// The cache field is "miss" when the point's solver outcome was computed for
+// it, "hit" when it was shared from an earlier point of the same sweep with
+// an equal configuration, and absent under ForceSimulation; a hit is
 // byte-identical to a recompute in every other field.
 type ReportSolver struct {
 	Method      string           `json:"method"`
