@@ -17,7 +17,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/raid"
 	"repro/internal/san"
-	"repro/internal/statespace"
 	"repro/internal/sweep"
 )
 
@@ -90,130 +89,6 @@ func BenchmarkAblationAnalyticVsSim(b *testing.B) { runExperiment(b, "ablation-a
 // checkpoint/restart efficiency implied by the measured CFS dependability at
 // ABE and petascale sizes.
 func BenchmarkExtensionCheckpoint(b *testing.B) { runExperiment(b, "extension-checkpoint") }
-
-// BenchmarkFigure4Sweep compares the two ways of running the Figure 4
-// scaling study at equal replication counts and identical per-point seeds:
-// "sharded" schedules every (configuration, replication) job of the whole
-// sweep over one shared worker pool with per-configuration cached models and
-// simulators (internal/sweep), while "per-config" evaluates each point with
-// its own abe.Evaluate — a fresh pool, model, and simulator set per
-// configuration. Both produce bit-identical measures; the benchmark isolates
-// the scheduling and caching win.
-func BenchmarkFigure4Sweep(b *testing.B) {
-	opts := san.Options{Mission: 2190, Replications: 8, Seed: 1}
-	figure4Points := func() []sweep.Point {
-		return experiments.Figure4Points(opts.Seed, experiments.Figure4ScaleFactors(true))
-	}
-	b.Run("sharded", func(b *testing.B) {
-		points := figure4Points()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := sweep.Run(points, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(res.Points) != len(points) {
-				b.Fatalf("points = %d, want %d", len(res.Points), len(points))
-			}
-		}
-	})
-	b.Run("per-config", func(b *testing.B) {
-		points := figure4Points()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, pt := range points {
-				ptOpts := opts
-				ptOpts.Seed = pt.Seed
-				if _, err := abe.Evaluate(pt.Config, ptOpts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	// The pre-sweep evaluation loop: a fresh Simulator per replication (so
-	// the O(model) dependency and impulse indexes are re-derived every time)
-	// and a serial reduction per configuration. Kept as the historical
-	// baseline the sharded engine is measured against.
-	b.Run("per-replication-simulators", func(b *testing.B) {
-		points := figure4Points()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, pt := range points {
-				ptOpts := opts
-				ptOpts.Seed = pt.Seed
-				ptOpts = ptOpts.WithDefaults()
-				model := san.NewModel(pt.Config.Name)
-				mp, err := abe.Build(model, pt.Config)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rewards := mp.Rewards()
-				study := san.NewStudyResult(rewards, ptOpts)
-				for rep, seed := range san.ReplicationSeeds(ptOpts) {
-					sim, err := san.NewSimulator(model, rewards, san.ReplicationStream(seed, rep))
-					if err != nil {
-						b.Fatal(err)
-					}
-					res, err := sim.Run(ptOpts.Mission)
-					if err != nil {
-						b.Fatal(err)
-					}
-					study.Add(res)
-				}
-				if _, err := abe.MeasuresFromStudy(pt.Config, study); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-}
-
-// BenchmarkPetascalePoint measures the largest Figure 4 point — the x10
-// petascale configuration, 81 OSS pairs / 20 DDN units / 4800 disks — in
-// its exponential-forms variant (Table 5's rate parameters taken
-// literally), evaluated flat and lumped. The two representations are
-// stochastically equivalent (strong lumpability; pinned by
-// abe.TestLumpedBuildMatchesFlat and the closed-form exponential
-// availability checks), but the lumped model replaces ~11k per-component
-// places/activities with a few dozen counted populations: the acceptance
-// target is >= 3x wall-clock and a materially lower events/rep metric.
-// Weibull-aged disks (the default petascale disk model) have no exact
-// lumping and always run flat — that regime is covered by the other
-// benchmarks.
-func BenchmarkPetascalePoint(b *testing.B) {
-	base := abe.Petascale().WithExponentialForms()
-	opts := san.Options{Mission: 8760, Replications: 4, Seed: 1}
-	for _, tc := range []struct {
-		name string
-		cfg  abe.Config
-	}{
-		{"flat", base},
-		{"lumped", base.WithLumping(true)},
-	} {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var events, reps uint64
-			for i := 0; i < b.N; i++ {
-				model := san.NewModel(tc.cfg.Name)
-				mp, err := abe.Build(model, tc.cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				study, err := san.RunReplications(model, mp.Rewards(), opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := abe.MeasuresFromStudy(tc.cfg, study); err != nil {
-					b.Fatal(err)
-				}
-				events += study.TotalEvents
-				reps += uint64(opts.Replications)
-			}
-			b.ReportMetric(float64(events)/float64(reps), "events/rep")
-		})
-	}
-}
 
 // BenchmarkSolverVsSimulation measures the two tiers the sweep engine now
 // selects between on the exponential-forms figure4 cross-check point (the
@@ -381,146 +256,6 @@ func BenchmarkStorageSimulationPerDisk(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := san.RunReplications(model, rewards, san.Options{Mission: 8760, Replications: 4, Seed: uint64(i + 1)}); err != nil {
 					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// miniWeibullCertifySolve runs the MiniWeibull certify+solve path once, the
-// way the sweep's solver pre-pass executes it for one point: fresh model
-// build, the certified approximate fitting tier at the figure4 tolerance,
-// and the exact transient solve of the surrogate at the one-year mission.
-func miniWeibullCertifySolve(b *testing.B, opts statespace.Options) {
-	b.Helper()
-	cfg := abe.MiniWeibull()
-	model := san.NewModel(cfg.Name)
-	mp, err := abe.Build(model, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen, cert, rep, err := statespace.CertifyFitted(model, mp.Rewards(), experiments.Figure4FitTolerance, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !cert.Certified() || len(rep.Fits) == 0 {
-		b.Fatalf("refused: %s", cert.Summary())
-	}
-	if _, err := gen.SolveTransient(8760); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkExploreSolve measures the MiniWeibull certify+solve path — the
-// sweep's analytic tier on the Weibull-disk cross-check configuration (a
-// 27k-state, 304k-edge CTMC after phase-type fitting) — before and after this
-// optimization round, at two granularities.
-//
-// The sweep-scale pair is the headline: "sweep-prepr" replays the pre-PR
-// solver pre-pass over three identical MiniWeibull points (the
-// cross-check-twin workload: every duplicate paid a full sequential
-// certify+solve on the reference implementations), while "sweep-cached" runs
-// the same three points through sweep.Run — interned parallel exploration,
-// gather solver kernels, and the per-configuration solve cache deduplicating
-// the duplicates to one computation.
-//
-// The point-scale pair isolates the kernels without the cache on a single
-// point: "point-baseline" is the sequential reference path (string-keyed
-// interning, scatter SpMV), "point-optimized" the production path. The two
-// produce the same chain (pinned by the statespace differential tests); the
-// solve is dominated by a power iteration to stationarity whose SpMV runs at
-// the single-thread issue-width floor, so the kernel-only win is smaller
-// than the sweep-scale one.
-func BenchmarkExploreSolve(b *testing.B) {
-	const dupPoints = 3
-	b.Run("sweep-prepr", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for p := 0; p < dupPoints; p++ {
-				miniWeibullCertifySolve(b, statespace.Options{Baseline: true})
-			}
-		}
-	})
-	b.Run("sweep-cached", func(b *testing.B) {
-		opts := san.Options{Mission: 8760, Replications: 8, Seed: 1,
-			PHFitTolerance: experiments.Figure4FitTolerance}
-		points := make([]sweep.Point, dupPoints)
-		for p := range points {
-			points[p] = sweep.Point{Label: benchName("dup", p), Config: abe.MiniWeibull()}
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := sweep.Run(points, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, pt := range res.Points {
-				if pt.Solver.Method != sweep.MethodUniformizationApprox {
-					b.Fatalf("point %q solved by %q, want uniformization-approx", pt.Label, pt.Solver.Method)
-				}
-			}
-		}
-	})
-	b.Run("point-baseline", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			miniWeibullCertifySolve(b, statespace.Options{Baseline: true})
-		}
-	})
-	b.Run("point-optimized", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			miniWeibullCertifySolve(b, statespace.Options{})
-		}
-	})
-}
-
-// BenchmarkSweepSolveCache measures the sweep's per-configuration solve cache
-// on analytic points: "unique" sweeps four distinct mini
-// configurations (every point certifies and solves — all misses), "duplicate"
-// sweeps four copies of the same configuration (one miss, three hits sharing
-// its memoized outcome). Both sweeps produce full reports; the gap is the
-// certify+solve work the cache deduplicates.
-func BenchmarkSweepSolveCache(b *testing.B) {
-	opts := san.Options{Mission: 8760, Replications: 8, Seed: 1}
-	uniquePoints := func() []sweep.Point {
-		points := make([]sweep.Point, 4)
-		for i := range points {
-			cfg := abe.MiniExponential()
-			// Distinct disk MTBFs give every point its own cache entry
-			// without changing the model's shape or state space.
-			cfg.Storage.Disk.MTBFHours = 1000 + 100*float64(i)
-			points[i] = sweep.Point{Label: benchName("unique", i), Config: cfg}
-		}
-		return points
-	}
-	duplicatePoints := func() []sweep.Point {
-		points := make([]sweep.Point, 4)
-		for i := range points {
-			points[i] = sweep.Point{Label: benchName("dup", i), Config: abe.MiniExponential()}
-		}
-		return points
-	}
-	for _, tc := range []struct {
-		name   string
-		points func() []sweep.Point
-	}{
-		{"unique", uniquePoints},
-		{"duplicate", duplicatePoints},
-	} {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			points := tc.points()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := sweep.Run(points, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, pt := range res.Points {
-					if pt.Solver.Method != sweep.MethodUniformization {
-						b.Fatalf("point %q solved by %q, want uniformization", pt.Label, pt.Solver.Method)
-					}
 				}
 			}
 		})

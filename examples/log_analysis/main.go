@@ -12,7 +12,7 @@ import (
 	"math"
 
 	"repro/internal/abe"
-	"repro/internal/core"
+	"repro/internal/calibrate"
 	"repro/internal/loganalysis"
 	"repro/internal/loggen"
 	"repro/internal/san"
@@ -56,17 +56,17 @@ func main() {
 
 	// Calibrate the model from the logs and validate it against the observed
 	// availability.
-	cfg, rates, err := core.CalibrateFromLogs(logs, abe.ABE(), 480)
+	cal, err := calibrate.CalibrateWith(logs, 480, abe.ABE())
 	if err != nil {
 		log.Fatal(err)
 	}
-	measures, err := abe.Evaluate(cfg, san.Options{Mission: 8760, Replications: 40, Seed: 11})
+	measures, err := abe.Evaluate(cal.Config, san.Options{Mission: 8760, Replications: 40, Seed: 11})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("log-observed CFS availability:   %.4f\n", rates.CFSAvailability)
+	fmt.Printf("log-observed CFS availability:   %.4f\n", cal.Rates.CFSAvailability)
 	fmt.Printf("model-predicted CFS availability: %.4f (|diff| = %.4f)\n",
-		measures.CFSAvailability, math.Abs(measures.CFSAvailability-rates.CFSAvailability))
+		measures.CFSAvailability, math.Abs(measures.CFSAvailability-cal.Rates.CFSAvailability))
 	fmt.Printf("model-predicted disks/week:       %.2f (log observed %.2f)\n",
-		measures.DiskReplacementsPerWeek, rates.DiskReplacementsPerWeek)
+		measures.DiskReplacementsPerWeek, cal.Rates.DiskReplacementsPerWeek)
 }

@@ -19,7 +19,6 @@ import (
 	"log"
 
 	"repro/internal/abe"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/san"
 	"repro/internal/sweep"
@@ -67,9 +66,26 @@ func main() {
 		len(res.Points), res.Options.Replications, res.TotalEvents)
 
 	fmt.Println()
-	rec, err := core.RecommendSpareOSS(abe.Petascale(), opts)
+	finding, err := spareOSSFinding(abe.Petascale(), opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("design recommendation:", rec.Finding)
+	fmt.Println("design recommendation:", finding)
+}
+
+// spareOSSFinding quantifies the paper's standby-spare design alternative at
+// cfg: it evaluates the configuration with and without a spare OSS and
+// phrases the availability gain the way the paper's conclusions do.
+func spareOSSFinding(cfg abe.Config, opts san.Options) (string, error) {
+	without, err := abe.Evaluate(cfg.WithSpareOSS(false), opts)
+	if err != nil {
+		return "", err
+	}
+	with, err := abe.Evaluate(cfg.WithSpareOSS(true), opts)
+	if err != nil {
+		return "", err
+	}
+	delta := with.CFSAvailability - without.CFSAvailability
+	return fmt.Sprintf("a standby-spare OSS improves CFS availability by %.1f%% (%.4f -> %.4f) at %s scale",
+		delta*100, without.CFSAvailability, with.CFSAvailability, cfg.Name), nil
 }

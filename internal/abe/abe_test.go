@@ -179,7 +179,7 @@ func TestBuildStructure(t *testing.T) {
 		t.Errorf("replace activities = %d, want 480", got)
 	}
 	// Rewards validate against the model.
-	if _, err := san.NewSimulator(m, mp.Rewards(), newStream()); err != nil {
+	if _, err := san.Compile(m, mp.Rewards()); err != nil {
 		t.Fatalf("rewards invalid: %v", err)
 	}
 	// Building twice into the same model must fail cleanly.

@@ -186,7 +186,11 @@ func TestFailoverPairDoubleFaultAccounting(t *testing.T) {
 			return float64(mr.Tokens(pairsOut))
 		}},
 	}
-	sim, err := san.NewSimulator(m, rewards, rng.NewStream(77, "pair-det"))
+	cm, err := san.Compile(m, rewards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := cm.NewSimulator(rng.NewStream(77, "pair-det"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +325,11 @@ func TestQuickPairCounterConsistency(t *testing.T) {
 				return float64(mr.Tokens(pairsOut))
 			}},
 		}
-		sim, err := san.NewSimulator(m, rewards, rng.NewStream(seed, "prop"))
+		cm, err := san.Compile(m, rewards)
+		if err != nil {
+			return false
+		}
+		sim, err := cm.NewSimulator(rng.NewStream(seed, "prop"))
 		if err != nil {
 			return false
 		}

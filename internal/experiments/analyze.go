@@ -40,7 +40,8 @@ type ExperimentAnalysis struct {
 }
 
 // analyzeConfig builds and compiles the configuration, runs the full
-// structural analysis, and runs the solver-tier certificate pipeline.
+// structural analysis, and runs the solver-tier certification cascade
+// (statespace.CertifyCascade) without the approximate-fit rung.
 func analyzeConfig(cfg abe.Config) (*san.AnalysisReport, *san.Certificate, error) {
 	m := san.NewModel(cfg.Name)
 	mp, err := abe.Build(m, cfg)
@@ -52,33 +53,11 @@ func analyzeConfig(cfg abe.Config) (*san.AnalysisReport, *san.Certificate, error
 		return nil, nil, err
 	}
 	rep := san.Analyze(cm)
-	_, cert := statespace.Certify(cm, statespace.Options{})
-	if !cert.Certified() && hasRefusalPrefix(cert.Refusals, san.RefusalNonMemoryless) {
-		// The original model is non-memoryless; retry on a fresh build with
-		// the phase-type expansion pass applied. The expanded certificate is
-		// adopted only when the pass actually rewrote something — otherwise
-		// the original refusals stand.
-		fresh := san.NewModel(cfg.Name)
-		fmp, err := abe.Build(fresh, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		_, exCert, exRep, err := statespace.CertifyExpanded(fresh, fmp.Rewards(), statespace.Options{})
-		if err == nil && len(exRep.Expanded) > 0 {
-			cert = exCert
-		}
+	_, cert, err := statespace.CertifyCascade(cm, 0, statespace.Options{})
+	if err != nil {
+		return nil, nil, err
 	}
 	return &rep, &cert, nil
-}
-
-// hasRefusalPrefix reports whether any refusal starts with the given reason.
-func hasRefusalPrefix(refusals []string, prefix string) bool {
-	for _, r := range refusals {
-		if strings.HasPrefix(r, prefix) {
-			return true
-		}
-	}
-	return false
 }
 
 // AnalyzeExperiment statically analyzes the model configurations the named

@@ -449,9 +449,8 @@ func Figure4ScaleFactors(quick bool) []float64 {
 
 // Figure4Points builds the sweep points of the Figure 4 scaling study over
 // the hard-coded ABE base configuration. It is the single source of truth
-// shared by Figure4Sweep, the petascale_scaling example, and
-// BenchmarkFigure4Sweep; the paper_full experiment uses Figure4PointsFrom
-// with a log-calibrated base instead.
+// shared by Figure4Sweep and the petascale_scaling example; the paper_full
+// experiment uses Figure4PointsFrom with a log-calibrated base instead.
 func Figure4Points(seed uint64, factors []float64) []sweep.Point {
 	return Figure4PointsFrom(abe.ABE(), seed, factors)
 }

@@ -9,9 +9,7 @@ import (
 // noCompiledMutation enforces the build-then-compile discipline: Compile
 // snapshots the model, so builder mutations (Add*/Set* calls) on a model
 // after it was handed to san.Compile or san.CompileStrict in the same
-// function silently diverge from the compiled snapshot. It also flags the
-// deprecated package-level san.NewSimulator (compile once, then
-// cm.NewSimulator per replication) everywhere outside package san.
+// function silently diverge from the compiled snapshot.
 func noCompiledMutation(p *Package, sanPath string) []Finding {
 	var findings []Finding
 	for _, file := range p.Files {
@@ -21,9 +19,6 @@ func noCompiledMutation(p *Package, sanPath string) []Finding {
 				continue
 			}
 			findings = append(findings, mutationsAfterCompile(p, fd, sanPath)...)
-		}
-		if p.Path != sanPath {
-			findings = append(findings, deprecatedNewSimulator(p, file, sanPath)...)
 		}
 	}
 	return findings
@@ -87,32 +82,6 @@ func mutationsAfterCompile(p *Package, fd *ast.FuncDecl, sanPath string) []Findi
 			Pos:     p.Fset.Position(call.Pos()),
 			Rule:    "nocompiledmutation",
 			Message: name + " on " + id.Name + " after it was compiled; Compile snapshots the model, so this mutation never reaches the compiled form",
-		})
-		return true
-	})
-	return findings
-}
-
-// deprecatedNewSimulator flags uses of the package-level san.NewSimulator
-// (signature without a CompiledModel receiver) outside package san.
-func deprecatedNewSimulator(p *Package, file *ast.File, sanPath string) []Finding {
-	var findings []Finding
-	ast.Inspect(file, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		f, ok := p.Info.Uses[id].(*types.Func)
-		if !ok || f.Pkg() == nil || f.Pkg().Path() != sanPath || f.Name() != "NewSimulator" {
-			return true
-		}
-		if sig, ok := f.Type().(*types.Signature); !ok || sig.Recv() != nil {
-			return true
-		}
-		findings = append(findings, Finding{
-			Pos:     p.Fset.Position(id.Pos()),
-			Rule:    "nocompiledmutation",
-			Message: "package-level san.NewSimulator recompiles the model per call; use san.Compile once and cm.NewSimulator per replication",
 		})
 		return true
 	})

@@ -48,20 +48,3 @@ func BuildThenCompileAllowed() (*san.CompiledModel, error) {
 	m.SetName("good")
 	return san.Compile(m)
 }
-
-// Deprecated uses the package-level constructor, which recompiles per call.
-func Deprecated() (*san.Simulator, error) {
-	m := san.NewModel()
-	return san.NewSimulator(m, 1) // want nocompiledmutation
-}
-
-// MethodAllowed uses the compiled model's method, which is the intended
-// per-replication path.
-func MethodAllowed() (*san.Simulator, error) {
-	m := san.NewModel()
-	cm, err := san.Compile(m)
-	if err != nil {
-		return nil, err
-	}
-	return cm.NewSimulator(1)
-}

@@ -1,6 +1,5 @@
 // Package san is a miniature stand-in for the real SAN package, just large
-// enough for the lint rules to resolve Compile, Options, and the deprecated
-// package-level NewSimulator against it.
+// enough for the lint rules to resolve Compile and Options against it.
 package san
 
 import "errors"
@@ -30,23 +29,6 @@ func Compile(m *Model) (*CompiledModel, error) {
 
 // CompileStrict compiles and analyzes.
 func CompileStrict(m *Model) (*CompiledModel, error) { return Compile(m) }
-
-// Simulator runs a compiled model.
-type Simulator struct{}
-
-// NewSimulator returns a simulator for the compiled model.
-func (cm *CompiledModel) NewSimulator(seed int64) (*Simulator, error) { return &Simulator{}, nil }
-
-// NewSimulator is the deprecated package-level constructor.
-//
-// Deprecated: compile once, then use CompiledModel.NewSimulator.
-func NewSimulator(m *Model, seed int64) (*Simulator, error) {
-	cm, err := Compile(m)
-	if err != nil {
-		return nil, err
-	}
-	return cm.NewSimulator(seed)
-}
 
 // Options configures a study.
 type Options struct {

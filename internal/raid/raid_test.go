@@ -261,7 +261,11 @@ func TestStorageSimulationTierFailureInjection(t *testing.T) {
 		sp.AvailabilityReward("avail"),
 		san.CompletionCount("tier_failures", findActivities(m, "fail")...),
 	}
-	sim, err := san.NewSimulator(m, rewards, newTestStream())
+	cm, err := san.Compile(m, rewards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := cm.NewSimulator(newTestStream())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +297,11 @@ func TestControllerDoubleFaultCausesDDNFailure(t *testing.T) {
 	if err := buildControllerPair(m, "ddn", life, repair, sp); err != nil {
 		t.Fatal(err)
 	}
-	sim, err := san.NewSimulator(m, []san.RewardVariable{sp.AvailabilityReward("avail")}, newTestStream())
+	cm, err := san.Compile(m, []san.RewardVariable{sp.AvailabilityReward("avail")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := cm.NewSimulator(newTestStream())
 	if err != nil {
 		t.Fatal(err)
 	}

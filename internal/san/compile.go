@@ -91,9 +91,9 @@ func (cm *CompiledModel) Rewards() []RewardVariable { return cm.rewards }
 func (cm *CompiledModel) Stats() ModelStats { return cm.model.Stats() }
 
 // NewSimulator returns a simulator over the compiled model drawing
-// randomness from stream. Unlike the package-level NewSimulator it performs
-// no validation or index derivation, so it is cheap enough to call per
-// worker (or even per replication).
+// randomness from stream. Validation and index derivation happened once in
+// Compile, so it is cheap enough to call per worker (or even per
+// replication).
 func (cm *CompiledModel) NewSimulator(stream *rng.Stream) (*Simulator, error) {
 	if stream == nil {
 		return nil, errors.New("san: nil random stream")

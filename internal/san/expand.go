@@ -228,34 +228,35 @@ func (s *chainStability) refusal(a *Activity) string {
 	return ""
 }
 
-// ExpandPhases rewrites, in place, every timed activity of m whose delay has
-// an exact finite phase-type form (Erlang, sum of exponential stages) into a
-// chain of per-phase exponential activities, and reports classified
-// refusals for every non-memoryless delay it had to leave alone. It must run
-// on the model builder before Compile; the returned report carries the
-// per-activity evidence to append to the solver certificate.
+// ExpandPhases returns a copy of m in which every timed activity whose delay
+// has an exact finite phase-type form (Erlang, sum of exponential stages) is
+// rewritten into a chain of per-phase exponential activities, and reports
+// classified refusals for every non-memoryless delay it had to leave alone.
+// m itself is left untouched, so it may already be compiled; the returned
+// report carries the per-activity evidence to append to the solver
+// certificate.
 //
 // Every activity classifies via DelayLumpability first: memoryless delays
 // are untouched, and non-memoryless delays either expand exactly or produce
 // a RefusalNonExpandable reason naming the distribution or the structural
 // precondition that failed. The pass never changes the distribution of any
 // observable quantity — see the exactness argument at the top of this file.
-func ExpandPhases(m *Model) (*ExpansionReport, error) {
+func ExpandPhases(m *Model) (*Model, *ExpansionReport, error) {
 	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("san: expand phases: %w", err)
+		return nil, nil, fmt.Errorf("san: expand phases: %w", err)
 	}
 	report := &ExpansionReport{}
 	stable := newChainStability(m)
+	m = m.rewriteCopy()
 
 	refuse := func(a *Activity, format string, args ...any) {
 		report.Refusals = append(report.Refusals, fmt.Sprintf(
 			"%s: activity %q: %s", RefusalNonExpandable, a.name, fmt.Sprintf(format, args...)))
 	}
 
-	// Snapshot the activity list: the rewrite appends stage activities that
-	// must not themselves be revisited.
-	original := append([]*Activity(nil), m.activities...)
-	for _, a := range original {
+	// The range evaluates m.activities once, so the stage activities the
+	// rewrite appends are not themselves revisited.
+	for _, a := range m.activities {
 		if a.kind != Timed {
 			continue
 		}
@@ -301,7 +302,7 @@ func ExpandPhases(m *Model) (*ExpansionReport, error) {
 			}
 		}
 		if err := expandActivity(m, a, rates); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		report.Expanded = append(report.Expanded, fmt.Sprintf(
 			"activity %q: %s expanded into %d exponential phase(s) at rates %s",
@@ -312,9 +313,9 @@ func ExpandPhases(m *Model) (*ExpansionReport, error) {
 		}
 	}
 	if err := report.Verify(m); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return report, nil
+	return m, report, nil
 }
 
 // delayLumpabilityAt classifies a marking-dependent delay at a fixed

@@ -26,7 +26,7 @@ func absorbedProbability(t *testing.T, delay dist.Distribution, times []float64)
 	m.AddTimedActivity("transfer", delay).
 		AddInputArc(pending, 1).
 		AddOutputArc(done, 1)
-	rep, err := san.ExpandPhases(m)
+	m, rep, err := san.ExpandPhases(m)
 	if err != nil {
 		t.Fatal(err)
 	}

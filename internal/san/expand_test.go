@@ -3,11 +3,13 @@ package san
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/rng"
 )
 
 func mustErlang(t *testing.T, k int, rate float64) dist.Distribution {
@@ -49,7 +51,7 @@ func TestExpandPhasesErlangStructure(t *testing.T) {
 		AddInputArc(pending, 1).
 		AddOutputArc(done, 1)
 
-	rep, err := ExpandPhases(m)
+	m, rep, err := ExpandPhases(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +107,7 @@ func TestExpandPhasesErlangStructure(t *testing.T) {
 		t.Fatalf("expanded model invalid: %v", err)
 	}
 	// Idempotence: everything is memoryless now, a second run is a no-op.
-	rep2, err := ExpandPhases(m)
+	_, rep2, err := ExpandPhases(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func TestExpandPhasesSingleStageSwap(t *testing.T) {
 	m.AddTimedActivity("swap", g).AddInputArc(p, 1).AddOutputArc(q, 1)
 	m.AddTimedActivity("rival", mustExpRate(t, 1)).AddInputArc(p, 1).AddOutputArc(q, 1)
 
-	rep, err := ExpandPhases(m)
+	m, rep, err := ExpandPhases(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +233,7 @@ func TestExpandPhasesRefusals(t *testing.T) {
 			m := NewModel("refusal-" + tc.name)
 			tc.build(t, m)
 			before := m.NumActivities()
-			rep, err := ExpandPhases(m)
+			m, rep, err := ExpandPhases(m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -290,7 +292,7 @@ func TestChainProofProbesLazily(t *testing.T) {
 		{
 			name: "ExpandPhases",
 			run: func(m *Model) ([]string, int, error) {
-				rep, err := ExpandPhases(m)
+				_, rep, err := ExpandPhases(m)
 				if err != nil {
 					return nil, 0, err
 				}
@@ -305,7 +307,7 @@ func TestChainProofProbesLazily(t *testing.T) {
 		{
 			name: "FitPhases",
 			run: func(m *Model) ([]string, int, error) {
-				rep, err := FitPhases(m, 0.1)
+				_, rep, err := FitPhases(m, 0.1)
 				if err != nil {
 					return nil, 0, err
 				}
@@ -359,7 +361,7 @@ func TestExpansionReportVerifyTamper(t *testing.T) {
 	p := m.AddPlace("p", 1)
 	q := m.AddPlace("q", 0)
 	m.AddTimedActivity("a", mustErlang(t, 2, 1)).AddInputArc(p, 1).AddOutputArc(q, 1)
-	rep, err := ExpandPhases(m)
+	m, rep, err := ExpandPhases(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,6 +376,128 @@ func TestExpansionReportVerifyTamper(t *testing.T) {
 	if err := rep2.Verify(m); !errors.Is(err, ErrExpansionUnsound) {
 		t.Fatalf("missing touched activity must fail verification, got %v", err)
 	}
+}
+
+// TestRewritePassesLeaveInputUntouched pins the purity of ExpandPhases and
+// FitPhases: each returns a rewritten copy and leaves its input — already
+// compiled here — exactly as it was. The model has an Erlang chain
+// (expanded), a Weibull wear-out (fitted as a chain) and a heavy-tailed
+// lognormal (cv² > 1, fitted as a hyperexponential, whose realization
+// appends an input gate and an output arc and gate to every case). The
+// slices those rewrites append to are given spare capacity, and the
+// snapshot reads each one up to its capacity, so an append that wrote
+// through the input's backing array would show even where the input's own
+// length hides it.
+func TestRewritePassesLeaveInputUntouched(t *testing.T) {
+	m := NewModel("rewrite-purity")
+	broken := m.AddPlace("broken", 1)
+	fixed := m.AddPlace("fixed", 0)
+	worn := m.AddPlace("worn", 1)
+	failed := m.AddPlace("failed", 0)
+	pending := m.AddPlace("pending", 1)
+	done := m.AddPlace("done", 0)
+	repair := m.AddTimedActivity("repair", mustErlang(t, 3, 0.5)).AddOutputArc(fixed, 1)
+	repair.inputArcs = append(make([]Arc, 0, 4), Arc{Place: broken, Mult: 1})
+	m.AddTimedActivity("break", mustExpRate(t, 0.5)).AddInputArc(fixed, 1).AddOutputArc(broken, 1)
+	wear := m.AddTimedActivity("wear", mustWeibull(t, 1.5, 100)).AddOutputArc(failed, 1)
+	wear.inputArcs = append(make([]Arc, 0, 4), Arc{Place: worn, Mult: 1})
+	m.AddTimedActivity("renew", mustExpRate(t, 0.1)).AddInputArc(failed, 1).AddOutputArc(worn, 1)
+	outage := m.AddTimedActivity("outage", mustLognormal(t, 1.2, 1.0)).AddInputArc(pending, 1).
+		AddCase(Case{
+			OutputArcs: append(make([]Arc, 0, 4), Arc{Place: done, Mult: 1}),
+			OutputGates: append(make([]*OutputGate, 0, 4), &OutputGate{
+				Name: "log", Transform: func(MarkingWriter) {},
+			}),
+		})
+	outage.inputGates = append(make([]*InputGate, 0, 4), &InputGate{
+		Name: "ready", Reads: []*Place{done}, Enabled: func(mr MarkingReader) bool { return mr.Tokens(done) == 0 },
+	})
+	outage.cases = slices.Grow(outage.cases, 3)
+	m.AddTimedActivity("restart", mustExpRate(t, 1)).AddInputArc(done, 1).AddOutputArc(pending, 1)
+
+	rewards := []RewardVariable{
+		UpFraction("fixed", func(mr MarkingReader) bool { return mr.Tokens(fixed) == 1 }),
+		UpFraction("worn", func(mr MarkingReader) bool { return mr.Tokens(worn) == 1 }),
+		CompletionCount("outages", "outage"),
+	}
+	cm, err := Compile(m, rewards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simulate := func() Result {
+		t.Helper()
+		sim, err := cm.NewSimulator(rng.NewStream(7, "rewrite-purity"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run(500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	before, simBefore := rewriteSnapshot(m), simulate()
+
+	expanded, exRep, err := ExpandPhases(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	afterExpand := rewriteSnapshot(expanded)
+	fitted, fitRep, err := FitPhases(expanded, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(exRep.Expanded) != 1 || len(fitRep.Fits) != 2 || fitRep.Fits[0].Family != "hypoexponential" ||
+		fitRep.Fits[1].Family != "hyperexponential" {
+		t.Fatalf("want one expansion and a chain plus a mixture fit, got %v / %+v", exRep.Expanded, fitRep.Fits)
+	}
+	if fitted.NumActivities() <= expanded.NumActivities() || expanded.NumActivities() <= m.NumActivities() {
+		t.Fatalf("each pass must add activities to its copy: %d -> %d -> %d",
+			m.NumActivities(), expanded.NumActivities(), fitted.NumActivities())
+	}
+
+	if got := rewriteSnapshot(m); got != before {
+		t.Errorf("the passes changed their input:\nbefore:\n%s\nafter:\n%s", before, got)
+	}
+	if got := rewriteSnapshot(expanded); got != afterExpand {
+		t.Errorf("FitPhases changed its input:\nbefore:\n%s\nafter:\n%s", afterExpand, got)
+	}
+	if simAfter := simulate(); !reflect.DeepEqual(simAfter, simBefore) {
+		t.Errorf("simulation of the compiled input changed: %+v, want %+v", simAfter, simBefore)
+	}
+}
+
+// rewriteSnapshot renders everything a rewrite pass could change on m: the
+// name maps, the places, and per activity its kind, index, reactivation,
+// delays, and its arcs, gates and cases, by identity and with each slice
+// read up to its capacity.
+func rewriteSnapshot(m *Model) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s: %d/%d names\n", m.name, len(m.placeByNm), len(m.actByName))
+	fmt.Fprintf(&b, "places %d %v\n", len(m.places), m.places[:cap(m.places)])
+	fmt.Fprintf(&b, "activities %d %v\n", len(m.activities), m.activities[:cap(m.activities)])
+	for _, p := range m.places {
+		fmt.Fprintf(&b, "place %p %q index=%d initial=%d byName=%v\n", p, p.name, p.index, p.initial, m.Place(p.name) == p)
+	}
+	initial := staticMarking(m.InitialMarking())
+	describe := func(d dist.Distribution) string {
+		if d == nil {
+			return "none"
+		}
+		return dist.Describe(d)
+	}
+	for _, a := range m.activities {
+		fmt.Fprintf(&b, "activity %p %q %v index=%d byName=%v reactivate=%v fixed=%s delay=%s\n",
+			a, a.name, a.kind, a.index, m.Activity(a.name) == a, a.reactivate, describe(a.fixedDelay), describe(a.DelayAt(initial)))
+		fmt.Fprintf(&b, "  input arcs %d %v\n", len(a.inputArcs), a.inputArcs[:cap(a.inputArcs)])
+		fmt.Fprintf(&b, "  input gates %d %v\n", len(a.inputGates), a.inputGates[:cap(a.inputGates)])
+		fmt.Fprintf(&b, "  cases %d\n", len(a.cases))
+		for _, c := range a.cases[:cap(a.cases)] {
+			fmt.Fprintf(&b, "    probability=%v output arcs %d %v output gates %d %v\n", c.Probability != nil,
+				len(c.OutputArcs), c.OutputArcs[:cap(c.OutputArcs)], len(c.OutputGates), c.OutputGates[:cap(c.OutputGates)])
+		}
+	}
+	return b.String()
 }
 
 // TestReplicaClassExpandPhases pins the lumped-form chain: phase states

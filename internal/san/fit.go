@@ -133,44 +133,44 @@ func (r *FitReport) Verify(m *Model) error {
 	return nil
 }
 
-// FitPhases rewrites, in place, every timed activity of m whose delay is
-// non-memoryless and has no exact finite phase-type form into a certified
-// approximate phase-type surrogate within tol (a Kolmogorov/Lévy CDF
-// distance in (0, 1)), and reports classified refusals for everything it
-// could not fit. It must run on the model builder before Compile — and, in
-// a certified pipeline, after ExpandPhases, which owns the delays that
-// expand exactly (FitPhases refuses them rather than approximating what has
-// an exact answer).
+// FitPhases returns a copy of m in which every timed activity whose delay is
+// non-memoryless and has no exact finite phase-type form is rewritten into a
+// certified approximate phase-type surrogate within tol (a Kolmogorov/Lévy
+// CDF distance in (0, 1)), and reports classified refusals for everything it
+// could not fit. m itself is left untouched, so it may already be compiled.
+// In a certified pipeline FitPhases runs on ExpandPhases' output: expansion
+// owns the delays that expand exactly, and FitPhases refuses them rather
+// than approximating what has an exact answer.
 //
 // The pass never adopts a surrogate silently: every fit is recorded as
 // FitEvidence with its proven bound, and the caller is responsible for
 // carrying that evidence into the certificate and labeling the resulting
 // answers approximate.
-func FitPhases(m *Model, tol float64) (*FitReport, error) {
+func FitPhases(m *Model, tol float64) (*Model, *FitReport, error) {
 	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("san: fit phases: %w", err)
+		return nil, nil, fmt.Errorf("san: fit phases: %w", err)
 	}
 	// Delegate tolerance validation to the fitter so the two can never
 	// disagree; a Deterministic(1) probe delay is always constructible.
 	probe, err := dist.NewDeterministic(1)
 	if err != nil {
-		return nil, fmt.Errorf("san: fit phases: %w", err)
+		return nil, nil, fmt.Errorf("san: fit phases: %w", err)
 	}
 	if _, err := phfit.Fit(probe, tol); err != nil && !errors.Is(err, phfit.ErrNonFittable) {
-		return nil, fmt.Errorf("san: fit phases: %w", err)
+		return nil, nil, fmt.Errorf("san: fit phases: %w", err)
 	}
 	report := &FitReport{}
 	stable := newChainStability(m)
+	m = m.rewriteCopy()
 
 	refuse := func(a *Activity, format string, args ...any) {
 		report.Refusals = append(report.Refusals, fmt.Sprintf(
 			"%s: activity %q: %s", RefusalNonFittable, a.name, fmt.Sprintf(format, args...)))
 	}
 
-	// Snapshot the activity list: the rewrites append stage and selector
-	// activities that must not themselves be revisited.
-	original := append([]*Activity(nil), m.activities...)
-	for _, a := range original {
+	// The range evaluates m.activities once, so the stage and selector
+	// activities the rewrites append are not themselves revisited.
+	for _, a := range m.activities {
 		if a.kind != Timed {
 			continue
 		}
@@ -195,7 +195,7 @@ func FitPhases(m *Model, tol float64) (*FitReport, error) {
 				refuse(a, "%v", err)
 				continue
 			}
-			return nil, fmt.Errorf("san: fit phases: activity %q: %w", a.name, err)
+			return nil, nil, fmt.Errorf("san: fit phases: activity %q: %w", a.name, err)
 		}
 		sur := res.Surrogate
 		if !sur.Mixture() && sur.Phases() > 1 {
@@ -209,12 +209,12 @@ func FitPhases(m *Model, tol float64) (*FitReport, error) {
 		}
 		if sur.Mixture() {
 			if err := fitMixtureActivity(m, a, sur); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			report.touched = append(report.touched, a.name)
 		} else {
 			if err := expandActivity(m, a, sur.Rates()); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			report.touched = append(report.touched, a.name)
 			for i := 1; i < sur.Phases(); i++ {
@@ -234,9 +234,9 @@ func FitPhases(m *Model, tol float64) (*FitReport, error) {
 		})
 	}
 	if err := report.Verify(m); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return report, nil
+	return m, report, nil
 }
 
 // chainStabilityRefusal checks the expansion pass's stable-enabling

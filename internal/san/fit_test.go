@@ -40,7 +40,7 @@ func TestFitPhasesChainStructure(t *testing.T) {
 		AddInputArc(pending, 1).
 		AddOutputArc(done, 1)
 
-	rep, err := FitPhases(m, 0.2)
+	m, rep, err := FitPhases(m, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestFitPhasesChainStructure(t *testing.T) {
 		t.Fatalf("fresh fit must verify: %v", err)
 	}
 	// Idempotence: everything is memoryless now; a second pass is a no-op.
-	rep2, err := FitPhases(m, 0.2)
+	_, rep2, err := FitPhases(m, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestFitPhasesMixtureStructure(t *testing.T) {
 		AddInputArc(pending, 1).
 		AddOutputArc(done, 1)
 
-	rep, err := FitPhases(m, 0.25)
+	m, rep, err := FitPhases(m, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,17 +193,15 @@ func TestFitPhasesMatchesSurrogateCDF(t *testing.T) {
 			pending := m.AddPlace("pending", 1)
 			done := m.AddPlace("done", 0)
 			m.AddTimedActivity("a", tc.d).AddInputArc(pending, 1).AddOutputArc(done, 1)
-			if _, err := FitPhases(m, tc.tol); err != nil {
+			fitted, _, err := FitPhases(m, tc.tol)
+			if err != nil {
 				t.Fatal(err)
 			}
-			sim, err := NewSimulator(m, []RewardVariable{
+			sim := mustSimulator(t, fitted, []RewardVariable{
 				{Name: "done", Mode: InstantAtEnd, Rate: func(mr MarkingReader) float64 {
 					return float64(mr.Tokens(done))
 				}},
 			}, rng.NewStream(11, "fit-sim-"+tc.name))
-			if err != nil {
-				t.Fatal(err)
-			}
 			const n = 20000
 			for _, p := range []float64{0.25, 0.5, 0.75} {
 				mission := res.Surrogate.Quantile(p)
@@ -287,7 +285,7 @@ func TestFitPhasesRefusals(t *testing.T) {
 			m := NewModel("fit-refusal-" + tc.name)
 			tc.build(t, m)
 			before := m.NumActivities()
-			rep, err := FitPhases(m, 0.2)
+			m, rep, err := FitPhases(m, 0.2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -316,7 +314,7 @@ func TestFitPhasesRefusals(t *testing.T) {
 	p := m.AddPlace("p", 1)
 	m.AddTimedActivity("a", mustWeibull(t, 1.5, 1000)).AddInputArc(p, 1)
 	for _, tol := range []float64{0, 1, -0.5, math.NaN()} {
-		if _, err := FitPhases(m, tol); err == nil {
+		if _, _, err := FitPhases(m, tol); err == nil {
 			t.Errorf("FitPhases(tol=%v) must error", tol)
 		}
 	}
@@ -324,7 +322,7 @@ func TestFitPhasesRefusals(t *testing.T) {
 	m2 := NewModel("fit-memoryless")
 	p2 := m2.AddPlace("p", 1)
 	m2.AddTimedActivity("a", mustExpRate(t, 2)).AddInputArc(p2, 1)
-	rep, err := FitPhases(m2, 0.2)
+	_, rep, err := FitPhases(m2, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +337,7 @@ func TestFitReportVerifyTamper(t *testing.T) {
 	m := NewModel("fit-verify-chain")
 	p := m.AddPlace("p", 1)
 	m.AddTimedActivity("a", mustWeibull(t, 1.5, 1000)).AddInputArc(p, 1)
-	rep, err := FitPhases(m, 0.2)
+	m, rep, err := FitPhases(m, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +349,7 @@ func TestFitReportVerifyTamper(t *testing.T) {
 	m2 := NewModel("fit-verify-mixture")
 	p2 := m2.AddPlace("p", 1)
 	m2.AddTimedActivity("a", mustLognormal(t, 1.2, 1.0)).AddInputArc(p2, 1)
-	rep2, err := FitPhases(m2, 0.25)
+	m2, rep2, err := FitPhases(m2, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -232,10 +232,7 @@ func TestCompileSharedAcrossSimulators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simB, err := NewSimulator(m, rewards, rng.NewStream(77, "shared"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	simB := mustSimulator(t, m, rewards, rng.NewStream(77, "shared"))
 	if simB.Compiled() == cm {
 		t.Error("shim unexpectedly reused the compiled model")
 	}

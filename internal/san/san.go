@@ -16,7 +16,9 @@ package san
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 
 	"repro/internal/dist"
 )
@@ -248,6 +250,37 @@ func NewModel(name string) *Model {
 
 // Name returns the model name.
 func (m *Model) Name() string { return m.name }
+
+// rewriteCopy returns a copy of m that a rewrite pass (ExpandPhases,
+// FitPhases) may extend and rewrite without touching m. Places and gates are
+// shared: no pass mutates them, and gate closures capture the *Place
+// pointers. The activities, the name maps, and every slice a rewrite appends
+// to or writes through — input arcs, input gates, cases, and each case's
+// output arcs and gates — are copied.
+func (m *Model) rewriteCopy() *Model {
+	out := &Model{
+		name:          m.name,
+		places:        slices.Clone(m.places),
+		placeByNm:     maps.Clone(m.placeByNm),
+		activities:    make([]*Activity, len(m.activities)),
+		actByName:     make(map[string]*Activity, len(m.actByName)),
+		families:      slices.Clone(m.families),
+		externalReads: slices.Clone(m.externalReads),
+	}
+	for i, a := range m.activities {
+		c := *a
+		c.inputArcs = slices.Clone(a.inputArcs)
+		c.inputGates = slices.Clone(a.inputGates)
+		c.cases = slices.Clone(a.cases)
+		for j := range c.cases {
+			c.cases[j].OutputArcs = slices.Clone(c.cases[j].OutputArcs)
+			c.cases[j].OutputGates = slices.Clone(c.cases[j].OutputGates)
+		}
+		out.activities[i] = &c
+		out.actByName[c.name] = &c
+	}
+	return out
+}
 
 // AddPlace creates a place with the given name and initial marking. It
 // panics on duplicate names because that is always a programming error in

@@ -156,48 +156,59 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// mustSimulator compiles m against rewards and returns a simulator over the
+// compiled model drawing from stream.
+func mustSimulator(t *testing.T, m *Model, rewards []RewardVariable, stream *rng.Stream) *Simulator {
+	t.Helper()
+	cm, err := Compile(m, rewards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := cm.NewSimulator(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim
+}
+
 func TestSimulatorValidation(t *testing.T) {
 	m, up := buildFailRepair(t, 100, 10)
-	stream := rng.NewStream(1, "t")
-	if _, err := NewSimulator(nil, nil, stream); err == nil {
+	if _, err := Compile(nil, nil); err == nil {
 		t.Error("nil model accepted")
 	}
-	if _, err := NewSimulator(m, nil, nil); err == nil {
+	good := []RewardVariable{UpFraction("avail", func(mr MarkingReader) bool { return mr.Tokens(up) == 1 })}
+	cm, err := Compile(m, good)
+	if err != nil {
+		t.Fatalf("valid model rejected: %v", err)
+	}
+	if _, err := cm.NewSimulator(nil); err == nil {
 		t.Error("nil stream accepted")
 	}
-	badReward := []RewardVariable{{Name: "", Mode: TimeAveraged, Rate: func(MarkingReader) float64 { return 1 }}}
-	if _, err := NewSimulator(m, badReward, stream); err == nil {
-		t.Error("empty reward name accepted")
-	}
-	noContent := []RewardVariable{{Name: "x", Mode: TimeAveraged}}
-	if _, err := NewSimulator(m, noContent, stream); err == nil {
-		t.Error("reward without rate or impulses accepted")
-	}
-	badMode := []RewardVariable{{Name: "x", Rate: func(MarkingReader) float64 { return 1 }}}
-	if _, err := NewSimulator(m, badMode, stream); err == nil {
-		t.Error("reward without mode accepted")
-	}
-	badImpulse := []RewardVariable{{Name: "x", Mode: Accumulated, Impulses: map[string]ImpulseFunc{"nope": func(MarkingReader) float64 { return 1 }}}}
-	if _, err := NewSimulator(m, badImpulse, stream); err == nil {
-		t.Error("impulse on unknown activity accepted")
-	}
-	instMix := []RewardVariable{{Name: "x", Mode: InstantAtEnd, Rate: func(MarkingReader) float64 { return 1 },
-		Impulses: map[string]ImpulseFunc{"fail": func(MarkingReader) float64 { return 1 }}}}
-	if _, err := NewSimulator(m, instMix, stream); err == nil {
-		t.Error("instant-of-time reward with impulses accepted")
-	}
-	good := []RewardVariable{UpFraction("avail", func(mr MarkingReader) bool { return mr.Tokens(up) == 1 })}
-	if _, err := NewSimulator(m, good, stream); err != nil {
+	if _, err := cm.NewSimulator(rng.NewStream(1, "t")); err != nil {
 		t.Errorf("valid simulator rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name    string
+		rewards []RewardVariable
+	}{
+		{"empty reward name", []RewardVariable{{Name: "", Mode: TimeAveraged, Rate: func(MarkingReader) float64 { return 1 }}}},
+		{"reward without rate or impulses", []RewardVariable{{Name: "x", Mode: TimeAveraged}}},
+		{"reward without mode", []RewardVariable{{Name: "x", Rate: func(MarkingReader) float64 { return 1 }}}},
+		{"impulse on unknown activity", []RewardVariable{{Name: "x", Mode: Accumulated,
+			Impulses: map[string]ImpulseFunc{"nope": func(MarkingReader) float64 { return 1 }}}}},
+		{"instant-of-time reward with impulses", []RewardVariable{{Name: "x", Mode: InstantAtEnd,
+			Rate:     func(MarkingReader) float64 { return 1 },
+			Impulses: map[string]ImpulseFunc{"fail": func(MarkingReader) float64 { return 1 }}}}},
+	} {
+		if _, err := Compile(m, tc.rewards); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
 func TestRunRejectsBadMission(t *testing.T) {
 	m, _ := buildFailRepair(t, 100, 10)
-	sim, err := NewSimulator(m, nil, rng.NewStream(1, "t"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim := mustSimulator(t, m, nil, rng.NewStream(1, "t"))
 	for _, mission := range []float64{0, -1, math.Inf(1), math.NaN()} {
 		if _, err := sim.Run(mission); err == nil {
 			t.Errorf("Run(%v) succeeded", mission)
@@ -243,14 +254,11 @@ func TestDeterministicCycleAvailability(t *testing.T) {
 	down := m.AddPlace("down", 0)
 	m.AddTimedActivity("fail", mustDet(t, 10)).AddInputArc(up, 1).AddOutputArc(down, 1)
 	m.AddTimedActivity("repair", mustDet(t, 5)).AddInputArc(down, 1).AddOutputArc(up, 1)
-	sim, err := NewSimulator(m, []RewardVariable{
+	sim := mustSimulator(t, m, []RewardVariable{
 		UpFraction("avail", func(mr MarkingReader) bool { return mr.Tokens(up) == 1 }),
 		CompletionCount("failures", "fail"),
 		{Name: "final_up", Mode: InstantAtEnd, Rate: func(mr MarkingReader) float64 { return float64(mr.Tokens(up)) }},
 	}, rng.NewStream(3, "det"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := sim.Run(30)
 	if err != nil {
 		t.Fatal(err)
@@ -276,10 +284,7 @@ func TestSourceActivityKeepsFiring(t *testing.T) {
 	m := NewModel("source")
 	count := m.AddPlace("count", 0)
 	m.AddTimedActivity("arrive", mustDet(t, 1)).AddOutputArc(count, 1)
-	sim, err := NewSimulator(m, []RewardVariable{CompletionCount("arrivals", "arrive")}, rng.NewStream(1, "src"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim := mustSimulator(t, m, []RewardVariable{CompletionCount("arrivals", "arrive")}, rng.NewStream(1, "src"))
 	res, err := sim.Run(100.5)
 	if err != nil {
 		t.Fatal(err)
@@ -302,12 +307,9 @@ func TestInputGateEnabling(t *testing.T) {
 			Enabled: func(mr MarkingReader) bool { return mr.Tokens(gatePlace) >= 2 },
 		}).
 		AddOutputArc(fired, 1)
-	sim, err := NewSimulator(m, []RewardVariable{
+	sim := mustSimulator(t, m, []RewardVariable{
 		{Name: "fired", Mode: InstantAtEnd, Rate: func(mr MarkingReader) float64 { return float64(mr.Tokens(fired)) }},
 	}, rng.NewStream(2, "gate"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := sim.Run(3.5)
 	if err != nil {
 		t.Fatal(err)
@@ -335,13 +337,10 @@ func TestInputGateTransformAndOutputGate(t *testing.T) {
 			},
 		}).
 		AddOutputGate(&OutputGate{Name: "setFlag", Transform: func(mw MarkingWriter) { mw.SetTokens(flag, 1) }})
-	sim, err := NewSimulator(m, []RewardVariable{
+	sim := mustSimulator(t, m, []RewardVariable{
 		{Name: "drained", Mode: InstantAtEnd, Rate: func(mr MarkingReader) float64 { return float64(mr.Tokens(drained)) }},
 		{Name: "flag", Mode: InstantAtEnd, Rate: func(mr MarkingReader) float64 { return float64(mr.Tokens(flag)) }},
 	}, rng.NewStream(4, "gates"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := sim.Run(10)
 	if err != nil {
 		t.Fatal(err)
@@ -365,13 +364,10 @@ func TestCasesSplitProbability(t *testing.T) {
 		Probability: func(MarkingReader) float64 { return 0.7 },
 		OutputArcs:  []Arc{{Place: right, Mult: 1}},
 	})
-	sim, err := NewSimulator(m, []RewardVariable{
+	sim := mustSimulator(t, m, []RewardVariable{
 		{Name: "left", Mode: InstantAtEnd, Rate: func(mr MarkingReader) float64 { return float64(mr.Tokens(left)) }},
 		{Name: "right", Mode: InstantAtEnd, Rate: func(mr MarkingReader) float64 { return float64(mr.Tokens(right)) }},
 	}, rng.NewStream(5, "cases"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := sim.Run(20000)
 	if err != nil {
 		t.Fatal(err)
@@ -396,13 +392,10 @@ func TestNilProbabilityCaseGetsRemainder(t *testing.T) {
 		OutputArcs:  []Arc{{Place: a, Mult: 1}},
 	})
 	act.AddCase(Case{OutputArcs: []Arc{{Place: b, Mult: 1}}}) // remainder: 0.75
-	sim, err := NewSimulator(m, []RewardVariable{
+	sim := mustSimulator(t, m, []RewardVariable{
 		{Name: "a", Mode: InstantAtEnd, Rate: func(mr MarkingReader) float64 { return float64(mr.Tokens(a)) }},
 		{Name: "b", Mode: InstantAtEnd, Rate: func(mr MarkingReader) float64 { return float64(mr.Tokens(b)) }},
 	}, rng.NewStream(6, "nilcase"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := sim.Run(10000)
 	if err != nil {
 		t.Fatal(err)
@@ -421,13 +414,10 @@ func TestInstantaneousActivity(t *testing.T) {
 	sink := m.AddPlace("sink", 0)
 	m.AddTimedActivity("produce", mustDet(t, 2)).AddOutputArc(trigger, 1)
 	m.AddInstantaneousActivity("move").AddInputArc(trigger, 1).AddOutputArc(sink, 1)
-	sim, err := NewSimulator(m, []RewardVariable{
+	sim := mustSimulator(t, m, []RewardVariable{
 		TokenTimeAverage("avg_trigger", trigger),
 		{Name: "sink", Mode: InstantAtEnd, Rate: func(mr MarkingReader) float64 { return float64(mr.Tokens(sink)) }},
 	}, rng.NewStream(7, "inst"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := sim.Run(10.5)
 	if err != nil {
 		t.Fatal(err)
@@ -450,10 +440,7 @@ func TestUnstableInstantaneousLoopDetected(t *testing.T) {
 	m.AddTimedActivity("start", mustDet(t, 1)).AddOutputArc(kick, 1)
 	m.AddInstantaneousActivity("ab").AddInputArc(a, 1).AddInputArc(kick, 1).AddOutputArc(b, 1).AddOutputArc(kick, 1)
 	m.AddInstantaneousActivity("ba").AddInputArc(b, 1).AddInputArc(kick, 1).AddOutputArc(a, 1).AddOutputArc(kick, 1)
-	sim, err := NewSimulator(m, nil, rng.NewStream(8, "unstable"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim := mustSimulator(t, m, nil, rng.NewStream(8, "unstable"))
 	// The run terminates (does not hang) and surfaces the instability: a
 	// truncated run must not masquerade as a successful replication.
 	if _, err := sim.Run(10); !errors.Is(err, ErrUnstableModel) {
@@ -483,12 +470,9 @@ func TestReactivation(t *testing.T) {
 		Enabled: func(MarkingReader) bool { return true },
 	})
 	slowFast.SetReactivation(true)
-	sim, err := NewSimulator(m, []RewardVariable{
+	sim := mustSimulator(t, m, []RewardVariable{
 		{Name: "done", Mode: InstantAtEnd, Rate: func(mr MarkingReader) float64 { return float64(mr.Tokens(done)) }},
 	}, rng.NewStream(9, "react"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := sim.Run(3)
 	if err != nil {
 		t.Fatal(err)
@@ -572,10 +556,7 @@ func TestSimulatorResetReproducesRun(t *testing.T) {
 	m, up := buildFailRepair(t, 50, 5)
 	rewards := []RewardVariable{UpFraction("avail", func(mr MarkingReader) bool { return mr.Tokens(up) == 1 })}
 	const seed = 91
-	sim, err := NewSimulator(m, rewards, rng.NewStream(seed, "first"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim := mustSimulator(t, m, rewards, rng.NewStream(seed, "first"))
 	first, err := sim.Run(5000)
 	if err != nil {
 		t.Fatal(err)
@@ -593,10 +574,7 @@ func TestSimulatorResetReproducesRun(t *testing.T) {
 		t.Errorf("Reset did not reproduce the run: %+v vs %+v", first, again)
 	}
 	// And it must match a freshly constructed simulator with the same seed.
-	fresh, err := NewSimulator(m, rewards, rng.NewStream(seed, "fresh"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := mustSimulator(t, m, rewards, rng.NewStream(seed, "fresh"))
 	res, err := fresh.Run(5000)
 	if err != nil {
 		t.Fatal(err)
@@ -629,10 +607,7 @@ func TestReplicationSeedsContract(t *testing.T) {
 	}
 	manual := NewStudyResult(rewards, opts.WithDefaults())
 	for rep, seed := range seeds {
-		sim, err := NewSimulator(m, rewards, ReplicationStream(seed, rep))
-		if err != nil {
-			t.Fatal(err)
-		}
+		sim := mustSimulator(t, m, rewards, ReplicationStream(seed, rep))
 		res, err := sim.Run(opts.Mission)
 		if err != nil {
 			t.Fatal(err)
@@ -799,7 +774,11 @@ func TestQuickTokenConservationAndRewardBounds(t *testing.T) {
 			UpFraction("frac_p0_nonempty", func(mr MarkingReader) bool { return mr.Tokens(places[0]) > 0 }),
 			{Name: "final_total", Mode: InstantAtEnd, Rate: func(mr MarkingReader) float64 { return float64(total(mr)) }},
 		}
-		sim, err := NewSimulator(m, rewards, rng.NewStream(seed, "ring"))
+		cm, err := Compile(m, rewards)
+		if err != nil {
+			return false
+		}
+		sim, err := cm.NewSimulator(rng.NewStream(seed, "ring"))
 		if err != nil {
 			return false
 		}
@@ -881,13 +860,10 @@ func TestSelectCaseClampsNegativeProbability(t *testing.T) {
 	// A negative explicit probability must be treated as 0, so the nil case
 	// absorbs the full mass and the negative case is never selected.
 	m, a, b := buildCaseCounter(t, func(MarkingReader) float64 { return -0.5 }, nil)
-	sim, err := NewSimulator(m, []RewardVariable{
+	sim := mustSimulator(t, m, []RewardVariable{
 		{Name: "a", Mode: InstantAtEnd, Rate: func(mr MarkingReader) float64 { return float64(mr.Tokens(a)) }},
 		{Name: "b", Mode: InstantAtEnd, Rate: func(mr MarkingReader) float64 { return float64(mr.Tokens(b)) }},
 	}, rng.NewStream(21, "neg"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := sim.Run(200.5)
 	if err != nil {
 		t.Fatal(err)
@@ -924,13 +900,10 @@ func TestSelectCaseOverUnityMassUsesRelativeWeights(t *testing.T) {
 			}
 			return 0.25
 		})
-	sim, err := NewSimulator(m, []RewardVariable{
+	sim := mustSimulator(t, m, []RewardVariable{
 		{Name: "a", Mode: InstantAtEnd, Rate: func(mr MarkingReader) float64 { return float64(mr.Tokens(a)) }},
 		{Name: "b", Mode: InstantAtEnd, Rate: func(mr MarkingReader) float64 { return float64(mr.Tokens(b)) }},
 	}, rng.NewStream(22, "over"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := sim.Run(2000.5)
 	if err != nil {
 		t.Fatal(err)
@@ -955,10 +928,7 @@ func TestUnstableLoopInInitialMarkingReturnsError(t *testing.T) {
 	b := m.AddPlace("b", 0)
 	m.AddInstantaneousActivity("ab").AddInputArc(a, 1).AddOutputArc(b, 1)
 	m.AddInstantaneousActivity("ba").AddInputArc(b, 1).AddOutputArc(a, 1)
-	sim, err := NewSimulator(m, nil, rng.NewStream(9, "unstable0"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim := mustSimulator(t, m, nil, rng.NewStream(9, "unstable0"))
 	if _, err := sim.Run(10); !errors.Is(err, ErrUnstableModel) {
 		t.Fatalf("Run error = %v, want ErrUnstableModel", err)
 	}
@@ -988,10 +958,7 @@ func TestSnapshotReplayBitIdentical(t *testing.T) {
 	const mission = 400
 
 	var snap *Snapshot
-	sim1, err := NewSimulator(m, rewards, rng.NewStream(33, "orig"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim1 := mustSimulator(t, m, rewards, rng.NewStream(33, "orig"))
 	full, err := sim1.RunMonitored(mission, &Monitor{
 		Importance: imp,
 		Threshold:  1,
@@ -1008,10 +975,7 @@ func TestSnapshotReplayBitIdentical(t *testing.T) {
 	}
 
 	// A different seed: RunFrom must restore the stream from the snapshot.
-	sim2, err := NewSimulator(m, rewards, rng.NewStream(12345, "replay"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim2 := mustSimulator(t, m, rewards, rng.NewStream(12345, "replay"))
 	replay, err := sim2.RunFrom(snap, mission, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -1023,10 +987,7 @@ func TestSnapshotReplayBitIdentical(t *testing.T) {
 
 func TestRunFromValidation(t *testing.T) {
 	m, rewards, _ := monitoredFailRepair(t)
-	sim, err := NewSimulator(m, rewards, rng.NewStream(1, "v"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim := mustSimulator(t, m, rewards, rng.NewStream(1, "v"))
 	if _, err := sim.RunFrom(nil, 10, nil, nil); err == nil {
 		t.Error("nil snapshot accepted")
 	}
@@ -1080,10 +1041,7 @@ func TestMonitorCrossingAtTimeZero(t *testing.T) {
 	p := m.AddPlace("p", 5)
 	q := m.AddPlace("q", 0)
 	m.AddTimedActivity("move", mustDet(t, 1)).AddInputArc(p, 1).AddOutputArc(q, 1)
-	sim, err := NewSimulator(m, nil, rng.NewStream(2, "t0"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim := mustSimulator(t, m, nil, rng.NewStream(2, "t0"))
 	crossedAt := -1.0
 	res, err := sim.RunMonitored(10, &Monitor{
 		Importance:  func(mr MarkingReader) float64 { return float64(mr.Tokens(p)) },
@@ -1104,10 +1062,7 @@ func TestMonitorCrossingAtTimeZero(t *testing.T) {
 
 func TestMonitorCrossesOnceAndSnapshotIsDeep(t *testing.T) {
 	m, rewards, imp := monitoredFailRepair(t)
-	sim, err := NewSimulator(m, rewards, rng.NewStream(44, "once"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim := mustSimulator(t, m, rewards, rng.NewStream(44, "once"))
 	crossings := 0
 	var snap *Snapshot
 	if _, err := sim.RunMonitored(2000, &Monitor{
@@ -1158,13 +1113,10 @@ func TestSelectCaseUnderUnityMassUsesRelativeWeights(t *testing.T) {
 			}
 			return 0.6
 		})
-	sim, err := NewSimulator(m, []RewardVariable{
+	sim := mustSimulator(t, m, []RewardVariable{
 		{Name: "a", Mode: InstantAtEnd, Rate: func(mr MarkingReader) float64 { return float64(mr.Tokens(a)) }},
 		{Name: "b", Mode: InstantAtEnd, Rate: func(mr MarkingReader) float64 { return float64(mr.Tokens(b)) }},
 	}, rng.NewStream(23, "under"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := sim.Run(2000.5)
 	if err != nil {
 		t.Fatal(err)
@@ -1204,10 +1156,7 @@ func TestSnapshotReplayPreservesTieOrder(t *testing.T) {
 	}
 
 	var snap *Snapshot
-	sim1, err := NewSimulator(m, rewards, rng.NewStream(3, "tie"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim1 := mustSimulator(t, m, rewards, rng.NewStream(3, "tie"))
 	// Snapshot at t=2 (A's trigger arrival), when both ties are pending.
 	full, err := sim1.RunMonitored(20, &Monitor{
 		Importance: func(mr MarkingReader) float64 { return float64(mr.Tokens(trigA)) },
@@ -1224,10 +1173,7 @@ func TestSnapshotReplayPreservesTieOrder(t *testing.T) {
 		t.Fatalf("original run: b (scheduled first) should win the tie: %+v", full.Rewards)
 	}
 
-	sim2, err := NewSimulator(m, rewards, rng.NewStream(999, "tie-replay"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim2 := mustSimulator(t, m, rewards, rng.NewStream(999, "tie-replay"))
 	replay, err := sim2.RunFrom(snap, 20, nil, nil)
 	if err != nil {
 		t.Fatal(err)

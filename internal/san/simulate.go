@@ -75,7 +75,7 @@ type Result struct {
 // and derived indexes live on the compiled model, so constructing a
 // Simulator from one (CompiledModel.NewSimulator) is O(activities) — just
 // the per-simulator scratch — rather than the O(model) validation and index
-// derivation the package-level NewSimulator shim performs.
+// derivation Compile performs.
 type Simulator struct {
 	cm     *CompiledModel
 	stream *rng.Stream
@@ -99,19 +99,6 @@ type impulseBinding struct {
 // ErrUnstableModel reports a model that fires instantaneous activities in an
 // unbounded loop without time advancing.
 var ErrUnstableModel = errors.New("san: instantaneous activity loop (unstable model)")
-
-// NewSimulator validates the model and reward variables and returns a
-// simulator drawing randomness from stream. It is the compatibility shim
-// over the compile layer: every call pays a full Compile. Callers that run
-// many replications (or share one model across workers) should Compile once
-// and use CompiledModel.NewSimulator instead.
-func NewSimulator(model *Model, rewards []RewardVariable, stream *rng.Stream) (*Simulator, error) {
-	cm, err := Compile(model, rewards)
-	if err != nil {
-		return nil, err
-	}
-	return cm.NewSimulator(stream)
-}
 
 // Reset prepares the simulator to run another independent replication
 // drawing randomness from stream. All per-run state lives in the run itself,

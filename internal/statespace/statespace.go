@@ -18,7 +18,9 @@ package statespace
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/dist"
 	"repro/internal/san"
@@ -314,25 +316,58 @@ func sortedPlaceNames(cm *san.CompiledModel, idx []int) []string {
 	return names
 }
 
+// CertifyCascade is the sweep's certification cascade for one compiled
+// model. It runs Certify; when the certificate is refused as non-memoryless
+// it retries through CertifyExpanded, and when the standing certificate is
+// still refused as non-memoryless and fitTol > 0, through CertifyFitted.
+// Both retries rewrite copies of cm.Model(), so cm stays as compiled for a
+// simulation fallback. A retry's certificate replaces the standing one only
+// when its pass rewrote something; otherwise the earlier refusals stand.
+// The error return covers structural failures of the passes only — a
+// refused certificate is a result, not an error.
+func CertifyCascade(cm *san.CompiledModel, fitTol float64, opts Options) (*Generator, san.Certificate, error) {
+	gen, cert := Certify(cm, opts)
+	nonMemoryless := func() bool {
+		return !cert.Certified() && slices.ContainsFunc(cert.Refusals, func(r string) bool {
+			return strings.HasPrefix(r, san.RefusalNonMemoryless)
+		})
+	}
+	if nonMemoryless() {
+		exGen, exCert, rep, err := CertifyExpanded(cm.Model(), cm.Rewards(), opts)
+		if err != nil {
+			return nil, san.Certificate{}, err
+		}
+		if len(rep.Expanded) > 0 {
+			gen, cert = exGen, exCert
+		}
+	}
+	if fitTol > 0 && nonMemoryless() {
+		fitGen, fitCert, rep, err := CertifyFitted(cm.Model(), cm.Rewards(), fitTol, opts)
+		if err != nil {
+			return nil, san.Certificate{}, err
+		}
+		if len(rep.Fits) > 0 {
+			gen, cert = fitGen, fitCert
+		}
+	}
+	return gen, cert, nil
+}
+
 // CertifyExpanded is the certificate tier's entry point for the phase-type
-// expansion pass: it runs san.ExpandPhases on the (uncompiled) model builder,
-// compiles the expanded image against the given rewards, and certifies it.
-// The expansion evidence lands in Certificate.Expansions and, when the
-// expanded model is still refused, the pass's classified non-expandable
-// reasons are appended after the certificate's own refusals — so a reader
-// sees both what was proven non-memoryless and why it could not be fixed.
-//
-// The model is mutated in place; callers that also need the original model
-// (e.g. for a simulation fallback that must stay bit-identical to the
-// unexpanded build) must build a fresh one for this call. The error return
-// covers structural failures only (invalid model, unsound expansion, compile
+// expansion pass: it runs san.ExpandPhases on m, compiles the expanded copy
+// against the given rewards, and certifies it. The expansion evidence lands
+// in Certificate.Expansions and, when the expanded model is still refused,
+// the pass's classified non-expandable reasons are appended after the
+// certificate's own refusals — so a reader sees both what was proven
+// non-memoryless and why it could not be fixed. The error return covers
+// structural failures only (invalid model, unsound expansion, compile
 // failure) — a refused certificate is a result, not an error.
 func CertifyExpanded(m *san.Model, rewards []san.RewardVariable, opts Options) (*Generator, san.Certificate, *san.ExpansionReport, error) {
-	rep, err := san.ExpandPhases(m)
+	expanded, rep, err := san.ExpandPhases(m)
 	if err != nil {
 		return nil, san.Certificate{}, nil, err
 	}
-	cm, err := san.Compile(m, rewards)
+	cm, err := san.Compile(expanded, rewards)
 	if err != nil {
 		return nil, san.Certificate{}, nil, fmt.Errorf("statespace: compile expanded model: %w", err)
 	}
@@ -348,29 +383,25 @@ func CertifyExpanded(m *san.Model, rewards []san.RewardVariable, opts Options) (
 // phase-type fitting pass, one tier below CertifyExpanded: it first runs the
 // exact expansion (delays with an exact finite phase form always take it),
 // then san.FitPhases with the given tolerance on the non-expandable
-// remainder, compiles the image, and certifies it. Expansion evidence lands
-// in Certificate.Expansions and the certified fit evidence — original
-// distribution, adopted surrogate, proven distance bound and metric — in
-// Certificate.Approximations, so a certificate with non-empty Approximations
-// can never be mistaken for an exact one. When the fitted model is still
-// refused, both passes' classified reasons are appended after the
-// certificate's own refusals.
-//
-// The model is mutated in place; callers that also need the original model
-// (e.g. for a simulation fallback) must build a fresh one for this call. The
-// error return covers structural failures only (invalid model or tolerance,
-// unsound pass, compile failure) — a refused certificate is a result, not an
-// error.
+// remainder, compiles the rewritten copy, and certifies it. Expansion
+// evidence lands in Certificate.Expansions and the certified fit evidence —
+// original distribution, adopted surrogate, proven distance bound and
+// metric — in Certificate.Approximations, so a certificate with non-empty
+// Approximations can never be mistaken for an exact one. When the fitted
+// model is still refused, both passes' classified reasons are appended
+// after the certificate's own refusals. The error return covers structural
+// failures only (invalid model or tolerance, unsound pass, compile failure)
+// — a refused certificate is a result, not an error.
 func CertifyFitted(m *san.Model, rewards []san.RewardVariable, tol float64, opts Options) (*Generator, san.Certificate, *san.FitReport, error) {
-	exp, err := san.ExpandPhases(m)
+	expanded, exp, err := san.ExpandPhases(m)
 	if err != nil {
 		return nil, san.Certificate{}, nil, err
 	}
-	rep, err := san.FitPhases(m, tol)
+	fitted, rep, err := san.FitPhases(expanded, tol)
 	if err != nil {
 		return nil, san.Certificate{}, nil, err
 	}
-	cm, err := san.Compile(m, rewards)
+	cm, err := san.Compile(fitted, rewards)
 	if err != nil {
 		return nil, san.Certificate{}, nil, fmt.Errorf("statespace: compile fitted model: %w", err)
 	}

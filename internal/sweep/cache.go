@@ -3,7 +3,6 @@ package sweep
 import (
 	"sync"
 
-	"repro/internal/abe"
 	"repro/internal/san"
 	"repro/internal/statespace"
 )
@@ -38,49 +37,21 @@ type solveEntry struct {
 	once    sync.Once
 	rewards map[string]float64 // non-nil iff the point is answered analytically
 	solver  Solver             // method, reasons, certificate evidence
-	err     error              // hard failure (model rebuild etc.); aborts the sweep
+	err     error              // structural failure of a rewrite pass; aborts the sweep
 }
 
-// solvePoint runs the certification cascade — plain certify, phase-type
-// expansion retry, optional approximate-fit retry — and the transient solve
-// for one configuration. Run executes it once per cache entry. A
-// nil rewards map with a nil error means the point must simulate, with the
-// evidence in the returned Solver.
-func solvePoint(cfg abe.Config, cm *san.CompiledModel, mission, fitTol float64) (map[string]float64, Solver, error) {
+// solvePoint runs the certification cascade (statespace.CertifyCascade) and
+// the transient solve for one compiled model. Run executes it once per cache
+// entry. A nil rewards map with a nil error means the point must simulate,
+// with the evidence in the returned Solver; the cascade's rewrite passes
+// leave cm untouched for that simulation.
+func solvePoint(cm *san.CompiledModel, mission, fitTol float64) (map[string]float64, Solver, error) {
 	var out Solver
-	gen, cert := statespace.Certify(cm, statespace.Options{})
-	if !cert.Certified() && hasPrefix(cert.Refusals, san.RefusalNonMemoryless) {
-		// Phase-type expansion retry: rebuild the point's model fresh
-		// (ExpandPhases mutates its input and the simulation fallback must
-		// keep the original compiled model bit-identical), expand, and
-		// certify the expanded image. When the pass rewrote nothing the
-		// original certificate stands; when it did, the expanded certificate
-		// — evidence, refusals, and all — replaces it.
-		exGen, exCert, rep, err := expandedCertify(cfg)
-		if err != nil {
-			return nil, out, err
-		}
-		if len(rep.Expanded) > 0 {
-			gen, cert = exGen, exCert
-		}
+	gen, cert, err := statespace.CertifyCascade(cm, fitTol, statespace.Options{})
+	if err != nil {
+		return nil, out, err
 	}
-	if !cert.Certified() && hasPrefix(cert.Refusals, san.RefusalNonMemoryless) && fitTol > 0 {
-		// Approximate-fitting retry, opted into via PHFitTolerance: some
-		// delay has no exact phase form, so rebuild once more and run the
-		// certified fitting tier over the non-expandable remainder. Only an
-		// image that actually adopted surrogates replaces the standing
-		// certificate; the answer is then labeled uniformization-approx,
-		// never plain uniformization.
-		fitGen, fitCert, rep, err := fittedCertify(cfg, fitTol)
-		if err != nil {
-			return nil, out, err
-		}
-		if len(rep.Fits) > 0 {
-			gen, cert = fitGen, fitCert
-		}
-	}
-	c := cert
-	out.Certificate = &c
+	out.Certificate = &cert
 	if !cert.Certified() {
 		out.Method = MethodSimulation
 		out.Reasons = cert.Refusals

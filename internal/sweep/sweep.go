@@ -24,14 +24,12 @@ package sweep
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 
 	"repro/internal/abe"
 	"repro/internal/report"
 	"repro/internal/rng"
 	"repro/internal/san"
-	"repro/internal/statespace"
 	"repro/internal/stats"
 )
 
@@ -180,44 +178,6 @@ func (pp *pointPlan) build(cfg abe.Config) {
 	})
 }
 
-// hasPrefix reports whether any refusal string starts with the given
-// san.Refusal* classification prefix.
-func hasPrefix(refusals []string, prefix string) bool {
-	for _, r := range refusals {
-		if strings.HasPrefix(r, prefix) {
-			return true
-		}
-	}
-	return false
-}
-
-// expandedCertify builds a fresh model for cfg, runs the phase-type
-// expansion pass over it, and certifies the expanded image
-// (statespace.CertifyExpanded). The fresh build keeps the point's original
-// compiled model untouched for the simulation fallback.
-func expandedCertify(cfg abe.Config) (*statespace.Generator, san.Certificate, *san.ExpansionReport, error) {
-	model := san.NewModel(cfg.Name)
-	mp, err := abe.Build(model, cfg)
-	if err != nil {
-		return nil, san.Certificate{}, nil, err
-	}
-	return statespace.CertifyExpanded(model, mp.Rewards(), statespace.Options{})
-}
-
-// fittedCertify builds a fresh model for cfg and runs the certified
-// approximate tier (statespace.CertifyFitted): exact expansion first, then
-// phase-type fitting within tol on the non-expandable remainder. The fresh
-// build keeps the point's original compiled model untouched for the
-// simulation fallback.
-func fittedCertify(cfg abe.Config, tol float64) (*statespace.Generator, san.Certificate, *san.FitReport, error) {
-	model := san.NewModel(cfg.Name)
-	mp, err := abe.Build(model, cfg)
-	if err != nil {
-		return nil, san.Certificate{}, nil, err
-	}
-	return statespace.CertifyFitted(model, mp.Rewards(), tol, statespace.Options{})
-}
-
 // Run evaluates every point of the sweep under the given study options
 // (opts.Seed is the sweep-level master seed; opts.Parallelism sizes the
 // shared worker pool). It returns per-point measures in input order. Solver
@@ -311,7 +271,7 @@ func Run(points []Point, opts san.Options) (*Result, error) {
 					continue
 				}
 				e.once.Do(func() {
-					e.rewards, e.solver, e.err = solvePoint(points[i].Config, pp.compiled, opts.Mission, opts.PHFitTolerance)
+					e.rewards, e.solver, e.err = solvePoint(pp.compiled, opts.Mission, opts.PHFitTolerance)
 				})
 				if e.err != nil {
 					preErr[i] = e.err

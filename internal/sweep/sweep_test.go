@@ -284,7 +284,7 @@ func TestSweepFitTierOptIn(t *testing.T) {
 	if solver.Method != MethodSimulation {
 		t.Fatalf("without opt-in the Weibull point must simulate, got %q", solver.Method)
 	}
-	if !hasPrefix(solver.Reasons, san.RefusalNonMemoryless) {
+	if len(solver.Reasons) == 0 || !strings.HasPrefix(solver.Reasons[0], san.RefusalNonMemoryless) {
 		t.Fatalf("refusals must stay classified: %v", solver.Reasons)
 	}
 
@@ -325,6 +325,36 @@ func TestSweepFitTierOptIn(t *testing.T) {
 	if !strings.Contains(text, `"method": "uniformization-approx"`) ||
 		!strings.Contains(text, `"approximations"`) {
 		t.Errorf("JSON report must label the approximate method and carry the evidence:\n%s", text)
+	}
+}
+
+// TestSweepExpansionRetryKeepsModelAsBuilt pins the cascade's purity at the
+// sweep level. MiniErlang with Weibull disks is refused as built; its
+// Erlang repair expands, but the disks keep the expanded model refused and
+// no fit tolerance is set, so the point simulates with the expansion
+// evidence in its certificate. The retry rewrites a copy, so the point
+// simulates the model exactly as built: its measures equal those of its
+// forced-simulation twin bit for bit.
+func TestSweepExpansionRetryKeepsModelAsBuilt(t *testing.T) {
+	cfg := abe.MiniErlang()
+	cfg.Storage.Disk.ShapeBeta = 1.5
+	opts := san.Options{Mission: 1000, Replications: 4, Seed: 5, Parallelism: 2}
+	res, err := Run([]Point{
+		{Label: "cascade", Config: cfg, Seed: 11},
+		{Label: "twin", Config: cfg, Seed: 11, ForceSimulation: true},
+	}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver := res.Points[0].Solver
+	if solver.Method != MethodSimulation {
+		t.Fatalf("point must stay refused and simulate, got %q", solver.Method)
+	}
+	if solver.Certificate == nil || len(solver.Certificate.Expansions) == 0 {
+		t.Fatalf("certificate must carry the expansion evidence: %+v", solver.Certificate)
+	}
+	if !reflect.DeepEqual(res.Points[0].Measures, res.Points[1].Measures) {
+		t.Errorf("measures differ from the forced-simulation twin:\n%+v\n%+v", res.Points[0].Measures, res.Points[1].Measures)
 	}
 }
 

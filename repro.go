@@ -16,12 +16,16 @@
 package repro
 
 import (
+	"maps"
+	"slices"
+
 	"repro/internal/abe"
-	"repro/internal/core"
+	"repro/internal/calibrate"
 	"repro/internal/experiments"
 	"repro/internal/loganalysis"
 	"repro/internal/loggen"
 	"repro/internal/san"
+	"repro/internal/sweep"
 )
 
 // Version identifies the reproduction release.
@@ -96,9 +100,16 @@ func AnalyzeLogs(logs *loggen.Logs, diskPopulation int) (loganalysis.DerivedRate
 }
 
 // CalibrateFromLogs applies log-derived rates to a base configuration,
-// mirroring the paper's data-driven modeling approach.
+// mirroring the paper's data-driven modeling approach. The derived rates are
+// returned so callers can report them (Table 5's "obtained from log file
+// analysis" entries); package calibrate has the fitted distributions and the
+// per-parameter provenance.
 func CalibrateFromLogs(logs *loggen.Logs, base abe.Config, diskPopulation int) (abe.Config, loganalysis.DerivedRates, error) {
-	return core.CalibrateFromLogs(logs, base, diskPopulation)
+	cal, err := calibrate.CalibrateWith(logs, diskPopulation, base)
+	if err != nil {
+		return abe.Config{}, loganalysis.DerivedRates{}, err
+	}
+	return cal.Config, cal.Rates, nil
 }
 
 // ReproducePaper runs the whole paper in one shot from the (synthetic)
@@ -115,31 +126,22 @@ func ReproducePaper(opts EvaluationOptions) (string, error) {
 }
 
 // CompareDesigns evaluates several design alternatives side by side and
-// returns a rendered comparison table.
+// returns a rendered comparison table, one row per design in name order.
+// The designs run as one sweep, and every design is pinned to the same study
+// seed (common random numbers), so measured differences reflect the
+// designs, not the draws.
 func CompareDesigns(designs map[string]abe.Config, opts EvaluationOptions) (string, error) {
-	choices := make([]core.DesignChoice, 0, len(designs))
-	// Keep a deterministic order: sorted by name.
-	names := make([]string, 0, len(designs))
-	for name := range designs {
-		names = append(names, name)
+	sanOpts := opts.sanOptions().WithDefaults()
+	names := slices.Sorted(maps.Keys(designs))
+	points := make([]sweep.Point, len(names))
+	for i, name := range names {
+		points[i] = sweep.Point{Label: name, Config: designs[name], Seed: sanOpts.Seed}
 	}
-	sortStrings(names)
-	for _, name := range names {
-		choices = append(choices, core.DesignChoice{Name: name, Config: designs[name]})
-	}
-	table, _, err := core.CompareDesigns(choices, opts.sanOptions())
+	res, err := sweep.Run(points, sanOpts)
 	if err != nil {
 		return "", err
 	}
+	table := res.Table("Design comparison")
+	table.Headers[0] = "Design"
 	return table.Render(), nil
-}
-
-// sortStrings is a minimal insertion sort to keep the facade free of extra
-// imports.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -1,10 +1,12 @@
 package repro
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/abe"
+	"repro/internal/sweep"
 )
 
 func TestVersion(t *testing.T) {
@@ -60,12 +62,31 @@ func TestLogFacade(t *testing.T) {
 	if rates.CFSAvailability <= 0.9 || rates.CFSAvailability >= 1 {
 		t.Errorf("log availability = %v", rates.CFSAvailability)
 	}
-	cfg, _, err := CalibrateFromLogs(logs, ABEConfig(), 480)
+}
+
+func TestCalibrateFromLogs(t *testing.T) {
+	logs, err := GenerateABELogs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Storage.Disk.ShapeBeta == ABEConfig().Storage.Disk.ShapeBeta && cfg.Storage.Disk.MTBFHours == ABEConfig().Storage.Disk.MTBFHours {
-		t.Log("calibrated parameters happen to equal defaults; acceptable but unusual")
+	cfg, derived, err := CalibrateFromLogs(logs, ABEConfig(), 480)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Storage.Disk.ShapeBeta != derived.DiskWeibullShape {
+		t.Errorf("calibrated shape %v != derived %v", cfg.Storage.Disk.ShapeBeta, derived.DiskWeibullShape)
+	}
+	if cfg.Storage.Disk.MTBFHours != derived.DiskMTBFHours {
+		t.Errorf("calibrated MTBF %v != derived %v", cfg.Storage.Disk.MTBFHours, derived.DiskMTBFHours)
+	}
+	if cfg.Workload.JobsPerHour != derived.JobsPerHour {
+		t.Errorf("calibrated job rate %v != derived %v", cfg.Workload.JobsPerHour, derived.JobsPerHour)
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("calibrated config invalid: %v", err)
+	}
+	if _, _, err := CalibrateFromLogs(nil, ABEConfig(), 480); err == nil {
+		t.Error("nil logs accepted")
 	}
 }
 
@@ -95,5 +116,27 @@ func TestCompareDesignsFacade(t *testing.T) {
 	}
 	if _, err := CompareDesigns(nil, EvaluationOptions{}); err == nil {
 		t.Error("empty design map accepted")
+	}
+	if _, err := CompareDesigns(map[string]abe.Config{"bad": {}}, EvaluationOptions{}); err == nil {
+		t.Error("invalid design accepted")
+	}
+}
+
+func TestCompareDesigns(t *testing.T) {
+	// One row per design, in name order whatever the map's iteration order.
+	designs := map[string]abe.Config{
+		"b: ABE with spare OSS": ABEConfig().WithSpareOSS(true),
+		"a: ABE (8+2)":          ABEConfig(),
+	}
+	out, err := CompareDesigns(designs, EvaluationOptions{Replications: 8, MissionHours: 4380, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := strings.Index(out, "a: ABE (8+2)"), strings.Index(out, "b: ABE with spare OSS")
+	if first < 0 || second < 0 || first > second {
+		t.Errorf("comparison table rows missing or out of name order:\n%s", out)
+	}
+	if _, err := CompareDesigns(map[string]abe.Config{}, EvaluationOptions{}); !errors.Is(err, sweep.ErrNoPoints) {
+		t.Errorf("empty designs error = %v, want sweep.ErrNoPoints", err)
 	}
 }
