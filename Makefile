@@ -38,9 +38,11 @@ vet:
 # workload covers) and emit both the raw benchstat-compatible text and a
 # machine-readable BENCH_sweep.json. The output is captured to the file first
 # (not piped through tee) so a failing benchmark fails the target instead of
-# being masked by the pipe's exit status.
+# being masked by the pipe's exit status. -cpu 2 pins the GOMAXPROCS suffix
+# go test appends to every benchmark name, so the names match the committed
+# BENCH_baseline.json (recorded with -2) on a runner with any CPU count.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSolverVsSimulation|BenchmarkFitSolverVsSimulation' -benchmem -benchtime $(BENCHTIME) -timeout 60m . > BENCH_sweep.txt || { cat BENCH_sweep.txt; exit 1; }
+	$(GO) test -run '^$$' -bench 'BenchmarkSolverVsSimulation|BenchmarkFitSolverVsSimulation' -cpu 2 -benchmem -benchtime $(BENCHTIME) -timeout 60m . > BENCH_sweep.txt || { cat BENCH_sweep.txt; exit 1; }
 	cat BENCH_sweep.txt
 	$(GO) run ./cmd/benchjson -in BENCH_sweep.txt -out BENCH_sweep.json
 

@@ -1,14 +1,14 @@
 package repro
 
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (plus the ablations listed in DESIGN.md). Each benchmark
+// evaluation (plus the two ablations of package experiments). Each benchmark
 // regenerates the corresponding artifact end to end — log generation and
 // analysis for Tables 1-4, model construction for Figure 1, and replicated
 // Monte Carlo simulation for Figures 2-4 — using the Quick experiment
 // options so a full `go test -bench=.` pass stays tractable. The rendered
-// outputs (the rows/series the paper reports) are recorded in
-// EXPERIMENTS.md; these benchmarks measure the cost of regenerating them and
-// guard against regressions in the pipeline.
+// outputs (the rows/series the paper reports) come from `abesim
+// -experiment <name>`; these benchmarks measure the cost of regenerating
+// them and guard against regressions in the pipeline.
 
 import (
 	"testing"

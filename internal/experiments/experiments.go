@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation from the reimplemented substrates: the log-analysis tables
 // (Tables 1-4), the parameter table (Table 5), the composed-model figure
-// (Figure 1), and the simulation studies (Figures 2-4), plus the ablations
-// called out in DESIGN.md.
+// (Figure 1), and the simulation studies (Figures 2-4), plus two ablations
+// (AblationCorrelation and AblationAnalyticVsSim).
 package experiments
 
 import (

@@ -406,157 +406,6 @@ func expandActivity(m *Model, a *Activity, rates []float64) error {
 	return nil
 }
 
-// ExpandPhases rewrites every transition of a replica class whose delay has
-// an exact finite phase-type form into a chain of exponential stage
-// transitions through fresh local phase states, so the class passes
-// ReplicateLumped's memoryless check and the population stays counted —
-// phases become local states, and a petascale point keeps costing per state
-// class rather than per replica.
-//
-// Exactness mirrors the activity-level pass, with the races made explicit:
-// a replica that starts a chain leaves the From state, so every competing
-// transition out of From is replicated from each phase state at its original
-// rate — competitors are exponential (anything else fails the class), so
-// walking the chain does not age them, and a competitor firing mid-chain
-// discards the phase progress exactly as the original class discards the
-// pending phase-type clock when the replica leaves From. The transition's
-// Effect fires on the final stage only, preserving shared-place side-effect
-// semantics. The returned evidence strings parallel the model-level report.
-//
-// Two phase-type transitions out of the same From state would race two
-// chains against each other and are refused (RefusalNonExpandable inside the
-// returned error) rather than expanded approximately.
-func (c ReplicaClass) ExpandPhases() (ReplicaClass, []string, error) {
-	out := ReplicaClass{
-		States:  append([]string(nil), c.States...),
-		Initial: c.Initial,
-	}
-	// First pass: locate the phase-type transitions and refuse ambiguous
-	// races before rewriting anything. Refusal order matters for the
-	// messages: two chains out of one state is the structural problem, so it
-	// is detected before either chain complains about the other as a
-	// competitor.
-	expandable := make([]bool, len(c.Transitions))
-	stages := make([][]float64, len(c.Transitions))
-	for i, tr := range c.Transitions {
-		if _, ok := tr.Delay.(dist.Exponential); ok {
-			continue
-		}
-		rates, ok := phaseRates(tr.Delay)
-		if !ok {
-			return ReplicaClass{}, nil, fmt.Errorf("%w: %s: transition %q: %s has no exact finite phase-type form",
-				ErrNonExponential, RefusalNonExpandable, tr.Name, dist.Describe(tr.Delay))
-		}
-		if len(rates) > maxExpansionPhases {
-			return ReplicaClass{}, nil, fmt.Errorf("%w: %s: transition %q: %s needs %d phases, beyond the %d-phase budget",
-				ErrNonExponential, RefusalNonExpandable, tr.Name, dist.Describe(tr.Delay), len(rates), maxExpansionPhases)
-		}
-		expandable[i] = true
-		stages[i] = rates
-	}
-	chainFrom := make(map[string]string, len(c.Transitions))
-	for i, tr := range c.Transitions {
-		if !expandable[i] || len(stages[i]) <= 1 {
-			continue
-		}
-		if prev, dup := chainFrom[tr.From]; dup {
-			return ReplicaClass{}, nil, fmt.Errorf("%w: %s: transitions %q and %q both need phase chains out of state %q",
-				ErrNonExponential, RefusalNonExpandable, prev, tr.Name, tr.From)
-		}
-		chainFrom[tr.From] = tr.Name
-	}
-	// At this point every competitor of a chain is memoryless once the
-	// rewrite runs: the first loop refused everything without a finite phase
-	// form, the chain map refused a second multi-stage transition out of the
-	// same state, and single-stage expandables are swapped for their
-	// exponential before they are copied — so the race argument in the
-	// doc comment holds for every replicated competitor.
-	var evidence []string
-	for i, tr := range c.Transitions {
-		if !expandable[i] {
-			out.Transitions = append(out.Transitions, tr)
-			continue
-		}
-		rates := stages[i]
-		k := len(rates)
-		stage := func(rate float64) (dist.Distribution, error) {
-			e, err := dist.NewExponentialFromRate(rate)
-			if err != nil {
-				return nil, fmt.Errorf("san: expand phases: transition %q: %w", tr.Name, err)
-			}
-			return e, nil
-		}
-		last, err := stage(rates[k-1])
-		if err != nil {
-			return ReplicaClass{}, nil, err
-		}
-		if k == 1 {
-			tr.Delay = last
-			out.Transitions = append(out.Transitions, tr)
-			evidence = append(evidence, fmt.Sprintf(
-				"transition %q (%s -> %s): %s expanded into 1 exponential phase(s) at rates %s",
-				tr.Name, tr.From, tr.To, dist.Describe(c.Transitions[i].Delay), formatRates(rates)))
-			continue
-		}
-		phaseStates := make([]string, k-1)
-		for j := range phaseStates {
-			phaseStates[j] = phaseName(tr.Name, j+1)
-			out.States = append(out.States, phaseStates[j])
-		}
-		from := tr.From
-		for j := 0; j < k; j++ {
-			d, err := stage(rates[j])
-			if err != nil {
-				return ReplicaClass{}, nil, err
-			}
-			st := ReplicaTransition{From: from, Delay: d}
-			if j == k-1 {
-				// The final stage keeps the transition's name, destination,
-				// and side effect, so LumpedPlaces.ActivityName and shared
-				// counters behave exactly as for the unexpanded class.
-				st.Name, st.To, st.Effect = tr.Name, tr.To, tr.Effect
-			} else {
-				st.Name, st.To = phaseStates[j], phaseStates[j]
-				from = phaseStates[j]
-			}
-			out.Transitions = append(out.Transitions, st)
-		}
-		// Replicate every competitor out of From from each phase state,
-		// preserving the original race (memorylessness makes the per-phase
-		// copies one clock). A single-stage expandable competitor is copied
-		// as the exponential its own rewrite swaps in.
-		for j, o := range c.Transitions {
-			if j == i || o.From != tr.From {
-				continue
-			}
-			od := o.Delay
-			if expandable[j] && len(stages[j]) == 1 {
-				e, err := dist.NewExponentialFromRate(stages[j][0])
-				if err != nil {
-					return ReplicaClass{}, nil, fmt.Errorf("san: expand phases: transition %q: %w", o.Name, err)
-				}
-				od = e
-			}
-			for _, ph := range phaseStates {
-				out.Transitions = append(out.Transitions, ReplicaTransition{
-					Name:   o.Name + "@" + ph,
-					From:   ph,
-					To:     o.To,
-					Delay:  od,
-					Effect: o.Effect,
-				})
-			}
-		}
-		evidence = append(evidence, fmt.Sprintf(
-			"transition %q (%s -> %s): %s expanded into %d exponential phase(s) at rates %s",
-			tr.Name, tr.From, tr.To, dist.Describe(tr.Delay), k, formatRates(rates)))
-	}
-	if err := out.Validate(); err != nil {
-		return ReplicaClass{}, nil, fmt.Errorf("%w: expanded class invalid: %v", ErrExpansionUnsound, err)
-	}
-	return out, evidence, nil
-}
-
 // phaseName names the i-th stage activity (and its feeding phase place) of
 // an expanded activity.
 func phaseName(activity string, i int) string {

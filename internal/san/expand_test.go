@@ -499,210 +499,3 @@ func rewriteSnapshot(m *Model) string {
 	}
 	return b.String()
 }
-
-// TestReplicaClassExpandPhases pins the lumped-form chain: phase states
-// become local states, the final stage keeps the transition's name,
-// destination, and effect, and exponential competitors are replicated from
-// every phase state.
-func TestReplicaClassExpandPhases(t *testing.T) {
-	fired := 0
-	c := ReplicaClass{
-		States:  []string{"up", "down"},
-		Initial: "up",
-		Transitions: []ReplicaTransition{
-			{Name: "fail", From: "up", To: "down", Delay: mustExpRate(t, 0.01)},
-			{Name: "repair", From: "down", To: "up", Delay: mustErlang(t, 3, 0.5),
-				Effect: func(MarkingWriter) { fired++ }},
-			{Name: "scrap", From: "down", To: "up", Delay: mustExpRate(t, 0.001)},
-		},
-	}
-	out, evidence, err := c.ExpandPhases()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evidence) != 1 || !strings.Contains(evidence[0], `transition "repair"`) {
-		t.Fatalf("expected one evidence entry for repair, got %v", evidence)
-	}
-	if err := out.Validate(); err != nil {
-		t.Fatalf("expanded class invalid: %v", err)
-	}
-	// 2 original states + 2 phase states.
-	if len(out.States) != 4 {
-		t.Fatalf("States = %v, want 4 entries", out.States)
-	}
-	byName := map[string]ReplicaTransition{}
-	for _, tr := range out.Transitions {
-		byName[tr.Name] = tr
-	}
-	final, ok := byName["repair"]
-	if !ok {
-		t.Fatalf("final stage must keep the name \"repair\": %v", out.Transitions)
-	}
-	if final.From != "repair/phase2" || final.To != "up" || final.Effect == nil {
-		t.Fatalf("final stage misplaced: %+v", final)
-	}
-	if _, ok := byName["repair/phase1"]; !ok {
-		t.Fatalf("first stage missing: %v", out.Transitions)
-	}
-	// "scrap" shares the chain's From state ("down"), so it is replicated
-	// from both phase states; "fail" leaves "up" and must not be.
-	for _, want := range []string{"scrap@repair/phase1", "scrap@repair/phase2"} {
-		tr, ok := byName[want]
-		if !ok {
-			t.Fatalf("competitor %q not replicated: %v", want, out.Transitions)
-		}
-		if tr.To != "up" {
-			t.Fatalf("replicated competitor %q must keep its destination, got %q", want, tr.To)
-		}
-	}
-	for name := range byName {
-		if strings.HasPrefix(name, "fail@") {
-			t.Fatalf("transition %q wrongly replicated: it does not leave the chain's From state", name)
-		}
-	}
-}
-
-// TestReplicaClassExpandPhasesRefusals pins the lumped-form refusals: no
-// finite phase form, two chains out of one state, and a non-exponential
-// competitor racing a chain.
-func TestReplicaClassExpandPhasesRefusals(t *testing.T) {
-	cases := []struct {
-		name string
-		c    ReplicaClass
-		want string
-	}{
-		{
-			name: "no finite phase form",
-			c: ReplicaClass{
-				States: []string{"a", "b"}, Initial: "a",
-				Transitions: []ReplicaTransition{
-					{Name: "t", From: "a", To: "b", Delay: mustUniform(t, 1, 2)},
-				},
-			},
-			want: "no exact finite phase-type form",
-		},
-		{
-			name: "two chains out of one state",
-			c: ReplicaClass{
-				States: []string{"a", "b"}, Initial: "a",
-				Transitions: []ReplicaTransition{
-					{Name: "t1", From: "a", To: "b", Delay: mustErlang(t, 2, 1)},
-					{Name: "t2", From: "a", To: "b", Delay: mustErlang(t, 3, 1)},
-				},
-			},
-			want: "both need phase chains",
-		},
-		{
-			// A non-phase-type competitor is refused by the same phase-form
-			// check whether or not it races a chain: the class can never
-			// become all-exponential with it present.
-			name: "non-phase-type competitor of a chain",
-			c: ReplicaClass{
-				States: []string{"a", "b"}, Initial: "a",
-				Transitions: []ReplicaTransition{
-					{Name: "t1", From: "a", To: "b", Delay: mustErlang(t, 2, 1)},
-					{Name: "t2", From: "a", To: "b", Delay: mustUniform(t, 1, 2)},
-				},
-			},
-			want: "no exact finite phase-type form",
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := tc.c.ExpandPhases()
-			if err == nil {
-				t.Fatal("expected a refusal error")
-			}
-			if !errors.Is(err, ErrNonExponential) {
-				t.Fatalf("refusal must wrap ErrNonExponential: %v", err)
-			}
-			if !strings.Contains(err.Error(), RefusalNonExpandable) {
-				t.Fatalf("refusal %v must carry %q", err, RefusalNonExpandable)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("refusal %v must mention %q", err, tc.want)
-			}
-		})
-	}
-}
-
-// TestReplicaClassExpandSingleStageCompetitor pins the race with a
-// single-stage expandable competitor: the shape-1 Gamma is swapped for its
-// exponential both on its own transition and on every per-phase copy.
-func TestReplicaClassExpandSingleStageCompetitor(t *testing.T) {
-	g, err := dist.NewGamma(1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := ReplicaClass{
-		States: []string{"a", "b"}, Initial: "a",
-		Transitions: []ReplicaTransition{
-			{Name: "chain", From: "a", To: "b", Delay: mustErlang(t, 2, 1)},
-			{Name: "swap", From: "a", To: "b", Delay: g},
-		},
-	}
-	out, evidence, err := c.ExpandPhases()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evidence) != 2 {
-		t.Fatalf("both transitions must report evidence, got %v", evidence)
-	}
-	if err := out.Validate(); err != nil {
-		t.Fatalf("expanded class invalid: %v", err)
-	}
-	for _, tr := range out.Transitions {
-		e, ok := tr.Delay.(dist.Exponential)
-		if !ok {
-			t.Fatalf("transition %q delay not exponential: %T", tr.Name, tr.Delay)
-		}
-		if strings.HasPrefix(tr.Name, "swap") && e.Rate() != 0.25 {
-			t.Fatalf("swapped competitor %q rate = %v, want 0.25 (1/scale)", tr.Name, e.Rate())
-		}
-	}
-	if _, ok := func() (ReplicaTransition, bool) {
-		for _, tr := range out.Transitions {
-			if tr.Name == "swap@chain/phase1" {
-				return tr, true
-			}
-		}
-		return ReplicaTransition{}, false
-	}(); !ok {
-		t.Fatalf("per-phase competitor copy missing: %v", out.Transitions)
-	}
-}
-
-// TestReplicaClassExpandLumpedAcceptance closes the loop: an Erlang class
-// is rejected by ReplicateLumped as written, and accepted after expansion.
-func TestReplicaClassExpandLumpedAcceptance(t *testing.T) {
-	c := ReplicaClass{
-		States:  []string{"up", "down"},
-		Initial: "up",
-		Transitions: []ReplicaTransition{
-			{Name: "fail", From: "up", To: "down", Delay: mustExpRate(t, 0.01)},
-			{Name: "repair", From: "down", To: "up", Delay: mustErlang(t, 2, 0.5)},
-		},
-	}
-	m := NewModel("lump-reject")
-	if _, err := ReplicateLumped(m, "pool", 4, c); !errors.Is(err, ErrNonExponential) {
-		t.Fatalf("unexpanded Erlang class must be rejected, got %v", err)
-	}
-	out, evidence, err := c.ExpandPhases()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evidence) != 1 {
-		t.Fatalf("expected one evidence entry, got %v", evidence)
-	}
-	m2 := NewModel("lump-accept")
-	lp, err := ReplicateLumped(m2, "pool", 4, out)
-	if err != nil {
-		t.Fatalf("expanded class must lump: %v", err)
-	}
-	if lp.State("repair/phase1") == nil {
-		t.Fatal("phase state must have a counting place")
-	}
-	if err := m2.Validate(); err != nil {
-		t.Fatalf("lumped model invalid: %v", err)
-	}
-}

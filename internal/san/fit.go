@@ -322,85 +322,3 @@ func fitMixtureActivity(m *Model, a *Activity, sur phfit.Surrogate) error {
 	}
 	return nil
 }
-
-// FitPhases rewrites every non-exponential, non-expandable transition of a
-// replica class into a certified chain surrogate within tol and then runs
-// the exact expansion, so fitted chains become local phase states and the
-// population stays counted — a petascale point keeps costing per state
-// class rather than per replica. It returns the rewritten class, one
-// FitEvidence per fitted transition, and the expansion evidence strings for
-// the chain rewrites (including any transitions that expanded exactly
-// without fitting).
-//
-// Mixture surrogates are refused: a hyperexponential needs a probabilistic
-// branch at enabling time, and a replica-class transition is a single
-// race — there is nowhere to put the branch without breaking the lumping.
-// The refusal (RefusalNonFittable inside the returned error) keeps the
-// never-silently-approximate contract.
-func (c ReplicaClass) FitPhases(tol float64) (ReplicaClass, []FitEvidence, []string, error) {
-	fitted := ReplicaClass{
-		States:      append([]string(nil), c.States...),
-		Initial:     c.Initial,
-		Transitions: append([]ReplicaTransition(nil), c.Transitions...),
-	}
-	var evidence []FitEvidence
-	for i, tr := range fitted.Transitions {
-		if _, ok := tr.Delay.(dist.Exponential); ok {
-			continue
-		}
-		if _, ok := PhaseExpandable(tr.Delay); ok {
-			continue // the exact expansion below owns these
-		}
-		res, err := phfit.Fit(tr.Delay, tol)
-		if err != nil {
-			return ReplicaClass{}, nil, nil, fmt.Errorf("%w: %s: transition %q: %v",
-				ErrNonExponential, RefusalNonFittable, tr.Name, err)
-		}
-		sur := res.Surrogate
-		if sur.Mixture() {
-			return ReplicaClass{}, nil, nil, fmt.Errorf(
-				"%w: %s: transition %q: %s fits a hyperexponential, which a replica class cannot represent (no probabilistic branch)",
-				ErrNonExponential, RefusalNonFittable, tr.Name, dist.Describe(tr.Delay))
-		}
-		surrogate, err := chainDistribution(sur)
-		if err != nil {
-			return ReplicaClass{}, nil, nil, fmt.Errorf("san: fit phases: transition %q: %w", tr.Name, err)
-		}
-		fitted.Transitions[i].Delay = surrogate
-		evidence = append(evidence, FitEvidence{
-			Activity:       tr.Name,
-			Original:       dist.Describe(tr.Delay),
-			Surrogate:      sur.Describe(),
-			Family:         sur.Family(),
-			Phases:         sur.Phases(),
-			Metric:         res.Metric,
-			Bound:          res.Bound,
-			Tolerance:      res.Tolerance,
-			MomentsMatched: res.MomentsMatched,
-		})
-	}
-	out, expansions, err := fitted.ExpandPhases()
-	if err != nil {
-		return ReplicaClass{}, nil, nil, err
-	}
-	return out, evidence, expansions, nil
-}
-
-// chainDistribution renders a chain surrogate as a dist value (a single
-// exponential or a Sum of stage exponentials), which PhaseExpandable
-// recognizes exactly.
-func chainDistribution(sur phfit.Surrogate) (dist.Distribution, error) {
-	rates := sur.Rates()
-	parts := make([]dist.Distribution, len(rates))
-	for i, r := range rates {
-		e, err := dist.NewExponentialFromRate(r)
-		if err != nil {
-			return nil, err
-		}
-		parts[i] = e
-	}
-	if len(parts) == 1 {
-		return parts[0], nil
-	}
-	return dist.NewSum(parts...)
-}

@@ -363,110 +363,3 @@ func TestFitReportVerifyTamper(t *testing.T) {
 		t.Fatalf("missing touched activity must fail verification, got %v", err)
 	}
 }
-
-// TestReplicaClassFitPhases pins the petascale path: a non-expandable delay
-// becomes a certified chain of stage exponentials, then the exact expansion
-// turns the chain into counted local phase states.
-func TestReplicaClassFitPhases(t *testing.T) {
-	c := ReplicaClass{
-		States:  []string{"up", "down"},
-		Initial: "up",
-		Transitions: []ReplicaTransition{
-			{Name: "fail", From: "up", To: "down", Delay: mustExpRate(t, 0.01)},
-			{Name: "repair", From: "down", To: "up", Delay: mustWeibull(t, 1.5, 1000)},
-		},
-	}
-	out, fits, expansions, err := c.FitPhases(0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fits) != 1 {
-		t.Fatalf("expected one fit, got %v", fits)
-	}
-	ev := fits[0]
-	if ev.Activity != "repair" || ev.Family != "hypoexponential" || ev.Phases != 3 {
-		t.Fatalf("evidence = %+v, want repair/hypoexponential/3", ev)
-	}
-	if !(ev.Bound > 0 && ev.Bound <= 0.2) {
-		t.Fatalf("bound = %v, want in (0, 0.2]", ev.Bound)
-	}
-	found := false
-	for _, e := range expansions {
-		if strings.Contains(e, `transition "repair"`) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("expansion evidence for the fitted chain missing: %v", expansions)
-	}
-	if err := out.Validate(); err != nil {
-		t.Fatalf("fitted class invalid: %v", err)
-	}
-	// 2 original states + 2 phase states of the 3-stage chain.
-	if len(out.States) != 4 {
-		t.Fatalf("States = %v, want 4 entries", out.States)
-	}
-	for _, tr := range out.Transitions {
-		if _, ok := tr.Delay.(dist.Exponential); !ok {
-			t.Fatalf("transition %q delay not exponential after fit+expand: %T", tr.Name, tr.Delay)
-		}
-	}
-	// The original class is untouched.
-	if _, ok := c.Transitions[1].Delay.(dist.Weibull); !ok {
-		t.Fatalf("input class mutated: %T", c.Transitions[1].Delay)
-	}
-
-	// Mixture surrogates are refused: no probabilistic branch in a replica
-	// class.
-	cMix := ReplicaClass{
-		States:  []string{"up", "down"},
-		Initial: "up",
-		Transitions: []ReplicaTransition{
-			{Name: "fail", From: "up", To: "down", Delay: mustExpRate(t, 0.01)},
-			{Name: "outage", From: "down", To: "up", Delay: mustLognormal(t, 1.2, 1.0)},
-		},
-	}
-	if _, _, _, err := cMix.FitPhases(0.25); err == nil ||
-		!errors.Is(err, ErrNonExponential) ||
-		!strings.Contains(err.Error(), RefusalNonFittable) ||
-		!strings.Contains(err.Error(), "hyperexponential") {
-		t.Fatalf("mixture fit must refuse with classified reason, got %v", err)
-	}
-
-	// Delays the fitter cannot certify refuse with the fitter's reason.
-	cBad := ReplicaClass{
-		States:  []string{"up", "down"},
-		Initial: "up",
-		Transitions: []ReplicaTransition{
-			{Name: "t", From: "up", To: "down", Delay: mustUniform(t, 99, 101)},
-		},
-	}
-	if _, _, _, err := cBad.FitPhases(0.2); err == nil ||
-		!errors.Is(err, ErrNonExponential) ||
-		!strings.Contains(err.Error(), RefusalNonFittable) {
-		t.Fatalf("non-fittable delay must refuse with classified reason, got %v", err)
-	}
-
-	// Exactly expandable delays skip fitting and expand exactly.
-	cErl := ReplicaClass{
-		States:  []string{"up", "down"},
-		Initial: "up",
-		Transitions: []ReplicaTransition{
-			{Name: "fail", From: "up", To: "down", Delay: mustExpRate(t, 0.01)},
-			{Name: "repair", From: "down", To: "up", Delay: mustErlang(t, 3, 0.5)},
-		},
-	}
-	outErl, fitsErl, expErl, err := cErl.FitPhases(0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fitsErl) != 0 {
-		t.Fatalf("exact expansion must not report fits, got %v", fitsErl)
-	}
-	if len(expErl) != 1 {
-		t.Fatalf("expected one expansion evidence entry, got %v", expErl)
-	}
-	if err := outErl.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}

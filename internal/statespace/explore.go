@@ -8,8 +8,8 @@ import (
 	"repro/internal/san"
 )
 
-// This file exhaustively generates the tangible reachable state graph of a
-// memoryless, vanishing-free model. Vanishing markings (those enabling an
+// This file holds the firing semantics the explorer (explore_fast.go)
+// applies to every tangible state. Vanishing markings (those enabling an
 // instantaneous activity) are eliminated on the fly: every timed firing is
 // immediately closed under the simulator's instantaneous sweep, so only
 // tangible states are interned and the emitted edges carry the path
@@ -56,34 +56,14 @@ type explorer struct {
 	maxStates int
 
 	states      [][]int
-	index       map[string]int
 	transitions [][]Transition
 	observedMax []int
 	overBudget  bool
-
-	// firstRate pins the rate an activity showed when first seen enabled; a
-	// different rate in another state without reactivation breaks the CTMC
-	// (the clock is not resampled, so the process is not memoryless).
-	firstRate map[int]float64
 }
 
-// explore runs the BFS. It assumes the memoryless and vanishing-free
-// pre-checks passed; it still re-derives rates per state and re-checks
-// stability, because pre-checks at the initial marking cannot see
-// marking-dependent behavior. The optimized interned explorer
-// (explore_fast.go) is the production path; Options.Baseline routes through
-// this file's sequential reference implementation. Both produce identical
-// state numbering, transitions, and refusals.
-func explore(cm *san.CompiledModel, opts Options) (*Generator, exploreResult) {
-	if opts.Baseline {
-		return exploreBaseline(cm, opts)
-	}
-	return exploreFast(cm, opts)
-}
-
-// newExplorer builds the shared semantic core: the timed/instantaneous
-// activity split and the per-activity impulse bindings both explorers (and
-// the vanishing closure) evaluate against.
+// newExplorer builds the semantic core: the timed/instantaneous activity
+// split and the per-activity impulse bindings that expansion and the
+// vanishing closure evaluate against.
 func newExplorer(cm *san.CompiledModel, opts Options) *explorer {
 	model := cm.Model()
 	ex := &explorer{
@@ -92,8 +72,6 @@ func newExplorer(cm *san.CompiledModel, opts Options) *explorer {
 		nPlaces:   model.NumPlaces(),
 		nRewards:  len(cm.Rewards()),
 		maxStates: opts.MaxStates,
-		index:     make(map[string]int),
-		firstRate: make(map[int]float64),
 	}
 	for _, a := range model.Activities() {
 		if a.Kind() == san.Timed {
@@ -123,129 +101,11 @@ func newExplorer(cm *san.CompiledModel, opts Options) *explorer {
 	return ex
 }
 
-func exploreBaseline(cm *san.CompiledModel, opts Options) (*Generator, exploreResult) {
-	ex := newExplorer(cm, opts)
-	gen := &Generator{cm: cm}
-	res := exploreResult{}
-
-	// Close the initial marking: it may itself be vanishing.
-	initOutcomes, err := ex.closeVanishing(cm.InitialMarking(), 1, make([]float64, ex.nRewards))
-	if err != nil {
-		res.err = err
-		return nil, res
-	}
-	gen.InitialImpulses = make([]float64, ex.nRewards)
-	for _, o := range initOutcomes {
-		si, ok := ex.intern(o.mark)
-		if !ok {
-			res.budgetExceeded = true
-			return nil, res
-		}
-		gen.Initial = append(gen.Initial, StateProb{State: si, Prob: o.prob})
-		for ri := range o.imp {
-			gen.InitialImpulses[ri] += o.prob * o.imp[ri]
-		}
-	}
-
-	for next := 0; next < len(ex.states); next++ {
-		if err := ex.expand(next); err != nil {
-			if nm, isNM := err.(nonMemorylessError); isNM {
-				res.nonMemoryless = string(nm)
-			} else {
-				res.err = err
-			}
-			return nil, res
-		}
-		if ex.overBudget {
-			res.budgetExceeded = true
-			return nil, res
-		}
-	}
-
-	gen.States = ex.states
-	gen.Transitions = ex.transitions
-	res.observedMax = ex.observedMax
-	return gen, res
-}
-
 // nonMemorylessError classifies a reachable-state memorylessness failure so
 // the certificate reports it as a refusal distinct from exploration errors.
 type nonMemorylessError string
 
 func (e nonMemorylessError) Error() string { return string(e) }
-
-// overBudget is set by intern when the state budget is exhausted.
-func (ex *explorer) intern(mark []int) (int, bool) {
-	key := stateKey(mark)
-	if si, ok := ex.index[key]; ok {
-		return si, true
-	}
-	if len(ex.states) >= ex.maxStates {
-		ex.overBudget = true
-		return 0, false
-	}
-	si := len(ex.states)
-	ex.index[key] = si
-	ex.states = append(ex.states, append([]int(nil), mark...))
-	ex.transitions = append(ex.transitions, nil)
-	for pi, v := range mark {
-		if v > ex.observedMax[pi] {
-			ex.observedMax[pi] = v
-		}
-	}
-	return si, true
-}
-
-// expand generates the outgoing edges of tangible state si.
-func (ex *explorer) expand(si int) error {
-	mark := ex.states[si]
-	for _, a := range ex.timed {
-		enabled, err := activityEnabled(a, markingVec(mark))
-		if err != nil {
-			return err
-		}
-		if !enabled {
-			continue
-		}
-		rate, err := activityRate(a, markingVec(mark))
-		if err != nil {
-			return nonMemorylessError(err.Error())
-		}
-		if prev, seen := ex.firstRate[a.Index()]; seen {
-			if prev != rate && !a.Reactivation() {
-				return nonMemorylessError(fmt.Sprintf(
-					"activity %q: marking-dependent rate (%g vs %g) without reactivation", a.Name(), rate, prev))
-			}
-		} else {
-			ex.firstRate[a.Index()] = rate
-		}
-		if rate <= 0 || math.IsInf(rate, 0) || math.IsNaN(rate) {
-			return fmt.Errorf("activity %q: rate %g at state %d", a.Name(), rate, si)
-		}
-		branches, err := ex.fireBranches(mark, a)
-		if err != nil {
-			return err
-		}
-		for _, b := range branches {
-			outs, err := ex.closeVanishing(b.mark, b.prob, b.imp)
-			if err != nil {
-				return err
-			}
-			for _, o := range outs {
-				ti, ok := ex.intern(o.mark)
-				if !ok {
-					return nil // budget flag set; caller stops
-				}
-				ex.transitions[si] = append(ex.transitions[si], Transition{
-					From: si, To: ti, Activity: a.Name(),
-					Rate:     rate * o.prob,
-					Impulses: o.imp,
-				})
-			}
-		}
-	}
-	return nil
-}
 
 // fireBranches fires activity a in marking mark, returning one branch per
 // probabilistic case with positive probability. Each branch's marking has
@@ -326,9 +186,9 @@ func caseProbs(a *san.Activity, mark []int) ([]float64, error) {
 	return caseProbsInto(a, mark, make([]float64, len(cases)), make([]float64, len(cases)))
 }
 
-// caseProbsInto is caseProbs with caller-supplied scratch (the optimized
-// explorer reuses masses and probs across activations; probs is also the
-// return value). Both slices must have length len(a.Cases()) ≥ 2.
+// caseProbsInto is caseProbs with caller-supplied scratch (the expander
+// reuses masses and probs across activations; probs is also the return
+// value). Both slices must have length len(a.Cases()) ≥ 2.
 func caseProbsInto(a *san.Activity, mark []int, masses, probs []float64) ([]float64, error) {
 	cases := a.Cases()
 	var explicit float64

@@ -10,8 +10,8 @@ import (
 	"repro/internal/san"
 )
 
-// This file is the production exploration engine: the same BFS with
-// on-the-fly vanishing elimination as explore.go, rebuilt around an interned
+// This file is the exploration engine: a breadth-first search with
+// on-the-fly vanishing elimination (explore.go), built around an interned
 // packed-marking index (intern.go) and level-parallel frontier expansion.
 //
 // Expanding a state is a pure function of its marking — enabling predicates,
@@ -24,9 +24,9 @@ import (
 // order and performs everything order-sensitive — rate-consistency checks,
 // state interning (which assigns indices), transition assembly, budget
 // accounting, and error selection. The merge sees exactly the event sequence
-// the sequential reference explorer produces, so state numbering, transition
-// order, refusal text, and budget behavior are identical at every
-// parallelism, including parallelism 1.
+// a sequential BFS produces, so state numbering, transition order, refusal
+// text, and budget behavior are identical at every parallelism, including
+// parallelism 1.
 //
 // The chunk size is a fixed constant, not derived from the worker count, so
 // chunk boundaries never depend on scheduling.
@@ -88,17 +88,20 @@ type fastExplorer struct {
 	par       int
 	idx       *markIndex
 
-	// First-seen rate pin per activity index (the array form of the
-	// reference explorer's firstRate map).
+	// First-seen rate pin per activity index: a different rate in another
+	// state without reactivation breaks the CTMC (the clock is not
+	// resampled, so the process is not memoryless).
 	seenRate   []bool
 	pinnedRate []float64
 
 	packBuf []byte
 }
 
-// exploreFast runs the interned, level-parallel BFS. Its result — generator,
-// refusals, budget flags — is identical to exploreBaseline's.
-func exploreFast(cm *san.CompiledModel, opts Options) (*Generator, exploreResult) {
+// explore runs the interned, level-parallel BFS. It assumes the memoryless
+// and vanishing-free pre-checks passed; it still re-derives rates per state
+// and re-checks stability, because pre-checks at the initial marking cannot
+// see marking-dependent behavior.
+func explore(cm *san.CompiledModel, opts Options) (*Generator, exploreResult) {
 	ex := newExplorer(cm, opts)
 	model := cm.Model()
 	fx := &fastExplorer{
@@ -254,8 +257,7 @@ func (fx *fastExplorer) intern(mark []int) (int, bool) {
 
 // internPacked resolves a packed marking to its state index, assigning the
 // next index (and decoding the marking into the state table) on first sight.
-// It returns ok=false with the budget flag set when the state cap is hit —
-// the same stop the reference explorer performs.
+// It returns ok=false with the budget flag set when the state cap is hit.
 func (fx *fastExplorer) internPacked(packed []byte, h uint64) (int, bool) {
 	if si, ok := fx.idx.lookup(packed, h); ok {
 		return si, true
@@ -279,7 +281,7 @@ func (fx *fastExplorer) internPacked(packed []byte, h uint64) (int, bool) {
 // merge commits one chunk: it replays the recorded activations and edges in
 // state-index order, performing the order-sensitive work — rate pinning and
 // validity, interning, transition assembly, budget stops, and error raising —
-// in exactly the sequence the reference explorer would.
+// in exactly the sequence a sequential BFS would.
 func (fx *fastExplorer) merge(res *chunkOut) error {
 	actCursor, edgeCursor := 0, 0
 	for k, si := 0, res.lo; si < res.hi; k, si = k+1, si+1 {
@@ -382,8 +384,7 @@ func (e *expander) expandState(mark []int) {
 		}
 		if rate <= 0 || math.IsInf(rate, 0) || math.IsNaN(rate) {
 			// Recorded with no edges: the merge stops at this activation
-			// with the invalid-rate error, mirroring the reference
-			// explorer's stop before any firing.
+			// with the invalid-rate error, before any firing.
 			break
 		}
 		nEdges, err := e.fire(mark, tr)
@@ -398,10 +399,9 @@ func (e *expander) expandState(mark []int) {
 }
 
 // fire records the successor edges of firing tr.a in mark. Models with
-// instantaneous activities route through the reference fireBranches and
-// vanishing closure (their read-only helpers are safe under concurrent
-// workers); the instantaneous-free hot path fires on reusable scratch
-// markings instead.
+// instantaneous activities route through fireBranches and the vanishing
+// closure (their read-only helpers are safe under concurrent workers); the
+// instantaneous-free hot path fires on reusable scratch markings instead.
 func (e *expander) fire(mark []int, tr *timedRef) (int32, error) {
 	a := tr.a
 	if len(e.fx.inst) > 0 {

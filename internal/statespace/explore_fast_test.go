@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/abe"
 	"repro/internal/dist"
 	"repro/internal/san"
 	"repro/internal/statespace"
@@ -63,11 +64,68 @@ func name(prefix string, i int) string {
 	return prefix + string(rune('a'+i))
 }
 
-// certifyFarm certifies the component farm with the given options and fails
-// the test on refusal.
-func certifyFarm(t *testing.T, cm *san.CompiledModel, opts statespace.Options) *statespace.Generator {
+// figure4FitTolerance is the tolerance the figure4 sweep fits MiniWeibull
+// at (experiments.Figure4FitTolerance).
+const figure4FitTolerance = 0.1
+
+// buildMini composes a shipped mini configuration and compiles it as the
+// certification cascade certifies it: as built, after san.ExpandPhases when
+// expand is set, and after san.FitPhases at fitTol when fitTol > 0.
+func buildMini(t *testing.T, cfg abe.Config, expand bool, fitTol float64) *san.CompiledModel {
 	t.Helper()
-	gen, cert := statespace.Certify(cm, opts)
+	m := san.NewModel(cfg.Name)
+	mp, err := abe.Build(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if expand {
+		if m, _, err = san.ExpandPhases(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fitTol > 0 {
+		if m, _, err = san.FitPhases(m, fitTol); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cm, err := san.Compile(m, mp.Rewards())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cm
+}
+
+// chainFixture is one model the differential and golden tests explore, with
+// its tangible state count and the SHA-256 digest of its state numbering
+// (every token count in state order, as a little-endian uint64).
+type chainFixture struct {
+	name   string
+	states int
+	golden string
+	build  func(t *testing.T) *san.CompiledModel
+}
+
+// chainFixtures are the hypercube fixture and the three shipped minis in the
+// form the sweep solves them.
+var chainFixtures = []chainFixture{
+	{"farm8", 256, "c4ad5665ce507fab4bd04e4f95bb3e4bc8a543d60056960d57949dd0b445d6a4",
+		func(t *testing.T) *san.CompiledModel { return buildComponentFarm(t, 8) }},
+	{"MiniExponential", 1728, "5f777292ec346cb53e124044b11771da34e378d95e338f5de7321b3c7e465457",
+		func(t *testing.T) *san.CompiledModel { return buildMini(t, abe.MiniExponential(), false, 0) }},
+	{"MiniErlang", 3456, "8a651d3490a0ecaf5e14b492cb89fa2423cede5b8dde64836ec75801e33d8440",
+		func(t *testing.T) *san.CompiledModel { return buildMini(t, abe.MiniErlang(), true, 0) }},
+	{"MiniWeibull", 27648, "21bc99d85549b38af4c464aa58c082f2949c4fcc34de1c49877e045a2f6ec145",
+		func(t *testing.T) *san.CompiledModel {
+			return buildMini(t, abe.MiniWeibull(), true, figure4FitTolerance)
+		}},
+}
+
+// mustCertify runs certify (statespace.Certify or the reference pipeline
+// statespace.CertifyReference) on cm and fails the test on refusal.
+func mustCertify(t *testing.T, certify func(*san.CompiledModel, statespace.Options) (*statespace.Generator, san.Certificate),
+	cm *san.CompiledModel, opts statespace.Options) *statespace.Generator {
+	t.Helper()
+	gen, cert := certify(cm, opts)
 	if !cert.Certified() {
 		t.Fatalf("refused: %s", cert.Summary())
 	}
@@ -136,18 +194,23 @@ func sameChain(t *testing.T, got, want *statespace.Generator) {
 }
 
 // TestExploreFastMatchesBaseline checks the interned explorer against the
-// sequential reference implementation on the hypercube fixture: identical
-// state numbering, markings, initial distribution, and edges, at
-// parallelism 1 and at a worker count far above the chunk count.
+// sequential reference explorer on the hypercube fixture and the three
+// shipped minis: identical state numbering, markings, initial distribution,
+// and edges, at parallelism 1 and at a worker count far above the chunk
+// count.
 func TestExploreFastMatchesBaseline(t *testing.T) {
-	cm := buildComponentFarm(t, 8)
-	ref := certifyFarm(t, cm, statespace.Options{Baseline: true})
-	if len(ref.States) != 256 {
-		t.Fatalf("fixture: got %d states, want 256", len(ref.States))
-	}
-	for _, par := range []int{1, 8} {
-		fast := certifyFarm(t, cm, statespace.Options{Parallelism: par})
-		sameChain(t, fast, ref)
+	for _, fx := range chainFixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			cm := fx.build(t)
+			ref := mustCertify(t, statespace.CertifyReference, cm, statespace.Options{})
+			if len(ref.States) != fx.states {
+				t.Fatalf("fixture: got %d states, want %d", len(ref.States), fx.states)
+			}
+			for _, par := range []int{1, 8} {
+				fast := mustCertify(t, statespace.Certify, cm, statespace.Options{Parallelism: par})
+				sameChain(t, fast, ref)
+			}
+		})
 	}
 }
 
@@ -189,92 +252,94 @@ func TestExploreFastMatchesBaselineVanishing(t *testing.T) {
 		}
 		return cm
 	}
-	ref := certifyFarm(t, build(), statespace.Options{Baseline: true})
-	fast := certifyFarm(t, build(), statespace.Options{Parallelism: 4})
+	ref := mustCertify(t, statespace.CertifyReference, build(), statespace.Options{})
+	fast := mustCertify(t, statespace.Certify, build(), statespace.Options{Parallelism: 4})
 	sameChain(t, fast, ref)
 }
 
 // TestExploreGoldenNumbering pins the state numbering of the hypercube
-// fixture to a golden digest. The baseline and optimized explorers are
-// required to agree with each other *and* with this constant, so neither can
+// fixture and the three shipped minis to golden digests. The explorer must
+// match them at every parallelism, and TestExploreFastMatchesBaseline holds
+// the reference explorer to the explorer state for state, so neither can
 // silently drift — the interned index must keep assigning indices in the
 // reference discovery order.
 func TestExploreGoldenNumbering(t *testing.T) {
-	const golden = "c4ad5665ce507fab4bd04e4f95bb3e4bc8a543d60056960d57949dd0b445d6a4"
-	cm := buildComponentFarm(t, 8)
-	for _, opts := range []statespace.Options{{Baseline: true}, {}, {Parallelism: 8}} {
-		gen := certifyFarm(t, cm, opts)
-		h := sha256.New()
-		var buf [8]byte
-		for _, mark := range gen.States {
-			for _, v := range mark {
-				binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
-				h.Write(buf[:])
+	for _, fx := range chainFixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			cm := fx.build(t)
+			for _, opts := range []statespace.Options{{Parallelism: 1}, {Parallelism: 8}} {
+				gen := mustCertify(t, statespace.Certify, cm, opts)
+				h := sha256.New()
+				var buf [8]byte
+				for _, mark := range gen.States {
+					for _, v := range mark {
+						binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
+						h.Write(buf[:])
+					}
+				}
+				if got := hex.EncodeToString(h.Sum(nil)); got != fx.golden {
+					t.Fatalf("state numbering drifted (opts %+v):\n got %s\nwant %s", opts, got, fx.golden)
+				}
 			}
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != golden {
-			t.Fatalf("state numbering drifted (opts %+v):\n got %s\nwant %s", opts, got, golden)
-		}
+		})
 	}
 }
 
-// TestSolveBitIdenticalAcrossParallelism runs explore + SolveTransient +
-// SolveSteadyState at parallelism 1 and at several higher worker counts and
-// asserts the reward maps are bit-identical: the fixed-chunk kernels must
-// make the worker count unobservable in the floating-point result.
+// TestSolveBitIdenticalAcrossParallelism runs explore + SolveTransient at
+// parallelism 1 and at several higher worker counts and asserts the reward
+// maps are bit-identical: the fixed-chunk kernels must make the worker count
+// unobservable in the floating-point result.
 func TestSolveBitIdenticalAcrossParallelism(t *testing.T) {
 	cm := buildComponentFarm(t, 8)
-	base := certifyFarm(t, cm, statespace.Options{Parallelism: 1})
-	wantTr, err := base.SolveTransient(5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSS, err := base.SolveSteadyState()
+	base := mustCertify(t, statespace.Certify, cm, statespace.Options{Parallelism: 1})
+	want, err := base.SolveTransient(5000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{2, 4, 16} {
-		gen := certifyFarm(t, cm, statespace.Options{Parallelism: par})
-		gotTr, err := gen.SolveTransient(5000)
+		gen := mustCertify(t, statespace.Certify, cm, statespace.Options{Parallelism: par})
+		got, err := gen.SolveTransient(5000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotSS, err := gen.SolveSteadyState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, want := range wantTr {
-			if math.Float64bits(gotTr[name]) != math.Float64bits(want) {
-				t.Errorf("parallelism %d: transient %q = %v, want bit-identical %v", par, name, gotTr[name], want)
-			}
-		}
-		for name, want := range wantSS {
-			if math.Float64bits(gotSS[name]) != math.Float64bits(want) {
-				t.Errorf("parallelism %d: steady-state %q = %v, want bit-identical %v", par, name, gotSS[name], want)
+		for name, w := range want {
+			if math.Float64bits(got[name]) != math.Float64bits(w) {
+				t.Errorf("parallelism %d: transient %q = %v, want bit-identical %v", par, name, got[name], w)
 			}
 		}
 	}
 }
 
-// TestFastSolverMatchesBaselineNumerically checks the gather kernel against
-// the scatter reference: same chain, same series, results equal to
-// reassociation-level tolerance.
+// TestFastSolverMatchesBaselineNumerically checks explorer plus gather
+// kernel against the reference explorer plus scatter solver over a mission
+// year: same chain, same series, results equal to reassociation-level
+// tolerance.
 func TestFastSolverMatchesBaselineNumerically(t *testing.T) {
-	cm := buildComponentFarm(t, 6)
-	ref := certifyFarm(t, cm, statespace.Options{Baseline: true})
-	fast := certifyFarm(t, cm, statespace.Options{Parallelism: 4})
-	want, err := ref.SolveTransient(5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := fast.SolveTransient(5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, w := range want {
-		if diff := math.Abs(got[name] - w); diff > 1e-9*(1+math.Abs(w)) {
-			t.Errorf("reward %q: fast %v vs baseline %v (diff %g)", name, got[name], w, diff)
+	for _, fx := range chainFixtures {
+		if fx.name == "MiniWeibull" {
+			continue // its reference solve takes seconds, too slow for tier-1
 		}
+		t.Run(fx.name, func(t *testing.T) {
+			cm := fx.build(t)
+			ref := mustCertify(t, statespace.CertifyReference, cm, statespace.Options{})
+			fast := mustCertify(t, statespace.Certify, cm, statespace.Options{Parallelism: 4})
+			want, err := ref.SolveTransientReference(8760)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := fast.SolveTransient(8760)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("got %d rewards, want %d", len(got), len(want))
+			}
+			for name, w := range want {
+				if diff := math.Abs(got[name] - w); diff > 1e-9*(1+math.Abs(w)) {
+					t.Errorf("reward %q: fast %v vs reference %v (diff %g)", name, got[name], w, diff)
+				}
+			}
+		})
 	}
 }
 
@@ -301,7 +366,7 @@ func TestExploreFastRefusalsMatchBaseline(t *testing.T) {
 		}
 		return cm
 	}
-	_, refCert := statespace.Certify(build(), statespace.Options{Baseline: true})
+	_, refCert := statespace.CertifyReference(build(), statespace.Options{})
 	_, fastCert := statespace.Certify(build(), statespace.Options{Parallelism: 4})
 	if refCert.Certified() || fastCert.Certified() {
 		t.Fatal("fixture unexpectedly certified")
@@ -313,7 +378,7 @@ func TestExploreFastRefusalsMatchBaseline(t *testing.T) {
 	// Budget overrun: both paths must stop at the same budget with the same
 	// refusal.
 	cm := buildComponentFarm(t, 8)
-	_, refCert = statespace.Certify(cm, statespace.Options{Baseline: true, MaxStates: 100})
+	_, refCert = statespace.CertifyReference(cm, statespace.Options{MaxStates: 100})
 	_, fastCert = statespace.Certify(cm, statespace.Options{Parallelism: 4, MaxStates: 100})
 	if refCert.Certified() || fastCert.Certified() {
 		t.Fatal("budget fixture unexpectedly certified")

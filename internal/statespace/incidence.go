@@ -106,19 +106,19 @@ func renderInvariant(inv pInvariant, cm *san.CompiledModel) string {
 // Budget overruns and unprobeable gates downgrade to an empty result instead
 // of failing: invariants are evidence and refusal-classification aids, not a
 // solver precondition (exploration supplies the exhaustive bounds).
-func computeInvariants(cm *san.CompiledModel, opts Options) invariantResult {
+func computeInvariants(cm *san.CompiledModel) invariantResult {
 	model := cm.Model()
 	nPlaces := model.NumPlaces()
-	if nPlaces > opts.MaxInvariantPlaces {
-		return invariantResult{skipped: true, skipReason: fmt.Sprintf("%d places exceed the %d-place invariant budget", nPlaces, opts.MaxInvariantPlaces)}
+	if nPlaces > maxInvariantPlaces {
+		return invariantResult{skipped: true, skipReason: fmt.Sprintf("%d places exceed the %d-place invariant budget", nPlaces, maxInvariantPlaces)}
 	}
 
 	cols, pinned, ok := incidenceMatrix(cm)
 	if !ok {
 		return invariantResult{skipped: true, skipReason: "a gate transform could not be probed"}
 	}
-	if len(cols) > opts.MaxInvariantColumns {
-		return invariantResult{skipped: true, skipReason: fmt.Sprintf("%d columns exceed the %d-column invariant budget", len(cols), opts.MaxInvariantColumns)}
+	if len(cols) > maxInvariantColumns {
+		return invariantResult{skipped: true, skipReason: fmt.Sprintf("%d columns exceed the %d-column invariant budget", len(cols), maxInvariantColumns)}
 	}
 
 	res := invariantResult{}
@@ -141,7 +141,7 @@ func computeInvariants(cm *san.CompiledModel, opts Options) invariantResult {
 		row.y[pi] = 1
 		prows = append(prows, row)
 	}
-	pvs, ok := farkas(prows, opts.MaxFarkasRows)
+	pvs, ok := farkas(prows, maxFarkasRows)
 	if !ok {
 		return invariantResult{skipped: true, skipReason: "P-invariant tableau exceeded the row budget"}
 	}
@@ -166,7 +166,7 @@ func computeInvariants(cm *san.CompiledModel, opts Options) invariantResult {
 		row.y[j] = 1
 		trows = append(trows, row)
 	}
-	tvs, ok := farkas(trows, opts.MaxFarkasRows)
+	tvs, ok := farkas(trows, maxFarkasRows)
 	if !ok {
 		// Keep the P-invariants; only the T count is lost.
 		return res

@@ -7,13 +7,13 @@ import (
 
 // markIndex interns markings as varint-packed byte strings in one contiguous
 // arena, indexed by an open-addressed table of 64-bit FNV-1a hash buckets
-// with collision-checked equality. It replaces the reference explorer's
-// map[string]int: interning a marking costs one pack into a reusable scratch
-// buffer and one probe — no per-state string allocation, no 8-bytes-per-place
-// key — and the packed arena is the only long-lived per-state storage.
+// with collision-checked equality. Interning a marking costs one pack into a
+// reusable scratch buffer and one probe — no per-state string allocation, no
+// 8-bytes-per-place key — and the packed arena is the only long-lived
+// per-state storage.
 //
-// State indices are assigned in insertion order, so the optimized explorer's
-// numbering is exactly the discovery order the reference explorer produces.
+// State indices are assigned in insertion order, so the explorer's numbering
+// is exactly its BFS discovery order.
 type markIndex struct {
 	table  []int32 // open-addressed slots holding state index + 1; 0 = empty
 	mask   uint64

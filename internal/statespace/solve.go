@@ -2,22 +2,16 @@ package statespace
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/san"
 )
 
 // This file is the first consumer of the generated CTMC: a uniformization
-// transient solver and a power-iteration steady-state solver, generalizing
-// the hand-built birth-death chain behind rareevent.BirthDeathHitProbability
-// to any certified model. With Λ an upper bound on the total exit rate,
-// P = I + Q/Λ is stochastic and
-//
-//	π(T)  = Σ_n pois(n; ΛT) · v_n,            v_n = v_{n-1} P
-//	L_s(T) = ∫₀ᵀ π_s(t) dt = (1/Λ) Σ_n P(N > n) · v_n[s]
-//
-// (the second from ∫₀ᵀ pois(n; Λt) dt = P(N > n)/Λ with N ~ Poisson(ΛT)).
-// Rate rewards integrate against the sojourn vector L, impulse rewards
+// transient solver, generalizing the hand-built birth-death chain behind
+// rareevent.BirthDeathHitProbability to any certified model. SolveTransient
+// (solve_fast.go) runs the series; this file holds the uniformization rate
+// and folds the resulting distribution π(T) and sojourn vector L(T) into the
+// reward variables. Rate rewards integrate against L, impulse rewards
 // accumulate at rate Σ_edges rate·impulse while the source state is
 // occupied, exactly the quantities the simulator estimates.
 
@@ -28,63 +22,6 @@ var ErrSolve = fmt.Errorf("statespace: solve failed")
 // maxUniformizationConstant bounds ΛT: beyond it the Poisson series needs
 // too many terms for the solver to beat simulation.
 const maxUniformizationConstant = 1e6
-
-// csr is the uniformized transition matrix P = I + Q/Λ in compressed sparse
-// row form, with self-loop edges excluded from the dynamics (they do not
-// move probability) but retained in the impulse flux.
-type csr struct {
-	rowStart []int
-	colIdx   []int
-	val      []float64
-	stay     []float64 // diagonal: 1 - exit_s/Λ
-}
-
-// step computes dst = v·P.
-func (m *csr) step(dst, v []float64) {
-	for i := range dst {
-		dst[i] = v[i] * m.stay[i]
-	}
-	for s := range m.stay {
-		if v[s] == 0 {
-			continue
-		}
-		for k := m.rowStart[s]; k < m.rowStart[s+1]; k++ {
-			dst[m.colIdx[k]] += v[s] * m.val[k]
-		}
-	}
-}
-
-// buildCSR merges the generator's parallel edges into the uniformized matrix
-// at rate lambda. Off-diagonal mass comes from edges with From != To; the
-// exit rate likewise excludes self-loops (a self-loop edge leaves the
-// distribution unchanged).
-func (g *Generator) buildCSR(lambda float64) *csr {
-	n := len(g.States)
-	m := &csr{rowStart: make([]int, n+1), stay: make([]float64, n)}
-	for s := 0; s < n; s++ {
-		m.rowStart[s] = len(m.colIdx)
-		// Merge parallel edges per destination, preserving first-seen
-		// destination order for deterministic accumulation.
-		offset := map[int]int{}
-		exit := 0.0
-		for _, t := range g.Transitions[s] {
-			if t.To == s {
-				continue
-			}
-			exit += t.Rate
-			if k, ok := offset[t.To]; ok {
-				m.val[k] += t.Rate / lambda
-				continue
-			}
-			offset[t.To] = len(m.colIdx)
-			m.colIdx = append(m.colIdx, t.To)
-			m.val = append(m.val, t.Rate/lambda)
-		}
-		m.stay[s] = 1 - exit/lambda
-	}
-	m.rowStart[n] = len(m.colIdx)
-	return m
-}
 
 // maxExitRate returns the largest total outgoing rate (self-loops excluded).
 func (g *Generator) maxExitRate() float64 {
@@ -116,173 +53,6 @@ func (g *Generator) impulseFlux(ri int) []float64 {
 		}
 	}
 	return flux
-}
-
-// solveTransientBaseline computes every reward variable at mission time T by
-// uniformization and returns them keyed by reward name — the exact analogue
-// of one simulated replication's Result.Rewards, in expectation. It is the
-// sequential reference implementation behind SolveTransient (solve_fast.go
-// holds the production kernels); Options.Baseline routes solves here.
-func (g *Generator) solveTransientBaseline(T float64) (map[string]float64, error) {
-	if !(T > 0) || math.IsInf(T, 0) {
-		return nil, fmt.Errorf("%w: mission time %v", ErrSolve, T)
-	}
-	n := len(g.States)
-	pi := make([]float64, n)      // π(T)
-	sojourn := make([]float64, n) // L(T)
-	for _, sp := range g.Initial {
-		pi[sp.State] = sp.Prob
-	}
-
-	lambda := g.maxExitRate()
-	if lambda == 0 {
-		// No timed behavior: the chain sits in its initial distribution.
-		for s, p := range pi {
-			sojourn[s] = p * T
-		}
-		return g.evalRewards(pi, sojourn, T)
-	}
-	lt := lambda * T
-	if lt > maxUniformizationConstant {
-		return nil, fmt.Errorf("%w: uniformization constant %v too large", ErrSolve, lt)
-	}
-
-	P := g.buildCSR(lambda)
-	v := make([]float64, n)
-	for _, sp := range g.Initial {
-		v[sp.State] = sp.Prob
-	}
-	next := make([]float64, n)
-
-	// Iteratively updated Poisson weights in log space (the leading weights
-	// underflow for large ΛT).
-	logWeight := -lt // log PMF at n=0
-	w := math.Exp(logWeight)
-	accumulated := w
-	out := make([]float64, n)
-	for s := range v {
-		out[s] = w * v[s]
-		// P(N > 0) = 1 - w.
-		sojourn[s] = (1 - accumulated) * v[s] / lambda
-	}
-	copy(pi, out)
-	// usedTime tracks Σ tail_m/λ added to the sojourn vector so far; the
-	// identity Σ_m P(N > m)/λ = E[N]/λ = T gives the remainder in closed
-	// form when the iteration stops early.
-	usedTime := (1 - accumulated) / lambda
-
-	const tol = 1e-12
-	// Steady-state detection: once v_n stops changing (the embedded chain
-	// reached stationarity within ssTol), every remaining Poisson term
-	// multiplies the same vector, so the rest of the series collapses to the
-	// leftover probability mass (for π) and leftover expected time (for L).
-	// Missions are typically many mixing times long (ΛT in the tens of
-	// thousands for an 8760 h year), so this turns O(ΛT) matrix-vector
-	// products into O(Λ·t_mix).
-	const ssTol = 1e-13
-	maxIter := int(lt + 12*math.Sqrt(lt+1) + 50)
-	for it := 1; it <= maxIter; it++ {
-		P.step(next, v)
-		v, next = next, v
-		logWeight += math.Log(lt) - math.Log(float64(it))
-		w = math.Exp(logWeight)
-		accumulated += w
-		tail := 1 - accumulated
-		if tail < 0 {
-			tail = 0
-		}
-		for s := range v {
-			pi[s] += w * v[s]
-			sojourn[s] += tail * v[s] / lambda
-		}
-		usedTime += tail / lambda
-		if it > int(lt) && 1-accumulated < tol {
-			break
-		}
-		diff := 0.0
-		for s := range v {
-			diff += math.Abs(v[s] - next[s])
-		}
-		if diff < ssTol {
-			remMass := 1 - accumulated
-			if remMass < 0 {
-				remMass = 0
-			}
-			remTime := T - usedTime
-			if remTime < 0 {
-				remTime = 0
-			}
-			for s := range v {
-				pi[s] += remMass * v[s]
-				sojourn[s] += remTime * v[s]
-			}
-			break
-		}
-	}
-	return g.evalRewards(pi, sojourn, T)
-}
-
-// solveSteadyStateBaseline computes the long-run value of every reward
-// variable: the stationary expectation of rate rewards plus the stationary
-// impulse flux for accumulated-mode rewards (per unit time). The embedded
-// uniformized chain is iterated at 1.05× the maximal exit rate so it is
-// aperiodic whenever the CTMC is irreducible over its recurrent classes. It
-// is the sequential reference implementation behind SolveSteadyState.
-func (g *Generator) solveSteadyStateBaseline() (map[string]float64, error) {
-	n := len(g.States)
-	pi := make([]float64, n)
-	for _, sp := range g.Initial {
-		pi[sp.State] = sp.Prob
-	}
-	lambda := g.maxExitRate()
-	if lambda > 0 {
-		P := g.buildCSR(lambda * 1.05)
-		next := make([]float64, n)
-		const tol = 1e-14
-		maxIter := 5_000_000
-		converged := false
-		for it := 0; it < maxIter; it++ {
-			P.step(next, pi)
-			diff := 0.0
-			for s := range next {
-				diff += math.Abs(next[s] - pi[s])
-			}
-			pi, next = next, pi
-			if diff < tol {
-				converged = true
-				break
-			}
-		}
-		if !converged {
-			return nil, fmt.Errorf("%w: steady-state power iteration did not converge within %d steps", ErrSolve, maxIter)
-		}
-	}
-	return g.longRunRewards(pi)
-}
-
-// longRunRewards folds a stationary distribution into the reward variables:
-// rate expectation plus impulse flux under π. The sojourn vector of a unit
-// horizon under π is π itself.
-func (g *Generator) longRunRewards(pi []float64) (map[string]float64, error) {
-	out := make(map[string]float64, len(g.cm.Rewards()))
-	for ri, rv := range g.cm.Rewards() {
-		rates, err := g.stateRates(ri)
-		if err != nil {
-			return nil, err
-		}
-		total := 0.0
-		for s := range pi {
-			total += pi[s] * rates[s]
-		}
-		if len(rv.Impulses) > 0 {
-			flux := g.impulseFlux(ri)
-			for s := range pi {
-				total += pi[s] * flux[s]
-			}
-		}
-		out[rv.Name] = total
-	}
-	return out, nil
 }
 
 // stateRates evaluates reward ri's rate function in every state, with panic

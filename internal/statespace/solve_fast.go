@@ -8,14 +8,12 @@ import (
 	"sync/atomic"
 )
 
-// This file holds the production solver kernels behind SolveTransient and
-// SolveSteadyState: a gather-oriented (transposed) sparse matrix–vector
-// product partitioned into fixed-size row chunks that any number of workers
-// can execute, with every order-sensitive reduction — per-chunk L1 partials —
-// folded in chunk-index order. The chunk size is a constant, never derived
-// from the worker count, so the floating-point result is bit-identical at
-// every parallelism, including 1. solve.go keeps the sequential scatter
-// reference implementation, reachable via Options.Baseline.
+// This file holds SolveTransient and its kernels: a gather-oriented
+// (transposed) sparse matrix–vector product partitioned into fixed-size row
+// chunks that any number of workers can execute, with every order-sensitive
+// reduction — per-chunk L1 partials — folded in chunk-index order. The chunk
+// size is a constant, never derived from the worker count, so the
+// floating-point result is bit-identical at every parallelism, including 1.
 //
 // The gather layout stores P transposed: row t lists the source states s with
 // an edge s→t, so dst[t] = v[t]·stay[t] + Σ_s v[s]·P[s,t] is a single
@@ -24,26 +22,6 @@ import (
 
 // solveChunkRows is the fixed row-partition size of the parallel kernels.
 const solveChunkRows = 4096
-
-// SolveTransient computes every reward variable at mission time T by
-// uniformization — see solveTransientBaseline for the math. Production calls
-// run on the parallel gather kernels; certificates produced with
-// Options.Baseline route to the sequential reference implementation.
-func (g *Generator) SolveTransient(T float64) (map[string]float64, error) {
-	if g.baseline {
-		return g.solveTransientBaseline(T)
-	}
-	return g.solveTransientFast(T)
-}
-
-// SolveSteadyState computes the long-run value of every reward variable —
-// see solveSteadyStateBaseline for the math and the aperiodicity argument.
-func (g *Generator) SolveSteadyState() (map[string]float64, error) {
-	if g.baseline {
-		return g.solveSteadyStateBaseline()
-	}
-	return g.solveSteadyStateFast()
-}
 
 // workers resolves the generator's worker count.
 func (g *Generator) workers() int {
@@ -56,7 +34,8 @@ func (g *Generator) workers() int {
 // gatherCSR is the uniformized matrix P = I + Q/Λ stored transposed for
 // gather-style products. Parallel edges between the same state pair stay
 // separate entries (their contributions sum in fixed source order), and
-// self-loops are excluded from the dynamics exactly as in the scatter form.
+// self-loops are excluded from the dynamics (they do not move probability);
+// they stay in the impulse flux.
 type gatherCSR struct {
 	rowStart []int32 // per destination state: start of its source entries
 	srcIdx   []int32
@@ -220,13 +199,28 @@ func fusedUpdate(next, v, pi, sojourn []float64, w, tl float64, lo, hi int) floa
 	return diff
 }
 
-// solveTransientFast is the production uniformization path: identical series,
-// weights, tolerances, and steady-state collapse as solveTransientBaseline,
-// executed on the fused gather kernel with pooled vectors. Within this path
-// results are bit-identical at every parallelism; against the baseline they
-// agree to floating-point reassociation (the gather accumulation order
-// differs from scatter).
-func (g *Generator) solveTransientFast(T float64) (map[string]float64, error) {
+// SolveTransient computes every reward variable at mission time T by
+// uniformization and returns them keyed by reward name — the exact analogue
+// of one simulated replication's Result.Rewards, in expectation. With Λ an
+// upper bound on the total exit rate, P = I + Q/Λ is stochastic and
+//
+//	π(T)  = Σ_n pois(n; ΛT) · v_n,            v_n = v_{n-1} P
+//	L_s(T) = ∫₀ᵀ π_s(t) dt = (1/Λ) Σ_n P(N > n) · v_n[s]
+//
+// (the second from ∫₀ᵀ pois(n; Λt) dt = P(N > n)/Λ with N ~ Poisson(ΛT)).
+// The series stops when its Poisson tail drops below 1e-12, or earlier on
+// steady-state detection: once v_n stops changing (the embedded chain
+// reached stationarity, L1 step below 1e-13), every remaining term
+// multiplies the same vector, so the rest of the series collapses to the
+// leftover probability mass (for π) and the leftover expected time (for L).
+// The identity Σ_m P(N > m)/Λ = E[N]/Λ = T gives that time in closed form.
+// Missions are typically many mixing times long (ΛT in the tens of
+// thousands for an 8760 h year), so the collapse turns O(ΛT) matrix–vector
+// products into O(Λ·t_mix).
+//
+// The products run on the fused gather kernel with pooled vectors, and the
+// result is bit-identical at every parallelism.
+func (g *Generator) SolveTransient(T float64) (map[string]float64, error) {
 	if !(T > 0) || math.IsInf(T, 0) {
 		return nil, fmt.Errorf("%w: mission time %v", ErrSolve, T)
 	}
@@ -262,8 +256,10 @@ func (g *Generator) solveTransientFast(T float64) (map[string]float64, error) {
 		v[sp.State] = sp.Prob
 	}
 
-	// Iteratively updated Poisson weights in log space; see the baseline for
-	// the series and the usedTime bookkeeping.
+	// Iteratively updated Poisson weights in log space (the leading weights
+	// underflow for large ΛT). usedTime tracks Σ tail_m/Λ added to the
+	// sojourn vector so far, so the collapse can add the remaining T −
+	// usedTime.
 	logWeight := -lt
 	w := math.Exp(logWeight)
 	accumulated := w
@@ -303,7 +299,7 @@ func (g *Generator) solveTransientFast(T float64) (map[string]float64, error) {
 		}
 		if diff < ssTol {
 			// Steady-state collapse: every remaining term multiplies the
-			// same vector (see the baseline).
+			// same vector.
 			remMass := 1 - accumulated
 			if remMass < 0 {
 				remMass = 0
@@ -320,50 +316,4 @@ func (g *Generator) solveTransientFast(T float64) (map[string]float64, error) {
 		}
 	}
 	return g.evalRewards(pi, sojourn, T)
-}
-
-// solveSteadyStateFast is the production power-iteration path: identical
-// iteration and tolerance as solveSteadyStateBaseline on the parallel gather
-// kernel.
-func (g *Generator) solveSteadyStateFast() (map[string]float64, error) {
-	n := len(g.States)
-	par := g.workers()
-	pi := getVec(n)
-	defer putVec(pi)
-	for _, sp := range g.Initial {
-		pi[sp.State] = sp.Prob
-	}
-	lambda := g.maxExitRate()
-	if lambda > 0 {
-		P := g.buildGather(lambda * 1.05)
-		next := getVec(n)
-		defer putVec(next)
-		const tol = 1e-14
-		maxIter := 5_000_000
-		converged := false
-		diffs := make([]float64, nChunksFor(n))
-		for it := 0; it < maxIter; it++ {
-			chunkRun(n, par, func(c, lo, hi int) {
-				P.stepRange(next, pi, lo, hi)
-				d := 0.0
-				for s := lo; s < hi; s++ {
-					d += math.Abs(next[s] - pi[s])
-				}
-				diffs[c] = d
-			})
-			pi, next = next, pi
-			diff := 0.0
-			for _, d := range diffs {
-				diff += d
-			}
-			if diff < tol {
-				converged = true
-				break
-			}
-		}
-		if !converged {
-			return nil, fmt.Errorf("%w: steady-state power iteration did not converge within %d steps", ErrSolve, maxIter)
-		}
-	}
-	return g.longRunRewards(pi)
 }

@@ -16,7 +16,6 @@
 package statespace
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -30,52 +29,25 @@ import (
 type Options struct {
 	// MaxStates caps the exhaustive exploration. Zero means DefaultMaxStates.
 	MaxStates int
-	// MaxInvariantPlaces and MaxInvariantColumns cap the incidence tableau;
-	// larger models skip invariant computation (bounds then come from
-	// exploration alone). Zero means the defaults.
-	MaxInvariantPlaces  int
-	MaxInvariantColumns int
-	// MaxFarkasRows caps the intermediate tableau growth of the invariant
-	// computation. Zero means DefaultMaxFarkasRows.
-	MaxFarkasRows int
 	// Parallelism is the worker count for the parallel exploration and
 	// solver kernels. Zero means GOMAXPROCS; one forces sequential
 	// execution. Results are bit-identical at every setting: the parallel
 	// kernels partition work into fixed-size chunks (independent of the
 	// worker count) and reduce per-chunk partials in chunk-index order.
 	Parallelism int
-	// Baseline routes exploration and the solvers through the sequential
-	// reference implementations (string-keyed interning, scatter SpMV).
-	// It exists for differential tests and benchmarks of the optimized
-	// tier; production callers leave it false.
-	Baseline bool
 }
 
-// Default analysis budgets.
+// Analysis budgets. The invariant caps bound the incidence tableau: a model
+// over them skips invariant computation, and its bounds then come from
+// exploration alone.
 const (
-	DefaultMaxStates           = 50000
-	DefaultMaxInvariantPlaces  = 600
-	DefaultMaxInvariantColumns = 1200
-	DefaultMaxFarkasRows       = 4096
-	maxVanishingSweeps         = 10000
-	maxRefusalPlacesListed     = 8
+	DefaultMaxStates       = 50000
+	maxInvariantPlaces     = 600
+	maxInvariantColumns    = 1200
+	maxFarkasRows          = 4096
+	maxVanishingSweeps     = 10000
+	maxRefusalPlacesListed = 8
 )
-
-func (o Options) withDefaults() Options {
-	if o.MaxStates <= 0 {
-		o.MaxStates = DefaultMaxStates
-	}
-	if o.MaxInvariantPlaces <= 0 {
-		o.MaxInvariantPlaces = DefaultMaxInvariantPlaces
-	}
-	if o.MaxInvariantColumns <= 0 {
-		o.MaxInvariantColumns = DefaultMaxInvariantColumns
-	}
-	if o.MaxFarkasRows <= 0 {
-		o.MaxFarkasRows = DefaultMaxFarkasRows
-	}
-	return o
-}
 
 // StateProb is one atom of a probability distribution over generated states.
 type StateProb struct {
@@ -124,11 +96,9 @@ type Generator struct {
 	// (activity declaration, case, path) order.
 	Transitions [][]Transition
 
-	// par and baseline are carried over from the certify Options: the
-	// worker count for the parallel solver kernels (0 = GOMAXPROCS) and
-	// whether solves run on the sequential reference path.
-	par      int
-	baseline bool
+	// par is the certify Options' worker count for the parallel solver
+	// kernels (0 = GOMAXPROCS).
+	par int
 }
 
 // NumTransitions returns the total edge count.
@@ -153,7 +123,15 @@ func (g *Generator) Rewards() []san.RewardVariable { return g.cm.Rewards() }
 // refuses before exploration spends any budget, and the refusal strings are
 // prefixed with the san.Refusal* constants so callers can classify them.
 func Certify(cm *san.CompiledModel, opts Options) (*Generator, san.Certificate) {
-	opts = opts.withDefaults()
+	return certifyWith(cm, opts, explore)
+}
+
+// certifyWith is Certify with the exploration engine as a parameter, so the
+// differential tests can run the same pipeline on their reference explorer.
+func certifyWith(cm *san.CompiledModel, opts Options, explore func(*san.CompiledModel, Options) (*Generator, exploreResult)) (*Generator, san.Certificate) {
+	if opts.MaxStates <= 0 {
+		opts.MaxStates = DefaultMaxStates
+	}
 	var cert san.Certificate
 
 	// 1. Memoryless pre-check at the initial marking. Per-state rates are
@@ -190,7 +168,7 @@ func Certify(cm *san.CompiledModel, opts Options) (*Generator, san.Certificate) 
 
 	// 3. Invariants over the rationals. Budget overruns downgrade gracefully:
 	// bounds then rest on exploration alone.
-	inv := computeInvariants(cm, opts)
+	inv := computeInvariants(cm)
 	cert.PInvariants = len(inv.pInvariants)
 	cert.TInvariants = inv.tInvariants
 
@@ -232,7 +210,6 @@ func Certify(cm *san.CompiledModel, opts Options) (*Generator, san.Certificate) 
 	cert.Transitions = gen.NumTransitions()
 	cert.PlaceBounds = placeBounds(cm, inv, exp.observedMax)
 	gen.par = opts.Parallelism
-	gen.baseline = opts.Baseline
 	return gen, cert
 }
 
@@ -294,15 +271,6 @@ func activityRate(a *san.Activity, m san.MarkingReader) (rate float64, err error
 		}
 		return 0, fmt.Errorf("activity %q: %T delay", a.Name(), d)
 	}
-}
-
-// stateKey encodes a marking vector as a map key.
-func stateKey(mark []int) string {
-	buf := make([]byte, 8*len(mark))
-	for i, v := range mark {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(int64(v)))
-	}
-	return string(buf)
 }
 
 // sortedPlaceNames returns the names of the given place indices in sorted

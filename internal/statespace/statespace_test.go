@@ -185,19 +185,6 @@ func TestTransientMatchesClosedForm(t *testing.T) {
 	if math.Abs(got["repairs"]-wantRepairs) > 1e-8*wantRepairs {
 		t.Fatalf("repairs %v, closed form %v", got["repairs"], wantRepairs)
 	}
-
-	// Steady state: availability tends to mu/(l+mu), repair flux to
-	// mu · l/(l+mu).
-	ss, err := gen.SolveSteadyState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(ss["avail"]-mu/s) > 1e-9 {
-		t.Fatalf("steady availability %v, want %v", ss["avail"], mu/s)
-	}
-	if math.Abs(ss["repairs"]-mu*lambda/s) > 1e-9 {
-		t.Fatalf("steady repair flux %v, want %v", ss["repairs"], mu*lambda/s)
-	}
 }
 
 // TestVanishingCaseBranching checks that instantaneous-case probabilities

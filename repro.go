@@ -87,7 +87,7 @@ func RunExperiment(name string, opts EvaluationOptions) (string, error) {
 }
 
 // GenerateABELogs produces the calibrated synthetic failure logs substituted
-// for NCSA's proprietary ABE logs (see DESIGN.md, substitutions).
+// for NCSA's proprietary ABE logs (see the package loggen comment).
 func GenerateABELogs() (*loggen.Logs, error) {
 	return loggen.Generate(loggen.ABEConfig())
 }
