@@ -21,14 +21,16 @@ lint:
 test:
 	$(GO) test -shuffle=on ./...
 
-# Race-check the packages with concurrent replication runners, the parallel
-# state-space explorer and solver kernels, the sharded sweep engine, the snapshot/clone machinery of the rare-event engine, the
+# Race-check the shared fan-out (fanout.For, the only goroutine launch in
+# non-test code) and the packages that run work through it: the replication
+# runner, the parallel state-space explorer and solver kernels, the sharded
+# sweep engine, the snapshot/clone machinery of the rare-event engine, the
 # calibration pipeline feeding the sweep (paper_full), the discrete-event
 # core, the checkpoint/restore machinery, and the experiment drivers.
 # The experiments package exceeds Go's default 10m test-binary deadline
 # under the race detector, so the timeout is set explicitly.
 race:
-	$(GO) test -race -timeout 30m ./internal/san/... ./internal/statespace/... ./internal/sweep/... ./internal/rareevent/... ./internal/calibrate/... ./internal/des/... ./internal/checkpoint/... ./internal/experiments/...
+	$(GO) test -race -timeout 30m ./internal/fanout/... ./internal/san/... ./internal/statespace/... ./internal/sweep/... ./internal/rareevent/... ./internal/calibrate/... ./internal/des/... ./internal/checkpoint/... ./internal/experiments/...
 
 vet:
 	$(GO) vet ./...

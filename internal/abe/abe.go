@@ -240,7 +240,7 @@ func ABE() Config {
 // Petascale returns the Blue Waters-class configuration the paper scales to:
 // roughly ten times the ABE I/O subsystem (80 scratch OSS pairs, 20 DDN
 // units, 4800 disks) serving 32,000 compute nodes, with an (8+3) upgrade
-// left to the caller (see WithGeometry).
+// left to the caller (set Storage.Geometry).
 func Petascale() Config {
 	cfg := ABE().ScaledBy(10)
 	cfg.Name = "Petascale"
@@ -350,14 +350,6 @@ func (c Config) WithSpareOSS(enabled bool) Config {
 	return out
 }
 
-// WithGeometry returns a copy of the configuration using the given RAID
-// geometry (e.g. 8+3 for Blue Waters).
-func (c Config) WithGeometry(g raid.TierGeometry) Config {
-	out := c
-	out.Storage.Geometry = g
-	return out
-}
-
 // WithLumping returns a copy of the configuration with the lumped
 // representation enabled or disabled. Lumping changes only how the model is
 // represented, never which distributions it draws from: families whose
@@ -383,21 +375,6 @@ func (c Config) WithExponentialForms() Config {
 	out.Storage.Controller.ExponentialRepair = true
 	out.Infrastructure.ExponentialRepair = true
 	return out
-}
-
-// WithDisk returns a copy of the configuration with the given disk failure
-// parameters (Weibull shape, MTBF via AFR, replacement time) — the tuple the
-// Figure 2/3 series are labeled with.
-func (c Config) WithDisk(shape, afr, replaceHours float64) (Config, error) {
-	mtbf, err := dist.AFRToMTBFHours(afr)
-	if err != nil {
-		return Config{}, err
-	}
-	out := c
-	out.Storage.Disk.ShapeBeta = shape
-	out.Storage.Disk.MTBFHours = mtbf
-	out.Storage.Disk.ReplaceHours = replaceHours
-	return out, nil
 }
 
 // Validate checks the full configuration.
@@ -827,9 +804,8 @@ func Evaluate(cfg Config, opts san.Options) (Measures, error) {
 
 // MeasuresFromStudy derives the paper's measures from a completed study of
 // the composed model for cfg. Evaluate uses it after running the replications
-// itself; sweep engines that schedule the replications of many configurations
-// over one shared worker pool reduce each configuration's results into a
-// san.StudyResult and derive the measures here.
+// itself; the sweep engine, which simulates many configurations in one
+// san.RunStudies call, derives each configuration's measures here.
 func MeasuresFromStudy(cfg Config, study *san.StudyResult) (Measures, error) {
 	mission := study.Options.Mission
 	if !(mission > 0) || math.IsInf(mission, 0) {

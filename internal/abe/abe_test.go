@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/raid"
 	"repro/internal/rng"
 	"repro/internal/san"
 )
@@ -98,24 +97,6 @@ func TestConfigModifiers(t *testing.T) {
 	withSpare := base.WithSpareOSS(true)
 	if !withSpare.OSS.SpareOSS || base.OSS.SpareOSS {
 		t.Error("WithSpareOSS did not copy-on-write")
-	}
-	g := raid.TierGeometry{Data: 8, Parity: 3}
-	withGeom := base.WithGeometry(g)
-	if withGeom.Storage.Geometry != g || base.Storage.Geometry == g {
-		t.Error("WithGeometry did not copy-on-write")
-	}
-	withDisk, err := base.WithDisk(0.6, 0.0876, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if withDisk.Storage.Disk.ShapeBeta != 0.6 {
-		t.Errorf("shape = %v, want 0.6", withDisk.Storage.Disk.ShapeBeta)
-	}
-	if math.Abs(withDisk.Storage.Disk.MTBFHours-100000) > 1 {
-		t.Errorf("MTBF = %v, want ~100000 for AFR 8.76%%", withDisk.Storage.Disk.MTBFHours)
-	}
-	if _, err := base.WithDisk(0.7, 0, 4); err == nil {
-		t.Error("zero AFR accepted")
 	}
 }
 

@@ -1,7 +1,6 @@
-// Package des provides the discrete-event simulation core shared by the
-// stochastic-activity-network simulator and the specialized component
-// simulators: a future-event list implemented as a binary heap, a simulation
-// clock, and cancellable event handles.
+// Package des provides the discrete-event simulation core of the
+// stochastic-activity-network simulator: a future-event list implemented as a
+// binary heap, a simulation clock, and cancellable event handles.
 //
 // Time is a float64 in hours, consistent with the rest of the repository.
 package des
@@ -18,10 +17,9 @@ import (
 type Handler func(now float64)
 
 // Event is a scheduled occurrence. Events are ordered by time, then by
-// priority (higher first), then by insertion sequence for determinism.
+// insertion sequence for determinism.
 type Event struct {
 	time     float64
-	priority int
 	seq      uint64
 	index    int // heap index, -1 once removed
 	handler  Handler
@@ -47,9 +45,6 @@ func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
 	if h[i].time != h[j].time {
 		return h[i].time < h[j].time
-	}
-	if h[i].priority != h[j].priority {
-		return h[i].priority > h[j].priority
 	}
 	return h[i].seq < h[j].seq
 }
@@ -119,28 +114,12 @@ func NewEngine() *Engine {
 // Now returns the current simulation time in hours.
 func (e *Engine) Now() float64 { return e.now }
 
-// Pending returns the number of scheduled (non-canceled) events. Cancel
-// removes events from the heap immediately, so the queue length is exact —
-// no canceled residents to filter out.
-func (e *Engine) Pending() int { return len(e.queue) }
-
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.events }
 
-// Schedule registers handler to run at absolute time t with priority 0.
+// Schedule registers handler to run at absolute time t. Events at the same
+// time fire in the order they were scheduled.
 func (e *Engine) Schedule(t float64, handler Handler) (*Event, error) {
-	return e.ScheduleWithPriority(t, 0, handler)
-}
-
-// ScheduleAfter registers handler to run delay hours from now.
-func (e *Engine) ScheduleAfter(delay float64, handler Handler) (*Event, error) {
-	return e.Schedule(e.now+delay, handler)
-}
-
-// ScheduleWithPriority registers handler at absolute time t. Among events at
-// the same time, higher priority fires first; this is how instantaneous
-// activities preempt timed ones in the SAN simulator.
-func (e *Engine) ScheduleWithPriority(t float64, priority int, handler Handler) (*Event, error) {
 	if handler == nil {
 		return nil, ErrNilHandler
 	}
@@ -151,10 +130,15 @@ func (e *Engine) ScheduleWithPriority(t float64, priority int, handler Handler) 
 		return nil, fmt.Errorf("%w: t=%v now=%v", ErrPastEvent, t, e.now)
 	}
 	ev := e.newEvent()
-	*ev = Event{time: t, priority: priority, seq: e.seq, handler: handler}
+	*ev = Event{time: t, seq: e.seq, handler: handler}
 	e.seq++
 	heap.Push(&e.queue, ev)
 	return ev, nil
+}
+
+// ScheduleAfter registers handler to run delay hours from now.
+func (e *Engine) ScheduleAfter(delay float64, handler Handler) (*Event, error) {
+	return e.Schedule(e.now+delay, handler)
 }
 
 // Cancel marks the event so it will not fire. Canceling an already-fired or
@@ -172,22 +156,6 @@ func (e *Engine) Cancel(ev *Event) {
 
 // Stop halts Run after the currently executing event handler returns.
 func (e *Engine) Stop() { e.stopped = true }
-
-// Step executes the next pending event, if any, advancing the clock to its
-// time. It reports whether an event was executed.
-func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
-		if ev.canceled {
-			continue
-		}
-		e.now = ev.time
-		e.events++
-		ev.handler(e.now)
-		return true
-	}
-	return false
-}
 
 // Run executes events in time order until the clock would exceed horizon, the
 // event list empties, or Stop is called. The clock is left at

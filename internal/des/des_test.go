@@ -43,19 +43,20 @@ func equal(a, b []string) bool {
 	return true
 }
 
-func TestTieBreakByPriorityThenSeq(t *testing.T) {
+func TestTieBreakBySeq(t *testing.T) {
 	e := NewEngine()
 	var order []string
-	add := func(pri int, name string) {
-		if _, err := e.ScheduleWithPriority(2, pri, func(float64) { order = append(order, name) }); err != nil {
+	add := func(at float64, name string) {
+		if _, err := e.Schedule(at, func(float64) { order = append(order, name) }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	add(0, "low-first")
-	add(5, "high")
-	add(0, "low-second")
+	add(2, "first")
+	add(2, "second")
+	add(1, "earlier")
+	add(2, "third")
 	e.Run(10)
-	want := []string{"high", "low-first", "low-second"}
+	want := []string{"earlier", "first", "second", "third"}
 	if !equal(order, want) {
 		t.Errorf("order = %v, want %v", order, want)
 	}
@@ -84,10 +85,9 @@ func TestCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Cancel(ev)
-	// Cancel removes the event from the heap immediately, so Pending is
-	// exact — not an upper bound over canceled residents.
-	if n := e.Pending(); n != 0 {
-		t.Errorf("Pending = %d immediately after Cancel, want 0", n)
+	// Cancel removes the event from the heap immediately.
+	if n := len(e.queue); n != 0 {
+		t.Errorf("queue holds %d events immediately after Cancel, want 0", n)
 	}
 	e.Cancel(ev) // double-cancel is a no-op
 	e.Cancel(nil)
@@ -171,15 +171,14 @@ func TestStop(t *testing.T) {
 	}
 }
 
+// TestStepAndCounters steps a run one horizon at a time and checks the clock
+// and the fired-event counter after each step.
 func TestStepAndCounters(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(1, func(float64) {})
 	e.Schedule(2, func(float64) {})
-	if e.Pending() != 2 {
-		t.Errorf("Pending = %d, want 2", e.Pending())
-	}
-	if !e.Step() {
-		t.Fatal("Step returned false with pending events")
+	if n := e.Run(1); n != 1 {
+		t.Fatalf("Run(1) executed %d events, want 1", n)
 	}
 	if e.Now() != 1 {
 		t.Errorf("Now = %v, want 1", e.Now())
@@ -187,9 +186,9 @@ func TestStepAndCounters(t *testing.T) {
 	if e.Fired() != 1 {
 		t.Errorf("Fired = %d, want 1", e.Fired())
 	}
-	e.Step()
-	if e.Step() {
-		t.Error("Step returned true with empty queue")
+	e.Run(2)
+	if n := e.Run(3); n != 0 || e.Fired() != 2 {
+		t.Errorf("Run(3) executed %d events with an empty queue; Fired = %d, want 2", n, e.Fired())
 	}
 }
 
@@ -198,8 +197,8 @@ func TestReset(t *testing.T) {
 	e.Schedule(5, func(float64) {})
 	e.Run(10)
 	e.Reset()
-	if e.Now() != 0 || e.Pending() != 0 || e.Fired() != 0 {
-		t.Errorf("Reset left state: now=%v pending=%d fired=%d", e.Now(), e.Pending(), e.Fired())
+	if e.Now() != 0 || len(e.queue) != 0 || e.Fired() != 0 {
+		t.Errorf("Reset left state: now=%v pending=%d fired=%d", e.Now(), len(e.queue), e.Fired())
 	}
 	// Engine is reusable after reset.
 	fired := false
@@ -274,8 +273,8 @@ func TestResumeAt(t *testing.T) {
 	if err := e.ResumeAt(5, 42); err != nil {
 		t.Fatal(err)
 	}
-	if e.Now() != 5 || e.Fired() != 42 || e.Pending() != 0 {
-		t.Errorf("after ResumeAt: now=%v fired=%d pending=%d", e.Now(), e.Fired(), e.Pending())
+	if e.Now() != 5 || e.Fired() != 42 || len(e.queue) != 0 {
+		t.Errorf("after ResumeAt: now=%v fired=%d pending=%d", e.Now(), e.Fired(), len(e.queue))
 	}
 	// Events re-scheduled at absolute times relative to the restored clock.
 	fired := 0.0

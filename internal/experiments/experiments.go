@@ -576,8 +576,10 @@ func figure4FromSweep(res *sweep.Result, factors []float64) report.Figure {
 	return fig
 }
 
-// runFigure4 is the single construction path behind both the Figure 4 API
-// and the abesim artifact: one sharded sweep, projected onto the figure.
+// runFigure4 reproduces Figure 4 — storage availability, CFS availability,
+// cluster utility, and CFS availability with a standby-spare OSS, as the ABE
+// design is scaled to a petaflop-petabyte system — for the abesim artifact:
+// one sharded sweep, projected onto the figure.
 func runFigure4(opts Options) (figure4Artifact, error) {
 	opts = opts.withDefaults()
 	res, err := Figure4Sweep(opts)
@@ -585,14 +587,6 @@ func runFigure4(opts Options) (figure4Artifact, error) {
 		return figure4Artifact{}, err
 	}
 	return figure4Artifact{fig: figure4FromSweep(res, Figure4ScaleFactors(opts.Quick)), res: res}, nil
-}
-
-// Figure4AvailabilityAndCU reproduces Figure 4: storage availability, CFS
-// availability, cluster utility, and CFS availability with a standby-spare
-// OSS, as the ABE design is scaled to a petaflop-petabyte system.
-func Figure4AvailabilityAndCU(opts Options) (report.Figure, error) {
-	a, err := runFigure4(opts)
-	return a.fig, err
 }
 
 // ---------------------------------------------------------------------------

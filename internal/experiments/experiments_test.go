@@ -171,10 +171,11 @@ func TestFigure3DiskReplacement(t *testing.T) {
 }
 
 func TestFigure4AvailabilityAndCU(t *testing.T) {
-	fig, err := Figure4AvailabilityAndCU(quick())
+	a, err := runFigure4(quick())
 	if err != nil {
 		t.Fatal(err)
 	}
+	fig := a.fig
 	cfs := fig.SeriesY("CFS-Availability")
 	storage := fig.SeriesY("Storage-availability")
 	cu := fig.SeriesY("CU")

@@ -15,7 +15,7 @@
 //     index-order-reduction idiom (store to indexed slots, fold later in
 //     index order) and //lint:sorted annotations are exempt.
 //   - nocompiledmutation: flag builder mutations (Add*/Set* calls) on a model
-//     after it was handed to san.Compile/CompileStrict in the same function.
+//     after it was handed to san.Compile in the same function.
 //   - optionshygiene: exported functions that read fields of a san.Options
 //     parameter before calling its Validate or WithDefaults are flagged —
 //     options must be normalized before they steer a study.
@@ -77,6 +77,7 @@ func DefaultConfig(root string) Config {
 			"repro/internal/statespace",
 			"repro/internal/sweep",
 			"repro/internal/rareevent",
+			"repro/internal/fanout",
 			"repro/internal/calibrate",
 			"repro/internal/dist",
 			"repro/internal/phfit",

@@ -8,8 +8,8 @@ import (
 
 // noCompiledMutation enforces the build-then-compile discipline: Compile
 // snapshots the model, so builder mutations (Add*/Set* calls) on a model
-// after it was handed to san.Compile or san.CompileStrict in the same
-// function silently diverge from the compiled snapshot.
+// after it was handed to san.Compile in the same function silently diverge
+// from the compiled snapshot.
 func noCompiledMutation(p *Package, sanPath string) []Finding {
 	var findings []Finding
 	for _, file := range p.Files {
@@ -25,7 +25,7 @@ func noCompiledMutation(p *Package, sanPath string) []Finding {
 }
 
 // mutationsAfterCompile flags builder calls on a model identifier after the
-// position where that identifier was passed to Compile/CompileStrict.
+// position where that identifier was passed to Compile.
 func mutationsAfterCompile(p *Package, fd *ast.FuncDecl, sanPath string) []Finding {
 	compiledAt := map[types.Object]ast.Node{}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -37,7 +37,7 @@ func mutationsAfterCompile(p *Package, fd *ast.FuncDecl, sanPath string) []Findi
 		if f == nil || f.Pkg() == nil || f.Pkg().Path() != sanPath {
 			return true
 		}
-		if f.Name() != "Compile" && f.Name() != "CompileStrict" {
+		if f.Name() != "Compile" {
 			return true
 		}
 		if id := rootIdent(call.Args[0]); id != nil {

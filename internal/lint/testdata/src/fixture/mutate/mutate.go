@@ -17,17 +17,6 @@ func BuildAndMutate() (*san.CompiledModel, error) {
 	return cm, nil
 }
 
-// StrictThenMutate: CompileStrict snapshots too.
-func StrictThenMutate() error {
-	m := san.NewModel()
-	_, err := san.CompileStrict(m)
-	if err != nil {
-		return err
-	}
-	m.AddPlace("late", 0) // want nocompiledmutation
-	return nil
-}
-
 // FreshModelAllowed compiles one model and then builds a different one;
 // mutating the fresh model is fine.
 func FreshModelAllowed() error {

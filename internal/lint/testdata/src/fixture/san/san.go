@@ -27,9 +27,6 @@ func Compile(m *Model) (*CompiledModel, error) {
 	return &CompiledModel{}, nil
 }
 
-// CompileStrict compiles and analyzes.
-func CompileStrict(m *Model) (*CompiledModel, error) { return Compile(m) }
-
 // Options configures a study.
 type Options struct {
 	Mission      float64

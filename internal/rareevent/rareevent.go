@@ -26,8 +26,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
+	"repro/internal/fanout"
 	"repro/internal/rng"
 	"repro/internal/san"
 	"repro/internal/stats"
@@ -147,32 +147,6 @@ type trajectoryOutcome struct {
 	err     error
 }
 
-// parallelFor runs fn(i) for every i in [0, n) on up to workers goroutines.
-// It is the package's deterministic fan-out primitive: callers pre-assign
-// per-index inputs (seeds, entry snapshots) and have fn write into index i
-// of an outcome slice, so scheduling never affects results.
-func parallelFor(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	jobs := make(chan int, n)
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // Run estimates P(importance reaches Levels[len-1] within Mission) for the
 // model by fixed-effort multilevel splitting. The model must be valid; it is
 // shared read-only across worker goroutines, each of which owns a private
@@ -251,7 +225,7 @@ func runStage(cm *san.CompiledModel, importance san.ImportanceFunc, opts Options
 	}
 
 	outcomes := make([]trajectoryOutcome, effort)
-	parallelFor(effort, opts.Parallelism, func(i int) {
+	fanout.For(effort, opts.Parallelism, func(_, i int) {
 		outcomes[i] = runTrajectory(cm, importance, opts, stage, threshold, seeds[i], entries, i)
 	})
 
@@ -407,7 +381,7 @@ func RunNaive(model *san.Model, importance san.ImportanceFunc, opts NaiveOptions
 			seeds[i] = master.Uint64()
 		}
 		outcomes := make([]trajectoryOutcome, batch)
-		parallelFor(batch, opts.Parallelism, func(i int) {
+		fanout.For(batch, opts.Parallelism, func(_, i int) {
 			stream := rng.NewStream(seeds[i], fmt.Sprintf("naive-%d", i))
 			sim, err := cm.NewSimulator(stream)
 			if err != nil {

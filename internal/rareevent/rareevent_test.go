@@ -192,11 +192,11 @@ func TestSplittingMatchesAnalyticBirthDeath(t *testing.T) {
 
 // TestSplittingDeterministicAcrossParallelism checks the whole engine —
 // per-trajectory seeding, snapshot pooling, and reductions — is bit-identical
-// regardless of worker count.
+// regardless of worker count; a negative count runs on one worker.
 func TestSplittingDeterministicAcrossParallelism(t *testing.T) {
 	m, imp := buildBirthDeath(t, 1, 3, 4)
 	var baseline *Estimate
-	for _, par := range []int{1, 4, 16} {
+	for _, par := range []int{1, 4, 16, -1} {
 		est, err := Run(m, imp, Options{
 			Mission:     8,
 			Levels:      UniformSplittingLevels(4),

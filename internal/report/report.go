@@ -1,6 +1,6 @@
 // Package report renders experiment results the way the paper presents them:
 // as text tables (Tables 1-5) and as x/y series with confidence intervals
-// (Figures 2-4). Output is plain text and CSV so results can be diffed and
+// (Figures 2-4). Output is plain text and JSON so results can be diffed and
 // plotted without external dependencies.
 package report
 
@@ -73,31 +73,6 @@ func (t Table) Render() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// CSV returns the table as comma-separated values (quoting cells that need
-// it).
-func (t Table) CSV() string {
-	var b strings.Builder
-	writeCSVRow(&b, t.Headers)
-	for _, row := range t.Rows {
-		writeCSVRow(&b, row)
-	}
-	return b.String()
-}
-
-func writeCSVRow(b *strings.Builder, cells []string) {
-	for i, c := range cells {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		if strings.ContainsAny(c, ",\"\n") {
-			b.WriteString(strconv.Quote(c))
-		} else {
-			b.WriteString(c)
-		}
-	}
-	b.WriteByte('\n')
 }
 
 // Point is one (x, y) sample with an optional confidence half-width.

@@ -25,18 +25,6 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	table := Table{Headers: []string{"a", "b"}}
-	table.AddRow("plain", `has,comma and "quote"`)
-	csv := table.CSV()
-	if !strings.Contains(csv, "a,b\n") {
-		t.Errorf("CSV missing header: %q", csv)
-	}
-	if !strings.Contains(csv, `"has,comma and \"quote\""`) {
-		t.Errorf("CSV did not quote special cell: %q", csv)
-	}
-}
-
 func TestFigureAddPointAndRender(t *testing.T) {
 	fig := Figure{Title: "F", XLabel: "x", YLabel: "y"}
 	fig.AddPoint("s1", Point{X: 1, Y: 0.9, HalfWidth: 0.01})

@@ -95,14 +95,8 @@ func (s *Stream) Uint64() uint64 {
 	return result
 }
 
-// Int63 returns a non-negative 63-bit integer. It exists so a Stream can be
-// used anywhere a math/rand.Source is accepted.
-func (s *Stream) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
-// Seed is present to satisfy math/rand.Source. Reseeding mid-run would break
-// reproducibility guarantees, so it re-derives the full state from seed.
+// Seed re-derives the stream's full state from seed under its label, as
+// NewStream(seed, label) would; reseeding mid-run breaks reproducibility.
 func (s *Stream) Seed(seed int64) {
 	ns := NewStream(uint64(seed), s.label)
 	s.state = ns.state
@@ -167,18 +161,6 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	hi = aHi*bHi + w2 + k
 	lo = (t << 32) | w0
 	return hi, lo
-}
-
-// Bool returns true with probability p. Values of p outside [0,1] are
-// clamped, so Bool(1.2) is always true and Bool(-3) is always false.
-func (s *Stream) Bool(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return s.Float64() < p
 }
 
 // Normal returns a draw from the standard normal distribution using the

@@ -2,7 +2,6 @@ package rng
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -128,33 +127,6 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	s.Intn(0)
 }
 
-func TestBoolProbabilities(t *testing.T) {
-	s := NewStream(77, "bool")
-	if s.Bool(0) {
-		t.Error("Bool(0) returned true")
-	}
-	if !s.Bool(1) {
-		t.Error("Bool(1) returned false")
-	}
-	if s.Bool(-0.5) {
-		t.Error("Bool(-0.5) returned true")
-	}
-	if !s.Bool(1.5) {
-		t.Error("Bool(1.5) returned false")
-	}
-	hits := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		if s.Bool(0.3) {
-			hits++
-		}
-	}
-	frac := float64(hits) / n
-	if math.Abs(frac-0.3) > 0.01 {
-		t.Errorf("Bool(0.3) frequency = %v, want ~0.3", frac)
-	}
-}
-
 func TestNormalMoments(t *testing.T) {
 	s := NewStream(31415, "normal")
 	const n = 200000
@@ -222,15 +194,6 @@ func TestSeedReproducible(t *testing.T) {
 	b := s.Uint64()
 	if a != b {
 		t.Fatalf("Seed is not reproducible: %d vs %d", a, b)
-	}
-}
-
-func TestStreamSatisfiesRandSource(t *testing.T) {
-	var src rand.Source = NewStream(9, "source")
-	r := rand.New(src)
-	v := r.Float64()
-	if v < 0 || v >= 1 {
-		t.Fatalf("rand.New(Stream).Float64() out of range: %v", v)
 	}
 }
 

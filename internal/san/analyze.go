@@ -1,18 +1,12 @@
 package san
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
 	"repro/internal/dist"
 )
-
-// ErrModelAnalysis reports a compiled model that failed strict structural
-// analysis (CompileStrict): it contains a vanishing loop or a statically-dead
-// activity.
-var ErrModelAnalysis = errors.New("san: model failed structural analysis")
 
 // Reason prefixes for lumpability verdicts. Every reason string produced by
 // DelayLumpability or the model builders starts with one of these, so tests
@@ -175,7 +169,7 @@ type AnalysisReport struct {
 	ExternalReaders []ExternalReader `json:"external_readers,omitempty"`
 	// Families are the declared replicated-family lumpability verdicts.
 	Families []LumpabilityVerdict `json:"families,omitempty"`
-	// Clean reports the strict-mode outcome: no vanishing loops and no dead
+	// Clean reports that the model has no vanishing loops and no dead
 	// activities. Unread places are advisory and do not affect Clean.
 	Clean bool `json:"clean"`
 }
@@ -290,8 +284,8 @@ func runProbe(pm *probeMarking, fn func(pm *probeMarking)) (ok bool) {
 // verdicts. It executes gate, reward, probability, and delay closures
 // against instrumented markings (never the simulator), so it is safe to call
 // on any compiled model; conditional writes hidden behind branches no probe
-// marking reaches can be missed, which is why strict mode is exercised by
-// tests against every shipped configuration.
+// marking reaches can be missed, which is why tests analyze every shipped
+// configuration.
 func Analyze(cm *CompiledModel) AnalysisReport {
 	model := cm.model
 	nPlaces := model.NumPlaces()
@@ -670,28 +664,4 @@ func RenderVerdicts(vs []LumpabilityVerdict, indent string) string {
 		}
 	}
 	return b.String()
-}
-
-// CompileStrict compiles the model and rejects it when static analysis finds
-// a vanishing loop or a dead activity — the pre-flight mode tests run every
-// shipped configuration through, so structural defects fail at compile time
-// instead of surfacing mid-study as ErrUnstableModel (or never, for dead
-// activities).
-func CompileStrict(model *Model, rewards []RewardVariable) (*CompiledModel, error) {
-	cm, err := Compile(model, rewards)
-	if err != nil {
-		return nil, err
-	}
-	rep := Analyze(cm)
-	if rep.Clean {
-		return cm, nil
-	}
-	var defects []string
-	for _, l := range rep.VanishingLoops {
-		defects = append(defects, fmt.Sprintf("vanishing loop {%s} (%s)", strings.Join(l.Activities, ", "), l.Kind))
-	}
-	for _, d := range rep.DeadActivities {
-		defects = append(defects, fmt.Sprintf("dead activity %s (input place %s never tokened)", d.Activity, d.Place))
-	}
-	return nil, fmt.Errorf("%w: %s: %s", ErrModelAnalysis, model.Name(), strings.Join(defects, "; "))
 }

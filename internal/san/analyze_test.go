@@ -10,8 +10,7 @@ import (
 	"repro/internal/rng"
 )
 
-// TestAnalyzeCleanModel: a plain fail/repair model has no findings and
-// CompileStrict accepts it.
+// TestAnalyzeCleanModel: a plain fail/repair model has no findings.
 func TestAnalyzeCleanModel(t *testing.T) {
 	m := NewModel("clean")
 	up := m.AddPlace("up", 1)
@@ -19,9 +18,9 @@ func TestAnalyzeCleanModel(t *testing.T) {
 	m.AddTimedActivity("fail", mustExp(t, 100)).AddInputArc(up, 1).AddOutputArc(down, 1)
 	m.AddTimedActivity("repair", mustExp(t, 10)).AddInputArc(down, 1).AddOutputArc(up, 1)
 	rewards := []RewardVariable{UpFraction("avail", func(r MarkingReader) bool { return r.Tokens(up) > 0 })}
-	cm, err := CompileStrict(m, rewards)
+	cm, err := Compile(m, rewards)
 	if err != nil {
-		t.Fatalf("CompileStrict: %v", err)
+		t.Fatalf("Compile: %v", err)
 	}
 	rep := Analyze(cm)
 	if !rep.Clean || len(rep.VanishingLoops) != 0 || len(rep.DeadActivities) != 0 || len(rep.UnreadPlaces) != 0 {
@@ -51,9 +50,6 @@ func TestAnalyzeVanishingCycle(t *testing.T) {
 	l := rep.VanishingLoops[0]
 	if l.Kind != "cycle" || strings.Join(l.Activities, ",") != "ping,pong" {
 		t.Fatalf("wrong loop: %+v", l)
-	}
-	if _, err := CompileStrict(m, nil); !errors.Is(err, ErrModelAnalysis) {
-		t.Fatalf("CompileStrict error = %v, want ErrModelAnalysis", err)
 	}
 }
 
@@ -149,9 +145,6 @@ func TestAnalyzeDeadActivity(t *testing.T) {
 	}
 	if d := rep.DeadActivities[0]; d.Activity != "never" || d.Place != "trigger" {
 		t.Fatalf("wrong dead activity: %+v", d)
-	}
-	if _, err := CompileStrict(m, nil); !errors.Is(err, ErrModelAnalysis) {
-		t.Fatalf("CompileStrict error = %v, want ErrModelAnalysis", err)
 	}
 
 	// Same structure, but a gate transform on another activity writes the

@@ -248,23 +248,6 @@ func TestCompileSharedAcrossSimulators(t *testing.T) {
 		t.Errorf("compiled vs shim runs differ: %+v vs %+v", resA, resB)
 	}
 
-	// RunReplicationsCompiled matches RunReplications on the same options.
-	opts := Options{Mission: 1000, Replications: 8, Seed: 3}
-	direct, err := RunReplications(m, rewards, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaCM, err := RunReplicationsCompiled(cm, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.Mean("avail") != viaCM.Mean("avail") || direct.TotalEvents != viaCM.TotalEvents {
-		t.Errorf("compiled study differs: %v/%d vs %v/%d",
-			direct.Mean("avail"), direct.TotalEvents, viaCM.Mean("avail"), viaCM.TotalEvents)
-	}
-	if _, err := RunReplicationsCompiled(cm, Options{Replications: 1}); err == nil {
-		t.Error("invalid options accepted")
-	}
 	if _, err := Compile(nil, nil); err == nil {
 		t.Error("nil model accepted")
 	}

@@ -430,9 +430,10 @@ func TestInstantaneousActivity(t *testing.T) {
 	}
 }
 
-func TestUnstableInstantaneousLoopDetected(t *testing.T) {
-	// Two instantaneous activities that keep toggling a token form an
-	// unstable (vanishing) loop; the simulator must stop rather than hang.
+// buildUnstableLoop returns a model whose two instantaneous activities keep
+// toggling a token in an unstable (vanishing) loop once a timed activity
+// fires at t = 1.
+func buildUnstableLoop(t testing.TB) *Model {
 	m := NewModel("unstable")
 	a := m.AddPlace("a", 1)
 	b := m.AddPlace("b", 0)
@@ -440,7 +441,12 @@ func TestUnstableInstantaneousLoopDetected(t *testing.T) {
 	m.AddTimedActivity("start", mustDet(t, 1)).AddOutputArc(kick, 1)
 	m.AddInstantaneousActivity("ab").AddInputArc(a, 1).AddInputArc(kick, 1).AddOutputArc(b, 1).AddOutputArc(kick, 1)
 	m.AddInstantaneousActivity("ba").AddInputArc(b, 1).AddInputArc(kick, 1).AddOutputArc(a, 1).AddOutputArc(kick, 1)
-	sim := mustSimulator(t, m, nil, rng.NewStream(8, "unstable"))
+	return m
+}
+
+func TestUnstableInstantaneousLoopDetected(t *testing.T) {
+	// The simulator must stop on the vanishing loop rather than hang.
+	sim := mustSimulator(t, buildUnstableLoop(t), nil, rng.NewStream(8, "unstable"))
 	// The run terminates (does not hang) and surfaces the instability: a
 	// truncated run must not masquerade as a successful replication.
 	if _, err := sim.Run(10); !errors.Is(err, ErrUnstableModel) {
@@ -647,6 +653,92 @@ func TestRunReplicationsDeterministicAcrossParallelism(t *testing.T) {
 	}
 	if math.Abs(seq.Mean("avail")-par.Mean("avail")) > 1e-12 {
 		t.Errorf("parallelism changed results: %v vs %v", seq.Mean("avail"), par.Mean("avail"))
+	}
+}
+
+// TestRunStudiesMatchesRunReplications runs three studies — two models, one
+// of them twice under different seeds — through one RunStudies call and
+// checks every result against a standalone RunReplications of that study,
+// bit for bit, at several worker counts.
+func TestRunStudiesMatchesRunReplications(t *testing.T) {
+	mA, upA := buildFailRepair(t, 50, 5)
+	mB, upB := buildFailRepair(t, 20, 8)
+	rewardsA := []RewardVariable{UpFraction("avail", func(mr MarkingReader) bool { return mr.Tokens(upA) == 1 })}
+	rewardsB := []RewardVariable{UpFraction("avail", func(mr MarkingReader) bool { return mr.Tokens(upB) == 1 })}
+	cmA, err := Compile(mA, rewardsA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmB, err := Compile(mB, rewardsB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type input struct {
+		model   *Model
+		rewards []RewardVariable
+		study   Study
+	}
+	inputs := []input{
+		{mA, rewardsA, Study{Model: cmA, Options: Options{Mission: 1000, Replications: 7, Seed: 3}}},
+		{mB, rewardsB, Study{Model: cmB, Options: Options{Mission: 2000, Replications: 5, Seed: 4}}},
+		{mA, rewardsA, Study{Model: cmA, Options: Options{Mission: 1000, Replications: 6, Seed: 5}}},
+	}
+	studies := make([]Study, len(inputs))
+	for i, in := range inputs {
+		studies[i] = in.study
+	}
+	for _, workers := range []int{1, 2, 8} {
+		got, err := RunStudies(studies, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(got) != len(inputs) {
+			t.Fatalf("workers=%d: %d results for %d studies", workers, len(got), len(inputs))
+		}
+		for i, in := range inputs {
+			want, err := RunReplications(in.model, in.rewards, in.study.Options)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[i].Summaries, want.Summaries) || got[i].TotalEvents != want.TotalEvents {
+				t.Errorf("workers=%d study %d: mean %v, %d events; standalone mean %v, %d events",
+					workers, i, got[i].Mean("avail"), got[i].TotalEvents, want.Mean("avail"), want.TotalEvents)
+			}
+		}
+	}
+	if _, err := RunStudies([]Study{{Model: cmA, Options: Options{Replications: 1}}}, 2); err == nil {
+		t.Error("invalid options accepted")
+	}
+}
+
+// TestRunStudiesReplicationError checks that a failed replication surfaces
+// as a *ReplicationError naming its study and replication and unwrapping to
+// the simulator's error, from RunStudies and from RunReplications.
+func TestRunStudiesReplicationError(t *testing.T) {
+	stableModel, up := buildFailRepair(t, 50, 5)
+	rewards := []RewardVariable{UpFraction("avail", func(mr MarkingReader) bool { return mr.Tokens(up) == 1 })}
+	stable, err := Compile(stableModel, rewards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unstable, err := Compile(buildUnstableLoop(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Mission: 10, Replications: 4, Seed: 2}
+	_, err = RunStudies([]Study{{Model: stable, Options: opts}, {Model: unstable, Options: opts}}, 2)
+	if !errors.Is(err, ErrUnstableModel) {
+		t.Fatalf("RunStudies error = %v, want ErrUnstableModel", err)
+	}
+	var re *ReplicationError
+	if !errors.As(err, &re) || re.Study != 1 || re.Replication != 0 {
+		t.Fatalf("RunStudies error = %#v, want study 1 replication 0", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "study 1 replication 0") {
+		t.Errorf("error %q does not name study 1 replication 0", msg)
+	}
+	if _, err := RunReplications(buildUnstableLoop(t), nil, opts); !errors.Is(err, ErrUnstableModel) {
+		t.Errorf("RunReplications error = %v, want ErrUnstableModel", err)
 	}
 }
 

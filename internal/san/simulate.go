@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"repro/internal/des"
+	"repro/internal/fanout"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -593,9 +593,8 @@ type StudyResult struct {
 
 // NewStudyResult returns an empty study with one summary per reward variable
 // and the given (effective) options. Replication results are folded in with
-// Add; callers that run replications themselves (the sweep engine) use this
-// together with ReplicationSeeds so their reductions are bit-identical to
-// RunReplications.
+// Add; callers that run replications themselves use this together with
+// ReplicationSeeds so their reductions are bit-identical to RunReplications.
 func NewStudyResult(rewards []RewardVariable, opts Options) *StudyResult {
 	r := &StudyResult{Summaries: make(map[string]*stats.Summary, len(rewards)), Options: opts}
 	for _, rv := range rewards {
@@ -654,11 +653,11 @@ func studySeeds(opts Options) (*rng.Stream, []uint64) {
 	return validate, seeds
 }
 
-// ReplicationSeeds returns the per-replication seeds RunReplications derives
-// from opts.Seed (defaults applied). Sweep engines that schedule the
-// replications of several studies over one shared worker pool use it to make
-// each study bit-identical to a standalone RunReplications call with the same
-// options.
+// ReplicationSeeds returns the per-replication seeds RunReplications and
+// RunStudies derive from opts.Seed (defaults applied). A caller that runs a
+// study's replications itself uses it, with ReplicationStream and
+// NewStudyResult, to stay bit-identical to a RunReplications call with the
+// same options.
 func ReplicationSeeds(opts Options) []uint64 {
 	_, seeds := studySeeds(opts.WithDefaults())
 	return seeds
@@ -673,10 +672,8 @@ func ReplicationStream(seed uint64, rep int) *rng.Stream {
 
 // RunReplications runs opts.Replications independent terminating simulations
 // of the model and aggregates each reward variable across replications. The
-// model is compiled once (validation plus index derivation) and shared
-// read-only; replications are distributed over opts.Parallelism goroutines,
-// each worker owning a private Simulator (constructed once from the compiled
-// model and Reset per replication) and a per-replication random stream.
+// model is compiled once (validation plus index derivation) and the study runs
+// through RunStudies on opts.Parallelism workers.
 func RunReplications(model *Model, rewards []RewardVariable, opts Options) (*StudyResult, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -685,81 +682,105 @@ func RunReplications(model *Model, rewards []RewardVariable, opts Options) (*Stu
 	if err != nil {
 		return nil, err
 	}
-	return RunReplicationsCompiled(cm, opts)
-}
-
-// RunReplicationsCompiled is RunReplications over an already-compiled model,
-// for callers (the sweep engine, benchmarks) that build the compiled model
-// once and run many studies against it.
-func RunReplicationsCompiled(cm *CompiledModel, opts Options) (*StudyResult, error) {
-	if err := opts.Validate(); err != nil {
+	results, err := RunStudies([]Study{{Model: cm, Options: opts}}, opts.WithDefaults().Parallelism)
+	if err != nil {
 		return nil, err
 	}
-	opts = opts.WithDefaults()
-	// studySeeds still reserves the historical "validate" split before
-	// drawing replication seeds, so seed derivation is unchanged by the
-	// compile-layer refactor.
-	_, seeds := studySeeds(opts)
+	return results[0], nil
+}
 
-	type repJob struct {
-		rep  int
-		seed uint64
-	}
-	type repOutcome struct {
-		res Result
-		err error
-	}
-	jobs := make(chan repJob, opts.Replications)
-	// Outcomes are indexed by replication so the reduction below is in
-	// replication order regardless of worker completion order.
-	outcomes := make([]repOutcome, opts.Replications)
-	for rep, seed := range seeds {
-		jobs <- repJob{rep: rep, seed: seed}
-	}
-	close(jobs)
+// Study is one replicated simulation study: a compiled model and the options
+// it runs under. RunStudies ignores Options.Parallelism; its workers argument
+// sizes the pool every study shares.
+type Study struct {
+	Model   *CompiledModel
+	Options Options
+}
 
-	workers := opts.Parallelism
-	if workers > opts.Replications {
-		workers = opts.Replications
+// ReplicationError reports the replication whose simulation failed in
+// RunStudies. It unwraps to the simulator's error.
+type ReplicationError struct {
+	// Study and Replication index the failed replication.
+	Study, Replication int
+	Err                error
+}
+
+func (e *ReplicationError) Error() string {
+	return fmt.Sprintf("san: study %d replication %d: %v", e.Study, e.Replication, e.Err)
+}
+
+func (e *ReplicationError) Unwrap() error { return e.Err }
+
+// RunStudies runs the replications of every study over one pool of workers
+// goroutines and returns one StudyResult per study, in study order. Each
+// study's options are validated and defaulted as RunReplications does, and its
+// replication seeds and streams are RunReplications' (ReplicationSeeds,
+// ReplicationStream), so each result is bit-identical to a standalone
+// RunReplications of that study at any workers. Jobs are handed out
+// study-major, so slow studies overlap with fast ones; each worker keeps one
+// Simulator and Resets it onto every replication's stream, building a new one
+// only when it moves on to the next study. The error of a failed replication,
+// the first in (study, replication) order, is a *ReplicationError.
+func RunStudies(studies []Study, workers int) ([]*StudyResult, error) {
+	type job struct {
+		study, rep int
+		seed       uint64
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One simulator per worker, over the shared compiled model, Reset
-			// onto each replication's private stream.
-			var sim *Simulator
-			for job := range jobs {
-				stream := ReplicationStream(job.seed, job.rep)
-				if sim == nil {
-					var err error
-					sim, err = cm.NewSimulator(stream)
-					if err != nil {
-						outcomes[job.rep] = repOutcome{err: err}
-						continue
-					}
-				} else if err := sim.Reset(stream); err != nil {
-					outcomes[job.rep] = repOutcome{err: err}
-					continue
-				}
-				res, err := sim.Run(opts.Mission)
-				outcomes[job.rep] = repOutcome{res: res, err: err}
+	opts := make([]Options, len(studies))
+	var jobs []job
+	for s, st := range studies {
+		if err := st.Options.Validate(); err != nil {
+			return nil, fmt.Errorf("san: study %d: %w", s, err)
+		}
+		opts[s] = st.Options.WithDefaults()
+		// studySeeds still reserves the historical "validate" split before
+		// drawing replication seeds, so seed derivation is unchanged by the
+		// compile-layer refactor.
+		_, seeds := studySeeds(opts[s])
+		for rep, seed := range seeds {
+			jobs = append(jobs, job{study: s, rep: rep, seed: seed})
+		}
+	}
+
+	// One outcome slot per job, so the reduction below runs in (study,
+	// replication) order regardless of which worker finished when.
+	results := make([]Result, len(jobs))
+	errs := make([]error, len(jobs))
+	type workerSim struct {
+		study int
+		sim   *Simulator
+	}
+	sims := make([]workerSim, max(1, min(workers, len(jobs))))
+	fanout.For(len(jobs), workers, func(w, i int) {
+		j, ws := jobs[i], &sims[w]
+		stream := ReplicationStream(j.seed, j.rep)
+		if ws.sim == nil || ws.study != j.study {
+			sim, err := studies[j.study].Model.NewSimulator(stream)
+			if err != nil {
+				errs[i] = err
+				return
 			}
-		}()
-	}
-	wg.Wait()
+			*ws = workerSim{study: j.study, sim: sim}
+		} else if err := ws.sim.Reset(stream); err != nil {
+			errs[i] = err
+			return
+		}
+		results[i], errs[i] = ws.sim.Run(opts[j.study].Mission)
+	})
 
 	// Reduce in replication-index order: Welford accumulation in
-	// stats.Summary is order-sensitive in floating point, so draining in
-	// completion order would make same-seed studies differ across
-	// Parallelism settings.
-	result := NewStudyResult(cm.rewards, opts)
-	for _, out := range outcomes {
-		if out.err != nil {
-			return nil, out.err
-		}
-		result.Add(out.res)
+	// stats.Summary is order-sensitive in floating point, so folding in
+	// completion order would make same-seed studies differ across worker
+	// counts.
+	out := make([]*StudyResult, len(studies))
+	for s, st := range studies {
+		out[s] = NewStudyResult(st.Model.rewards, opts[s])
 	}
-	return result, nil
+	for i, j := range jobs {
+		if errs[i] != nil {
+			return nil, &ReplicationError{Study: j.study, Replication: j.rep, Err: errs[i]}
+		}
+		out[j.study].Add(results[i])
+	}
+	return out, nil
 }

@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/fanout"
 	"repro/internal/san"
 )
 
@@ -202,42 +201,21 @@ func (fx *fastExplorer) run() error {
 	return nil
 }
 
-// runLevelParallel expands frontier states [lo,hi) with par workers pulling
-// fixed-size chunks off an atomic counter, then merges the chunks in order.
-// Workers never touch shared explorer state, so the schedule cannot affect
-// the result.
+// runLevelParallel expands frontier states [lo,hi) in fixed-size chunks on
+// par workers, then merges the chunks in order. Workers never touch shared
+// explorer state, so the schedule cannot affect the result.
 func (fx *fastExplorer) runLevelParallel(lo, hi, par int) error {
-	nChunks := (hi - lo + exploreChunkSize - 1) / exploreChunkSize
-	if par > nChunks {
-		par = nChunks
-	}
-	results := make([]*expander, nChunks)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(cursor.Add(1)) - 1
-				if c >= nChunks {
-					return
-				}
-				clo := lo + c*exploreChunkSize
-				chi := clo + exploreChunkSize
-				if chi > hi {
-					chi = hi
-				}
-				e := newExpander(fx)
-				e.reset(clo, chi)
-				for si := clo; si < chi; si++ {
-					e.expandState(fx.states[si])
-				}
-				results[c] = e
-			}
-		}()
-	}
-	wg.Wait()
+	results := make([]*expander, (hi-lo+exploreChunkSize-1)/exploreChunkSize)
+	fanout.For(len(results), par, func(_, c int) {
+		clo := lo + c*exploreChunkSize
+		chi := min(clo+exploreChunkSize, hi)
+		e := newExpander(fx)
+		e.reset(clo, chi)
+		for si := clo; si < chi; si++ {
+			e.expandState(fx.states[si])
+		}
+		results[c] = e
+	})
 	for _, e := range results {
 		if err := fx.merge(&e.res); err != nil {
 			return err

@@ -5,7 +5,8 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
+
+	"repro/internal/fanout"
 )
 
 // This file holds SolveTransient and its kernels: a gather-oriented
@@ -117,43 +118,6 @@ func (m *gatherCSR) stepRange(dst, v []float64, lo, hi int) {
 // nChunksFor returns the number of fixed-size row chunks covering n rows.
 func nChunksFor(n int) int {
 	return (n + solveChunkRows - 1) / solveChunkRows
-}
-
-// chunkRun partitions [0,n) into fixed-size row chunks and runs fn on each,
-// using up to par workers pulling chunks off an atomic counter. Chunk
-// boundaries do not depend on par and callers reduce per-chunk partials in
-// chunk-index order, so results are bit-identical at any parallelism.
-func chunkRun(n, par int, fn func(chunk, lo, hi int)) {
-	nChunks := nChunksFor(n)
-	if par > nChunks {
-		par = nChunks
-	}
-	if par <= 1 {
-		for c := 0; c < nChunks; c++ {
-			lo := c * solveChunkRows
-			hi := min(lo+solveChunkRows, n)
-			fn(c, lo, hi)
-		}
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(cursor.Add(1)) - 1
-				if c >= nChunks {
-					return
-				}
-				lo := c * solveChunkRows
-				hi := min(lo+solveChunkRows, n)
-				fn(c, lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // vecPool recycles iteration vectors across solves. Vectors are zero-filled
@@ -284,7 +248,9 @@ func (g *Generator) SolveTransient(T float64) (map[string]float64, error) {
 		}
 		tl = tail / lambda
 		wTerm, tlTerm := w, tl
-		chunkRun(n, par, func(c, lo, hi int) {
+		fanout.For(len(diffs), par, func(_, c int) {
+			lo := c * solveChunkRows
+			hi := min(lo+solveChunkRows, n)
 			P.stepRange(next, v, lo, hi)
 			diffs[c] = fusedUpdate(next, v, pi, sojourn, wTerm, tlTerm, lo, hi)
 		})

@@ -1,7 +1,7 @@
 // Package stats provides the statistical machinery used to report simulation
 // results the way the paper does: running summaries, Student-t confidence
-// intervals at 95%, batch means for steady-state estimation, histograms, and
-// simple regression utilities.
+// intervals at 95%, binomial intervals for rare-event estimators, and simple
+// regression utilities.
 package stats
 
 import (
@@ -42,13 +42,6 @@ func (s *Summary) Add(x float64) {
 	}
 	if x > s.max {
 		s.max = x
-	}
-}
-
-// AddAll records every observation in xs.
-func (s *Summary) AddAll(xs []float64) {
-	for _, x := range xs {
-		s.Add(x)
 	}
 }
 
@@ -128,16 +121,6 @@ func (s *Summary) ConfidenceInterval(confidence float64) (Interval, error) {
 		Confidence: confidence,
 		N:          s.n,
 	}, nil
-}
-
-// RelativeHalfWidth returns the confidence-interval half width divided by the
-// mean, used as a stopping criterion for sequential replication.
-func (s *Summary) RelativeHalfWidth(confidence float64) float64 {
-	ci, err := s.ConfidenceInterval(confidence)
-	if err != nil || ci.Mean == 0 {
-		return math.Inf(1)
-	}
-	return ci.HalfWidth / math.Abs(ci.Mean)
 }
 
 // ---------------------------------------------------------------------------
@@ -378,110 +361,7 @@ func betaContinuedFraction(a, b, x float64) float64 {
 }
 
 // ---------------------------------------------------------------------------
-// Batch means
-// ---------------------------------------------------------------------------
-
-// BatchMeans estimates the mean of a correlated time series (e.g. a
-// steady-state reward sampled along one long run) by grouping observations
-// into batches and treating batch averages as independent.
-type BatchMeans struct {
-	batchSize int
-	current   []float64
-	batches   *Summary
-}
-
-// NewBatchMeans returns a batch-means estimator with the given batch size.
-func NewBatchMeans(batchSize int) (*BatchMeans, error) {
-	if batchSize < 1 {
-		return nil, fmt.Errorf("stats: batch size %d < 1", batchSize)
-	}
-	return &BatchMeans{batchSize: batchSize, batches: NewSummary()}, nil
-}
-
-// Add records one observation, closing a batch when it is full.
-func (b *BatchMeans) Add(x float64) {
-	b.current = append(b.current, x)
-	if len(b.current) == b.batchSize {
-		var sum float64
-		for _, v := range b.current {
-			sum += v
-		}
-		b.batches.Add(sum / float64(b.batchSize))
-		b.current = b.current[:0]
-	}
-}
-
-// Batches returns the number of completed batches.
-func (b *BatchMeans) Batches() int { return b.batches.N() }
-
-// Mean returns the mean across completed batches.
-func (b *BatchMeans) Mean() float64 { return b.batches.Mean() }
-
-// ConfidenceInterval returns the CI over completed batch means.
-func (b *BatchMeans) ConfidenceInterval(confidence float64) (Interval, error) {
-	return b.batches.ConfidenceInterval(confidence)
-}
-
-// ---------------------------------------------------------------------------
-// Histogram
-// ---------------------------------------------------------------------------
-
-// Histogram is a fixed-bin histogram over [lo, hi); values outside the range
-// are counted in the underflow/overflow buckets.
-type Histogram struct {
-	lo, hi    float64
-	bins      []int
-	underflow int
-	overflow  int
-	total     int
-}
-
-// NewHistogram returns a histogram with n equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, n int) (*Histogram, error) {
-	if n < 1 || !(hi > lo) {
-		return nil, fmt.Errorf("stats: invalid histogram [%v,%v) with %d bins", lo, hi, n)
-	}
-	return &Histogram{lo: lo, hi: hi, bins: make([]int, n)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.lo:
-		h.underflow++
-	case x >= h.hi:
-		h.overflow++
-	default:
-		idx := int((x - h.lo) / (h.hi - h.lo) * float64(len(h.bins)))
-		if idx >= len(h.bins) {
-			idx = len(h.bins) - 1
-		}
-		h.bins[idx]++
-	}
-}
-
-// Counts returns a copy of the bin counts.
-func (h *Histogram) Counts() []int {
-	out := make([]int, len(h.bins))
-	copy(out, h.bins)
-	return out
-}
-
-// Total returns the number of observations recorded, including out-of-range.
-func (h *Histogram) Total() int { return h.total }
-
-// OutOfRange returns the (underflow, overflow) counts.
-func (h *Histogram) OutOfRange() (int, int) { return h.underflow, h.overflow }
-
-// BinCenter returns the center of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.hi - h.lo) / float64(len(h.bins))
-	return h.lo + (float64(i)+0.5)*width
-}
-
-// ---------------------------------------------------------------------------
-// Regression and correlation
+// Linear regression
 // ---------------------------------------------------------------------------
 
 // LinearFit is the result of an ordinary least squares fit y = Slope*x +
@@ -527,19 +407,6 @@ func LinearRegression(x, y []float64) (LinearFit, error) {
 		fit.R2 = 1
 	}
 	return fit, nil
-}
-
-// Pearson returns the Pearson correlation coefficient of x and y.
-func Pearson(x, y []float64) (float64, error) {
-	fit, err := LinearRegression(x, y)
-	if err != nil {
-		return 0, err
-	}
-	sign := 1.0
-	if fit.Slope < 0 {
-		sign = -1
-	}
-	return sign * math.Sqrt(fit.R2), nil
 }
 
 // ---------------------------------------------------------------------------

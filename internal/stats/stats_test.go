@@ -11,7 +11,9 @@ func TestSummaryBasics(t *testing.T) {
 	if s.N() != 0 || s.Mean() != 0 || s.Variance() != 0 {
 		t.Fatal("empty summary not zeroed")
 	}
-	s.AddAll([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
+		s.Add(x)
+	}
 	if s.N() != 8 {
 		t.Errorf("N = %d, want 8", s.N())
 	}
@@ -37,7 +39,9 @@ func TestConfidenceIntervalKnownValue(t *testing.T) {
 	base := []float64{8, 9, 9.5, 10, 10, 10, 10.5, 11, 11, 11}
 	// Rescale to stddev exactly 2 around mean 10.
 	tmp := NewSummary()
-	tmp.AddAll(base)
+	for _, v := range base {
+		tmp.Add(v)
+	}
 	scale := 2 / tmp.StdDev()
 	for _, v := range base {
 		s.Add(10 + (v-tmp.Mean())*scale)
@@ -73,21 +77,6 @@ func TestConfidenceIntervalErrors(t *testing.T) {
 	s.Add(2)
 	if _, err := s.ConfidenceInterval(1.5); err == nil {
 		t.Error("CI with confidence 1.5 succeeded")
-	}
-}
-
-func TestRelativeHalfWidth(t *testing.T) {
-	s := NewSummary()
-	for i := 0; i < 100; i++ {
-		s.Add(100 + float64(i%10))
-	}
-	r := s.RelativeHalfWidth(0.95)
-	if r <= 0 || r > 0.05 {
-		t.Errorf("relative half width = %v, want small positive", r)
-	}
-	empty := NewSummary()
-	if !math.IsInf(empty.RelativeHalfWidth(0.95), 1) {
-		t.Error("empty RelativeHalfWidth not +Inf")
 	}
 }
 
@@ -159,65 +148,6 @@ func TestRegularizedIncompleteBeta(t *testing.T) {
 	}
 }
 
-func TestBatchMeans(t *testing.T) {
-	bm, err := NewBatchMeans(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		bm.Add(float64(i % 10))
-	}
-	if bm.Batches() != 10 {
-		t.Errorf("Batches = %d, want 10", bm.Batches())
-	}
-	if got := bm.Mean(); math.Abs(got-4.5) > 1e-12 {
-		t.Errorf("Mean = %v, want 4.5", got)
-	}
-	ci, err := bm.ConfidenceInterval(0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ci.HalfWidth != 0 {
-		t.Errorf("identical batches should give zero halfwidth, got %v", ci.HalfWidth)
-	}
-	if _, err := NewBatchMeans(0); err == nil {
-		t.Error("NewBatchMeans(0) succeeded")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42} {
-		h.Add(v)
-	}
-	counts := h.Counts()
-	want := []int{2, 1, 1, 0, 1}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Errorf("bin %d = %d, want %d", i, counts[i], want[i])
-		}
-	}
-	under, over := h.OutOfRange()
-	if under != 1 || over != 2 {
-		t.Errorf("out of range = (%d,%d), want (1,2)", under, over)
-	}
-	if h.Total() != 8 {
-		t.Errorf("Total = %d, want 8", h.Total())
-	}
-	if got := h.BinCenter(0); got != 1 {
-		t.Errorf("BinCenter(0) = %v, want 1", got)
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("NewHistogram(5,5,3) succeeded")
-	}
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Error("NewHistogram with 0 bins succeeded")
-	}
-}
-
 func TestLinearRegressionExact(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5}
 	y := []float64{3, 5, 7, 9, 11} // y = 2x + 1
@@ -242,18 +172,6 @@ func TestLinearRegressionErrors(t *testing.T) {
 	}
 	if _, err := LinearRegression([]float64{3, 3, 3}, []float64{1, 2, 3}); err == nil {
 		t.Error("regression with constant x succeeded")
-	}
-}
-
-func TestPearson(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	yPos := []float64{2, 4, 6, 8, 10}
-	yNeg := []float64{10, 8, 6, 4, 2}
-	if r, err := Pearson(x, yPos); err != nil || math.Abs(r-1) > 1e-9 {
-		t.Errorf("Pearson positive = %v (%v), want 1", r, err)
-	}
-	if r, err := Pearson(x, yNeg); err != nil || math.Abs(r+1) > 1e-9 {
-		t.Errorf("Pearson negative = %v (%v), want -1", r, err)
 	}
 }
 

@@ -1,7 +1,6 @@
-// Package survival implements the survival-analysis techniques the paper
-// applies to the ABE disk-failure logs: Kaplan-Meier estimation and
-// maximum-likelihood fitting of a Weibull hazard model with right-censored
-// observations (the paper reports a fitted shape parameter of 0.6963571 with
+// Package survival implements the survival analysis the paper applies to the
+// ABE disk-failure logs: maximum-likelihood fitting of a Weibull hazard model
+// with right-censored observations (the paper reports a fitted shape parameter of 0.6963571 with
 // standard deviation 0.1923109 on n=480 disks).
 package survival
 
@@ -9,9 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
-
-	"repro/internal/stats"
 )
 
 // Observation is a single subject in a survival study: a time on test (in
@@ -28,68 +24,6 @@ var (
 	ErrInvalidTime = errors.New("survival: observation with non-positive time")
 	ErrNoData      = errors.New("survival: empty sample")
 )
-
-// ---------------------------------------------------------------------------
-// Kaplan-Meier
-// ---------------------------------------------------------------------------
-
-// KMPoint is one step of the Kaplan-Meier survival curve.
-type KMPoint struct {
-	Time     float64 // event time
-	AtRisk   int     // subjects at risk just before Time
-	Events   int     // failures at Time
-	Survival float64 // estimated S(Time)
-}
-
-// KaplanMeier computes the product-limit estimate of the survival function.
-// Censored observations reduce the risk set but do not produce steps.
-func KaplanMeier(obs []Observation) ([]KMPoint, error) {
-	if len(obs) == 0 {
-		return nil, ErrNoData
-	}
-	sorted := make([]Observation, len(obs))
-	copy(sorted, obs)
-	for _, o := range sorted {
-		if o.Time <= 0 || math.IsNaN(o.Time) || math.IsInf(o.Time, 0) {
-			return nil, fmt.Errorf("%w: %v", ErrInvalidTime, o.Time)
-		}
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Time < sorted[j].Time })
-
-	var curve []KMPoint
-	surv := 1.0
-	atRisk := len(sorted)
-	i := 0
-	for i < len(sorted) {
-		t := sorted[i].Time
-		events, censored := 0, 0
-		for i < len(sorted) && sorted[i].Time == t {
-			if sorted[i].Event {
-				events++
-			} else {
-				censored++
-			}
-			i++
-		}
-		if events > 0 {
-			surv *= 1 - float64(events)/float64(atRisk)
-			curve = append(curve, KMPoint{Time: t, AtRisk: atRisk, Events: events, Survival: surv})
-		}
-		atRisk -= events + censored
-	}
-	return curve, nil
-}
-
-// MedianSurvivalTime returns the first time at which the Kaplan-Meier curve
-// drops to 0.5 or below, or an error if the curve never reaches 0.5.
-func MedianSurvivalTime(curve []KMPoint) (float64, error) {
-	for _, p := range curve {
-		if p.Survival <= 0.5 {
-			return p.Time, nil
-		}
-	}
-	return 0, errors.New("survival: curve never reaches 0.5 (median not reached)")
-}
 
 // ---------------------------------------------------------------------------
 // Weibull maximum likelihood with right censoring
@@ -245,41 +179,4 @@ func shapeStdErr(obs []Observation, shape, scale float64) float64 {
 		return math.NaN()
 	}
 	return math.Sqrt(varShape)
-}
-
-// ShapeConfidenceInterval returns the Wald confidence interval for the fitted
-// shape parameter at the given confidence level.
-func (f WeibullFit) ShapeConfidenceInterval(confidence float64) (stats.Interval, error) {
-	if !(confidence > 0 && confidence < 1) {
-		return stats.Interval{}, fmt.Errorf("survival: confidence %v outside (0,1)", confidence)
-	}
-	if math.IsNaN(f.ShapeStdErr) {
-		return stats.Interval{}, errors.New("survival: shape standard error unavailable")
-	}
-	z := stats.StudentTQuantile(1-(1-confidence)/2, float64(f.N-1))
-	return stats.Interval{Mean: f.Shape, HalfWidth: z * f.ShapeStdErr, Confidence: confidence, N: f.N}, nil
-}
-
-// ExponentialMTBF is the baseline estimator that ignores the Weibull shape:
-// total time on test divided by the number of failures. The paper's
-// MTBF=300,000 h estimate is of this flavor (matched via simulation).
-func ExponentialMTBF(obs []Observation) (float64, error) {
-	if len(obs) == 0 {
-		return 0, ErrNoData
-	}
-	var totalTime float64
-	events := 0
-	for _, o := range obs {
-		if o.Time <= 0 || math.IsNaN(o.Time) || math.IsInf(o.Time, 0) {
-			return 0, fmt.Errorf("%w: %v", ErrInvalidTime, o.Time)
-		}
-		totalTime += o.Time
-		if o.Event {
-			events++
-		}
-	}
-	if events == 0 {
-		return 0, ErrNoEvents
-	}
-	return totalTime / float64(events), nil
 }

@@ -2,95 +2,12 @@ package survival
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/dist"
 	"repro/internal/rng"
 )
-
-func TestKaplanMeierSimple(t *testing.T) {
-	// Classic small example: failures at 1, 2, 4; censored at 3.
-	obs := []Observation{
-		{Time: 1, Event: true},
-		{Time: 2, Event: true},
-		{Time: 3, Event: false},
-		{Time: 4, Event: true},
-	}
-	curve, err := KaplanMeier(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curve) != 3 {
-		t.Fatalf("curve has %d steps, want 3", len(curve))
-	}
-	want := []float64{0.75, 0.5, 0.0}
-	for i, p := range curve {
-		if math.Abs(p.Survival-want[i]) > 1e-12 {
-			t.Errorf("step %d survival = %v, want %v", i, p.Survival, want[i])
-		}
-	}
-	if curve[0].AtRisk != 4 || curve[1].AtRisk != 3 || curve[2].AtRisk != 1 {
-		t.Errorf("at-risk counts wrong: %+v", curve)
-	}
-}
-
-func TestKaplanMeierTiedEvents(t *testing.T) {
-	obs := []Observation{
-		{Time: 5, Event: true},
-		{Time: 5, Event: true},
-		{Time: 10, Event: false},
-		{Time: 12, Event: true},
-	}
-	curve, err := KaplanMeier(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curve) != 2 {
-		t.Fatalf("curve has %d steps, want 2", len(curve))
-	}
-	if math.Abs(curve[0].Survival-0.5) > 1e-12 {
-		t.Errorf("S(5) = %v, want 0.5", curve[0].Survival)
-	}
-	if curve[0].Events != 2 {
-		t.Errorf("events at t=5 = %d, want 2", curve[0].Events)
-	}
-}
-
-func TestKaplanMeierErrors(t *testing.T) {
-	if _, err := KaplanMeier(nil); err != ErrNoData {
-		t.Errorf("KaplanMeier(nil) = %v, want ErrNoData", err)
-	}
-	if _, err := KaplanMeier([]Observation{{Time: -1, Event: true}}); err == nil {
-		t.Error("negative time accepted")
-	}
-}
-
-func TestMedianSurvivalTime(t *testing.T) {
-	curve := []KMPoint{
-		{Time: 10, Survival: 0.8},
-		{Time: 20, Survival: 0.45},
-		{Time: 30, Survival: 0.2},
-	}
-	m, err := MedianSurvivalTime(curve)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m != 20 {
-		t.Errorf("median = %v, want 20", m)
-	}
-	if _, err := MedianSurvivalTime([]KMPoint{{Time: 1, Survival: 0.9}}); err == nil {
-		t.Error("median found although curve never reaches 0.5")
-	} else if !strings.Contains(err.Error(), "never reaches 0.5") {
-		t.Errorf("error text %q should match the <= 0.5 check (\"never reaches\", not \"never falls below\")", err)
-	}
-	// A curve that lands exactly on 0.5 satisfies the <= 0.5 check; the error
-	// text above must agree with this boundary behavior.
-	if m, err := MedianSurvivalTime([]KMPoint{{Time: 7, Survival: 0.5}}); err != nil || m != 7 {
-		t.Errorf("median at exactly 0.5 = %v, %v; want 7, nil", m, err)
-	}
-}
 
 // generateWeibullSample draws a censored sample from a known Weibull
 // distribution: every lifetime beyond the study window is censored at the
@@ -147,12 +64,9 @@ func TestFitWeibullRecoversParametersCensored(t *testing.T) {
 	if fit.ShapeStdErr <= 0 || math.IsNaN(fit.ShapeStdErr) {
 		t.Errorf("shape stderr = %v, want positive", fit.ShapeStdErr)
 	}
-	ci, err := fit.ShapeConfidenceInterval(0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ci.Contains(0.7) {
-		t.Errorf("95%% CI %v does not contain true shape 0.7", ci)
+	// The 95% Wald interval from the standard error covers the true shape.
+	if math.Abs(fit.Shape-0.7) > 1.96*fit.ShapeStdErr {
+		t.Errorf("shape %v ± %v does not cover the true shape 0.7", fit.Shape, 1.96*fit.ShapeStdErr)
 	}
 }
 
@@ -193,70 +107,6 @@ func TestWeibullFitDerivedQuantities(t *testing.T) {
 	}
 	if fit.String() == "" {
 		t.Error("String empty")
-	}
-	if _, err := fit.ShapeConfidenceInterval(2); err == nil {
-		t.Error("confidence 2 accepted")
-	}
-	bad := WeibullFit{Shape: 1, Scale: 1, ShapeStdErr: math.NaN(), N: 5}
-	if _, err := bad.ShapeConfidenceInterval(0.95); err == nil {
-		t.Error("NaN stderr accepted")
-	}
-}
-
-func TestExponentialMTBF(t *testing.T) {
-	obs := []Observation{
-		{Time: 100, Event: true},
-		{Time: 200, Event: true},
-		{Time: 300, Event: false},
-	}
-	mtbf, err := ExponentialMTBF(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mtbf != 300 {
-		t.Errorf("MTBF = %v, want 300", mtbf)
-	}
-	if _, err := ExponentialMTBF(nil); err != ErrNoData {
-		t.Error("nil accepted")
-	}
-	if _, err := ExponentialMTBF([]Observation{{Time: 5, Event: false}}); err != ErrNoEvents {
-		t.Error("no-event sample accepted")
-	}
-	if _, err := ExponentialMTBF([]Observation{{Time: -5, Event: true}}); err == nil {
-		t.Error("negative time accepted")
-	}
-}
-
-// Property: the Kaplan-Meier survival curve is non-increasing and stays in
-// [0, 1] for arbitrary positive observation sets.
-func TestQuickKaplanMeierMonotone(t *testing.T) {
-	f := func(times []float64, eventBits uint64) bool {
-		obs := make([]Observation, 0, len(times))
-		for i, tm := range times {
-			v := math.Abs(tm)
-			if v == 0 || math.IsNaN(v) || math.IsInf(v, 0) || v > 1e12 {
-				continue
-			}
-			obs = append(obs, Observation{Time: v, Event: eventBits>>(uint(i)%64)&1 == 1})
-		}
-		if len(obs) == 0 {
-			return true
-		}
-		curve, err := KaplanMeier(obs)
-		if err != nil {
-			return false
-		}
-		prev := 1.0
-		for _, p := range curve {
-			if p.Survival > prev+1e-12 || p.Survival < -1e-12 || p.Survival > 1+1e-12 {
-				return false
-			}
-			prev = p.Survival
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,17 +1,18 @@
 // Package sweep runs multi-configuration simulation studies — the paper's
-// Figure 4/5 scaling sweeps and the design-comparison tables — behind one
-// shared worker pool.
+// Figure 4/5 scaling sweeps and the design-comparison tables — over one
+// shared pool of workers.
 //
 // Evaluating a sweep point by point (a fresh abe.Evaluate per configuration)
-// pays three avoidable costs: a worker pool is spun up and drained per
+// pays avoidable costs: a worker pool is spun up and drained per
 // configuration (so every configuration's slowest replication idles the whole
-// pool), the composed model is rebuilt per evaluation, and a Simulator —
-// whose dependency and impulse indexes are O(model) to derive — used to be
-// rebuilt per replication. The sweep engine instead schedules the flat list
-// of (configuration, replication) jobs over a single pool: models are built
-// once per configuration and shared read-only, each worker keeps one
-// Simulator per configuration and Resets it onto every replication's private
-// stream, and slow large-scale configurations overlap with fast small ones.
+// pool), and the composed model is rebuilt per evaluation. Run instead makes
+// two passes over fanout.For. The pre-pass builds and compiles every point's
+// model once, certifies it, and answers certified points analytically; the
+// compiled models are then shared read-only. The points left over simulate in
+// one san.RunStudies call, which schedules their (point, replication) jobs
+// over a single pool, so slow large-scale configurations overlap with fast
+// small ones, and each worker Resets one Simulator onto every replication's
+// private stream.
 //
 // Determinism contract: seeds are derived per (configuration index,
 // replication index) and outcomes are reduced in (configuration, replication)
@@ -24,9 +25,9 @@ package sweep
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/abe"
+	"repro/internal/fanout"
 	"repro/internal/report"
 	"repro/internal/rng"
 	"repro/internal/san"
@@ -143,47 +144,36 @@ func PointSeeds(seed uint64, n int) []uint64 {
 	return seeds
 }
 
-// pointPlan is the per-point schedule plus the lazily built shared model.
+// pointPlan is what Run's pre-pass produces for one point: the study options,
+// the compiled model (built for every point, forced ones included, and shared
+// read-only afterwards), and, when the solver tier answered the point, its
+// analytic rewards. Points without analytic rewards simulate in one
+// san.RunStudies call.
 type pointPlan struct {
 	opts     san.Options // effective study options (Seed = the point's seed)
-	repSeeds []uint64
-
-	// The composed model is built and compiled at most once, by whichever
-	// worker first draws a job for the point, and is then shared read-only;
-	// each worker still owns its private Simulator, which is cheap to derive
-	// from the compiled model.
-	buildOnce sync.Once
-	compiled  *san.CompiledModel
-	rewards   []san.RewardVariable
-	buildErr  error
+	compiled *san.CompiledModel
+	analytic map[string]float64
+	solver   Solver
+	err      error
 }
 
-// build composes and compiles the model for cfg once.
-func (pp *pointPlan) build(cfg abe.Config) {
-	pp.buildOnce.Do(func() {
-		model := san.NewModel(cfg.Name)
-		mp, err := abe.Build(model, cfg)
-		if err != nil {
-			pp.buildErr = err
-			return
-		}
-		rewards := mp.Rewards()
-		cm, err := san.Compile(model, rewards)
-		if err != nil {
-			pp.buildErr = err
-			return
-		}
-		pp.compiled = cm
-		pp.rewards = rewards
-	})
+// build composes and compiles the model for cfg.
+func build(cfg abe.Config) (*san.CompiledModel, error) {
+	model := san.NewModel(cfg.Name)
+	mp, err := abe.Build(model, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return san.Compile(model, mp.Rewards())
 }
 
 // Run evaluates every point of the sweep under the given study options
 // (opts.Seed is the sweep-level master seed; opts.Parallelism sizes the
-// shared worker pool). It returns per-point measures in input order. Solver
-// outcomes are deduplicated within the sweep by configuration: points with
-// equal abe.Config values certify and solve once, and a hit is invisible in
-// the results except for the per-point Solver.Cache label.
+// worker pool of the pre-pass and of the simulations). It returns per-point
+// measures in input order. Solver outcomes are deduplicated within the sweep
+// by configuration: points with equal abe.Config values certify and solve
+// once, and a hit is invisible in the results except for the per-point
+// Solver.Cache label.
 func Run(points []Point, opts san.Options) (*Result, error) {
 	if len(points) == 0 {
 		return nil, ErrNoPoints
@@ -202,7 +192,7 @@ func Run(points []Point, opts san.Options) (*Result, error) {
 	}
 
 	derived := PointSeeds(opts.Seed, len(points))
-	plans := make([]*pointPlan, len(points))
+	plans := make([]pointPlan, len(points))
 	seeds := make([]uint64, len(points))
 	for i, pt := range points {
 		seeds[i] = derived[i]
@@ -211,14 +201,13 @@ func Run(points []Point, opts san.Options) (*Result, error) {
 		}
 		ptOpts := opts
 		ptOpts.Seed = seeds[i]
-		ptOpts = ptOpts.WithDefaults()
-		plans[i] = &pointPlan{opts: ptOpts, repSeeds: san.ReplicationSeeds(ptOpts)}
+		plans[i].opts = ptOpts.WithDefaults()
 	}
 
-	// Solver tier: certify every point up front and answer certified points
-	// by uniformization — exact, zero variance, no replications. Points
-	// whose certificate is refused (or whose solve fails numerically)
-	// simulate, with the structured reasons recorded; ForceSimulation skips
+	// Pre-pass: build every point, then answer certified points by
+	// uniformization — exact, zero variance, no replications. Points whose
+	// certificate is refused (or whose solve fails numerically) simulate,
+	// with the structured reasons recorded; ForceSimulation skips
 	// certification outright. Outcomes are memoized per abe.Config — the
 	// only input abe.Build reads, while mission, solver tier and fit
 	// tolerance are fixed for the whole sweep — so duplicate configurations
@@ -226,16 +215,13 @@ func Run(points []Point, opts san.Options) (*Result, error) {
 	// the first holder of a Config is the miss and every later holder a hit,
 	// whichever worker computes the entry; the sync.Once per entry makes
 	// concurrent duplicates block on the first computation instead of racing
-	// it. The pre-pass runs the points on opts.Parallelism workers; every
-	// memoized object is shared read-only afterwards.
-	analytic := make([]map[string]float64, len(points))
-	solverInfo := make([]Solver, len(points))
+	// it. Every memoized object is shared read-only afterwards.
 	entries := make([]*solveEntry, len(points))
 	labels := make([]string, len(points))
 	cache := make(map[abe.Config]*solveEntry, len(points))
 	for i, pt := range points {
 		if pt.ForceSimulation {
-			solverInfo[i] = Solver{Method: MethodSimulation, Reasons: []string{"forced: point requests simulation"}}
+			plans[i].solver = Solver{Method: MethodSimulation, Reasons: []string{"forced: point requests simulation"}}
 			continue
 		}
 		e, ok := cache[pt.Config]
@@ -248,143 +234,64 @@ func Run(points []Point, opts san.Options) (*Result, error) {
 		}
 		entries[i] = e
 	}
-	preErr := make([]error, len(points))
-	idxCh := make(chan int, len(points))
-	for i := range points {
-		idxCh <- i
-	}
-	close(idxCh)
-	preWorkers := min(opts.Parallelism, len(points))
-	var preWG sync.WaitGroup
-	for w := 0; w < preWorkers; w++ {
-		preWG.Add(1)
-		go func() {
-			defer preWG.Done()
-			for i := range idxCh {
-				pp, e := plans[i], entries[i]
-				if e == nil {
-					continue // forced to simulate
-				}
-				pp.build(points[i].Config)
-				if pp.buildErr != nil {
-					preErr[i] = pp.buildErr
-					continue
-				}
-				e.once.Do(func() {
-					e.rewards, e.solver, e.err = solvePoint(pp.compiled, opts.Mission, opts.PHFitTolerance)
-				})
-				if e.err != nil {
-					preErr[i] = e.err
-					continue
-				}
-				analytic[i] = e.rewards
-				solverInfo[i] = e.solver
-				solverInfo[i].Cache = labels[i]
-			}
-		}()
-	}
-	preWG.Wait()
-	for i, err := range preErr {
-		if err != nil {
+	fanout.For(len(points), opts.Parallelism, func(_, i int) {
+		pp, e := &plans[i], entries[i]
+		pp.compiled, pp.err = build(points[i].Config)
+		if pp.err != nil || e == nil {
+			return // build failed, or the point is forced to simulate
+		}
+		e.once.Do(func() {
+			e.rewards, e.solver, e.err = solvePoint(pp.compiled, opts.Mission, opts.PHFitTolerance)
+		})
+		if e.err != nil {
+			pp.err = e.err
+			return
+		}
+		pp.analytic = e.rewards
+		pp.solver = e.solver
+		pp.solver.Cache = labels[i]
+	})
+	for i := range plans {
+		if err := plans[i].err; err != nil {
 			return nil, fmt.Errorf("sweep: point %d (%s): %w", i, points[i].label(), err)
 		}
 	}
 
-	// One flat job list over the whole sweep, enqueued configuration-major.
-	// The channel is FIFO, so each worker draws a nondecreasing sequence of
-	// point indexes — a single-slot simulator cache per worker never
-	// revisits an evicted point. Analytically answered points enqueue no
-	// jobs.
-	type sweepJob struct {
-		point int
-		rep   int
-		seed  uint64
-	}
-	type repOutcome struct {
-		res san.Result
-		err error
-	}
-	total := 0
-	outcomes := make([][]repOutcome, len(points))
-	for i, pp := range plans {
-		if analytic[i] != nil {
-			continue
-		}
-		outcomes[i] = make([]repOutcome, pp.opts.Replications)
-		total += pp.opts.Replications
-	}
-	jobs := make(chan sweepJob, total)
-	for i, pp := range plans {
-		if analytic[i] != nil {
-			continue
-		}
-		for rep, seed := range pp.repSeeds {
-			jobs <- sweepJob{point: i, rep: rep, seed: seed}
+	// The points the solver did not answer simulate as one batch of studies
+	// over a shared pool, so slow large-scale points overlap with fast small
+	// ones.
+	var studies []san.Study
+	var simulated []int // point index of each study
+	for i := range plans {
+		if plans[i].analytic == nil {
+			studies = append(studies, san.Study{Model: plans[i].compiled, Options: plans[i].opts})
+			simulated = append(simulated, i)
 		}
 	}
-	close(jobs)
+	simResults, err := san.RunStudies(studies, opts.Parallelism)
+	if err != nil {
+		var re *san.ReplicationError
+		if errors.As(err, &re) {
+			i := simulated[re.Study]
+			return nil, fmt.Errorf("sweep: point %d (%s) replication %d: %w", i, points[i].label(), re.Replication, re.Err)
+		}
+		return nil, err
+	}
 
-	workers := opts.Parallelism
-	if workers > total {
-		workers = total
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cachedPoint := -1
-			var sim *san.Simulator
-			for job := range jobs {
-				pp := plans[job.point]
-				pp.build(points[job.point].Config)
-				if pp.buildErr != nil {
-					outcomes[job.point][job.rep] = repOutcome{err: pp.buildErr}
-					continue
-				}
-				stream := san.ReplicationStream(job.seed, job.rep)
-				if cachedPoint != job.point {
-					var err error
-					sim, err = pp.compiled.NewSimulator(stream)
-					if err != nil {
-						outcomes[job.point][job.rep] = repOutcome{err: err}
-						continue
-					}
-					cachedPoint = job.point
-				} else if err := sim.Reset(stream); err != nil {
-					outcomes[job.point][job.rep] = repOutcome{err: err}
-					continue
-				}
-				res, err := sim.Run(pp.opts.Mission)
-				outcomes[job.point][job.rep] = repOutcome{res: res, err: err}
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Reduce in (point, replication) order — the same order-sensitivity
-	// argument as san.RunReplications, extended to the whole sweep.
 	result := &Result{Options: opts, Points: make([]PointResult, 0, len(points))}
 	for i, pt := range points {
-		pp := plans[i]
-		if pp.buildErr != nil {
-			return nil, fmt.Errorf("sweep: point %d (%s): %w", i, pt.label(), pp.buildErr)
-		}
-		study := san.NewStudyResult(pp.rewards, pp.opts)
-		if analytic[i] != nil {
+		pp := &plans[i]
+		var study *san.StudyResult
+		if pp.analytic != nil {
 			// Synthesize the study from the exact analytic answer: two
 			// identical replications give the exact mean, zero variance, and
 			// zero-width intervals through the unchanged reduction path.
-			res := san.Result{Rewards: analytic[i], FinalTime: pp.opts.Mission}
+			study = san.NewStudyResult(pp.compiled.Rewards(), pp.opts)
+			res := san.Result{Rewards: pp.analytic, FinalTime: pp.opts.Mission}
 			study.Add(res)
 			study.Add(res)
 		} else {
-			for rep, out := range outcomes[i] {
-				if out.err != nil {
-					return nil, fmt.Errorf("sweep: point %d (%s) replication %d: %w", i, pt.label(), rep, out.err)
-				}
-				study.Add(out.res)
-			}
+			study, simResults = simResults[0], simResults[1:]
 		}
 		m, err := abe.MeasuresFromStudy(pt.Config, study)
 		if err != nil {
@@ -411,7 +318,7 @@ func Run(points []Point, opts san.Options) (*Result, error) {
 		}
 		result.TotalEvents += study.TotalEvents
 		result.Points = append(result.Points, PointResult{
-			Label: pt.label(), Seed: seeds[i], Measures: m, ModelStats: ms, Solver: solverInfo[i],
+			Label: pt.label(), Seed: seeds[i], Measures: m, ModelStats: ms, Solver: pp.solver,
 		})
 	}
 	return result, nil
