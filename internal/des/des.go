@@ -1,191 +1,131 @@
 // Package des provides the discrete-event simulation core of the
-// stochastic-activity-network simulator: a future-event list implemented as a
-// binary heap, a simulation clock, and cancellable event handles.
+// stochastic-activity-network simulator: a simulation clock and a future-event
+// list that holds at most one pending completion per activity.
+//
+// Activities are named by dense ids in [0, n). The list is a 4-ary min-heap of
+// plain (time, sequence, id) values with a per-id position index, so it holds
+// no pointers: scheduling, rescheduling and canceling move values within one
+// preallocated slice and never allocate. Completions fire in (time, sequence)
+// order, a strict total order because every Schedule, including the
+// rescheduling of an id that is already pending, takes the next sequence
+// number. Ties in time therefore fire in the order they were (re)scheduled.
 //
 // Time is a float64 in hours, consistent with the rest of the repository.
 package des
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
 )
 
-// Handler is the callback invoked when an event fires. The engine passes the
-// event's scheduled time (which equals the current clock).
-type Handler func(now float64)
+// ErrPastEvent reports a completion scheduled before the current clock.
+var ErrPastEvent = errors.New("des: cannot schedule an event in the past")
 
-// Event is a scheduled occurrence. Events are ordered by time, then by
-// insertion sequence for determinism.
-type Event struct {
-	time     float64
-	seq      uint64
-	index    int // heap index, -1 once removed
-	handler  Handler
-	canceled bool
+// entry is one pending completion.
+type entry struct {
+	time float64
+	seq  uint64
+	id   int32
 }
 
-// Time returns the time at which the event is scheduled to fire.
-func (e *Event) Time() float64 { return e.time }
-
-// Sequence returns the engine-assigned insertion sequence, the tiebreaker
-// among events scheduled at the same time. Checkpointing code records it so
-// a restored run re-schedules tied events in their original relative order.
-func (e *Event) Sequence() uint64 { return e.seq }
-
-// Canceled reports whether the event has been canceled.
-func (e *Event) Canceled() bool { return e.canceled }
-
-// eventHeap implements heap.Interface over events.
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
+func (a entry) before(b entry) bool {
+	return a.time < b.time || (a.time == b.time && a.seq < b.seq)
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
+// arity is the heap's branching factor: a 4-ary heap is half as deep as a
+// binary one, and the four children of a node share a cache line or two.
+const arity = 4
 
-func (h *eventHeap) Push(x interface{}) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
-}
-
-// Engine is a single-threaded discrete-event engine. It is not safe for
-// concurrent use; run one Engine per replication (optionally in parallel
-// goroutines, each with its own Engine).
+// Engine is a single-threaded discrete-event engine over n activity ids. It
+// is not safe for concurrent use; run one Engine per replication (optionally
+// in parallel goroutines, each with its own Engine).
 type Engine struct {
 	now     float64
-	queue   eventHeap
 	seq     uint64
 	stopped bool
-	events  uint64 // fired events, for diagnostics
+	fired   uint64
 
-	// slab batches Event allocations. Simulations that reschedule heavily
-	// (marking-dependent delays resampled on every rate change) create many
-	// short-lived events; carving them out of chunks instead of one
-	// allocation each keeps the scheduling hot path off the allocator.
-	// Events are never reused, so handles stay valid after firing or
-	// cancellation exactly as before.
-	slab []Event
+	heap []entry
+	pos  []int32 // heap index of each id's pending entry, -1 when none
 }
 
-// newEvent carves one event out of the current slab.
-func (e *Engine) newEvent() *Event {
-	if len(e.slab) == 0 {
-		e.slab = make([]Event, 256)
+// NewEngine returns an engine for ids in [0, n) with the clock at 0.
+func NewEngine(n int) *Engine {
+	e := &Engine{heap: make([]entry, 0, n), pos: make([]int32, n)}
+	for i := range e.pos {
+		e.pos[i] = -1
 	}
-	ev := &e.slab[0]
-	e.slab = e.slab[1:]
-	return ev
-}
-
-// Common scheduling errors.
-var (
-	ErrPastEvent  = errors.New("des: cannot schedule an event in the past")
-	ErrNilHandler = errors.New("des: nil event handler")
-)
-
-// NewEngine returns an engine with the clock at 0.
-func NewEngine() *Engine {
-	return &Engine{}
+	return e
 }
 
 // Now returns the current simulation time in hours.
 func (e *Engine) Now() float64 { return e.now }
 
-// Fired returns the number of events executed so far.
-func (e *Engine) Fired() uint64 { return e.events }
+// Fired returns the number of completions executed so far.
+func (e *Engine) Fired() uint64 { return e.fired }
 
-// Schedule registers handler to run at absolute time t. Events at the same
-// time fire in the order they were scheduled.
-func (e *Engine) Schedule(t float64, handler Handler) (*Event, error) {
-	if handler == nil {
-		return nil, ErrNilHandler
-	}
+// Schedule sets id's pending completion to absolute time t with the next
+// sequence number. If id already has a pending completion it is replaced, so
+// rescheduling fires after every completion already pending at the same time.
+// On error nothing changes.
+func (e *Engine) Schedule(id int, t float64) error {
 	if math.IsNaN(t) {
-		return nil, fmt.Errorf("des: NaN event time")
+		return fmt.Errorf("des: NaN event time")
 	}
 	if t < e.now {
-		return nil, fmt.Errorf("%w: t=%v now=%v", ErrPastEvent, t, e.now)
+		return fmt.Errorf("%w: t=%v now=%v", ErrPastEvent, t, e.now)
 	}
-	ev := e.newEvent()
-	*ev = Event{time: t, seq: e.seq, handler: handler}
+	en := entry{time: t, seq: e.seq, id: int32(id)}
 	e.seq++
-	heap.Push(&e.queue, ev)
-	return ev, nil
-}
-
-// ScheduleAfter registers handler to run delay hours from now.
-func (e *Engine) ScheduleAfter(delay float64, handler Handler) (*Event, error) {
-	return e.Schedule(e.now+delay, handler)
-}
-
-// Cancel marks the event so it will not fire. Canceling an already-fired or
-// already-canceled event is a no-op.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.canceled {
-		return
+	if i := e.pos[id]; i >= 0 {
+		e.fix(int(i), en)
+		return nil
 	}
-	ev.canceled = true
-	if ev.index >= 0 {
-		heap.Remove(&e.queue, ev.index)
-		ev.index = -1
+	e.heap = append(e.heap, en)
+	e.up(len(e.heap)-1, en)
+	return nil
+}
+
+// Cancel drops id's pending completion. Canceling an id with none pending is
+// a no-op.
+func (e *Engine) Cancel(id int) {
+	if i := e.pos[id]; i >= 0 {
+		e.remove(int(i))
 	}
 }
 
-// Stop halts Run after the currently executing event handler returns.
+// Pending reports id's pending completion time and sequence number.
+func (e *Engine) Pending(id int) (t float64, seq uint64, ok bool) {
+	i := e.pos[id]
+	if i < 0 {
+		return 0, 0, false
+	}
+	en := e.heap[i]
+	return en.time, en.seq, true
+}
+
+// Stop halts Run after the currently executing completion returns.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Run executes events in time order until the clock would exceed horizon, the
-// event list empties, or Stop is called. The clock is left at
-// min(horizon, last event time); if events remain beyond the horizon they are
-// not executed. Run returns the number of events executed.
-func (e *Engine) Run(horizon float64) uint64 {
+// Run executes completions in (time, sequence) order until the next one lies
+// beyond horizon, none is pending, or Stop is called. Each completion is
+// removed from the list before fire runs, so fire may schedule the same id
+// again. The clock is left at max(horizon, last completion time); completions
+// beyond the horizon stay pending. Run returns the number it executed.
+func (e *Engine) Run(horizon float64, fire func(id int, now float64)) uint64 {
 	if math.IsNaN(horizon) || horizon < e.now {
 		return 0
 	}
 	e.stopped = false
 	executed := uint64(0)
-	for !e.stopped {
-		// Peek for horizon check.
-		var next *Event
-		for len(e.queue) > 0 {
-			if e.queue[0].canceled {
-				heap.Pop(&e.queue)
-				continue
-			}
-			next = e.queue[0]
-			break
-		}
-		if next == nil || next.time > horizon {
-			break
-		}
-		heap.Pop(&e.queue)
-		e.now = next.time
-		e.events++
+	for !e.stopped && len(e.heap) > 0 && e.heap[0].time <= horizon {
+		top := e.heap[0]
+		e.remove(0)
+		e.now = top.time
+		e.fired++
 		executed++
-		next.handler(e.now)
+		fire(int(top.id), e.now)
 	}
 	if e.now < horizon {
 		e.now = horizon
@@ -193,27 +133,92 @@ func (e *Engine) Run(horizon float64) uint64 {
 	return executed
 }
 
-// ResumeAt prepares the engine to continue a checkpointed run: the pending
-// queue is cleared, the clock is set to t, and the fired-event counter to
+// ResumeAt prepares the engine to continue a checkpointed run: pending
+// completions are dropped, the clock is set to t, and the fired counter to
 // fired. It is the restore counterpart of the SAN simulator's snapshot
-// support; the caller re-schedules the pending events afterwards at their
-// recorded absolute times.
+// support; the caller re-schedules the pending completions afterwards at
+// their recorded absolute times, in their recorded sequence order.
 func (e *Engine) ResumeAt(t float64, fired uint64) error {
 	if math.IsNaN(t) || t < 0 {
 		return fmt.Errorf("des: invalid resume time %v", t)
 	}
 	e.Reset()
 	e.now = t
-	e.events = fired
+	e.fired = fired
 	return nil
 }
 
-// Reset clears all pending events and returns the clock to 0 so the engine
-// can be reused for another replication.
+// Reset drops every pending completion and returns the clock, the sequence
+// numbers and the fired counter to 0 so the engine can run another
+// replication. It keeps its storage.
 func (e *Engine) Reset() {
-	e.queue = e.queue[:0]
+	for _, en := range e.heap {
+		e.pos[en.id] = -1
+	}
+	e.heap = e.heap[:0]
 	e.now = 0
 	e.seq = 0
 	e.stopped = false
-	e.events = 0
+	e.fired = 0
+}
+
+// remove deletes the entry at heap index i.
+func (e *Engine) remove(i int) {
+	e.pos[e.heap[i].id] = -1
+	last := len(e.heap) - 1
+	en := e.heap[last]
+	e.heap = e.heap[:last]
+	if i < last {
+		e.fix(i, en)
+	}
+}
+
+// fix places en at heap index i, whose previous entry is gone, and restores
+// the heap order with one sift.
+func (e *Engine) fix(i int, en entry) {
+	if i > 0 && en.before(e.heap[(i-1)/arity]) {
+		e.up(i, en)
+	} else {
+		e.down(i, en)
+	}
+}
+
+// up sifts en from index i towards the root.
+func (e *Engine) up(i int, en entry) {
+	for i > 0 {
+		p := (i - 1) / arity
+		if !en.before(e.heap[p]) {
+			break
+		}
+		e.heap[i] = e.heap[p]
+		e.pos[e.heap[i].id] = int32(i)
+		i = p
+	}
+	e.heap[i] = en
+	e.pos[en.id] = int32(i)
+}
+
+// down sifts en from index i towards the leaves.
+func (e *Engine) down(i int, en entry) {
+	n := len(e.heap)
+	for {
+		c := arity*i + 1
+		if c >= n {
+			break
+		}
+		best := c
+		for k := c + 1; k < c+arity && k < n; k++ {
+			if e.heap[k].before(e.heap[best]) {
+				best = k
+			}
+		}
+		if !e.heap[best].before(en) {
+			break
+		}
+		e.heap[i] = e.heap[best]
+		e.pos[e.heap[i].id] = int32(i)
+		i = best
+	}
+	e.heap[i] = en
+	e.pos[en.id] = int32(i)
 }

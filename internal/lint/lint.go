@@ -74,6 +74,8 @@ func DefaultConfig(root string) Config {
 		ModulePath: "repro",
 		DeterministicPkgs: []string{
 			"repro/internal/san",
+			"repro/internal/des",
+			"repro/internal/rng",
 			"repro/internal/statespace",
 			"repro/internal/sweep",
 			"repro/internal/rareevent",

@@ -95,13 +95,6 @@ func (s *Stream) Uint64() uint64 {
 	return result
 }
 
-// Seed re-derives the stream's full state from seed under its label, as
-// NewStream(seed, label) would; reseeding mid-run breaks reproducibility.
-func (s *Stream) Seed(seed int64) {
-	ns := NewStream(uint64(seed), s.label)
-	s.state = ns.state
-}
-
 // Float64 returns a uniform value in the half-open interval [0, 1) with 53
 // bits of precision.
 func (s *Stream) Float64() float64 {

@@ -185,18 +185,6 @@ func TestRestoreRejectsZeroState(t *testing.T) {
 	}
 }
 
-func TestSeedReproducible(t *testing.T) {
-	s := NewStream(5, "seed")
-	s.Uint64()
-	s.Seed(1234)
-	a := s.Uint64()
-	s.Seed(1234)
-	b := s.Uint64()
-	if a != b {
-		t.Fatalf("Seed is not reproducible: %d vs %d", a, b)
-	}
-}
-
 func TestStringAndLabel(t *testing.T) {
 	s := NewStream(3, "disk-7")
 	if s.Label() != "disk-7" {

@@ -98,12 +98,15 @@ func (cm *CompiledModel) NewSimulator(stream *rng.Stream) (*Simulator, error) {
 	if stream == nil {
 		return nil, errors.New("san: nil random stream")
 	}
-	return &Simulator{
+	s := &Simulator{
 		cm:             cm,
 		stream:         stream,
+		run:            newRunState(cm),
 		maxInstFirings: 10000,
 		seenGeneration: make([]uint64, cm.model.NumActivities()),
-	}, nil
+	}
+	s.onComplete = func(id int, now float64) { s.complete(&s.run, cm.model.activities[id], now) }
+	return s, nil
 }
 
 // buildImpulseIndex resolves the name-keyed impulse maps of every reward

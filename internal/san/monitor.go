@@ -49,12 +49,13 @@ type Snapshot struct {
 	// pending event, indexed like Model.Activities(); NaN means the activity
 	// has no pending completion.
 	Scheduled []float64
-	// ScheduledSeq holds the engine insertion sequence of each pending
-	// event, parallel to Scheduled. Restoring re-schedules pending events in
-	// ascending sequence so ties in completion time fire in the same
-	// relative order as in the parent trajectory (the event heap breaks time
-	// ties by insertion order). May be nil for hand-built snapshots, in
-	// which case activity index order is used.
+	// ScheduledSeq holds the engine sequence number of each pending
+	// completion, parallel to Scheduled: the one its latest schedule or
+	// reschedule took. The engine fires completions in (time, sequence)
+	// order, so restoring re-schedules them in ascending sequence, and
+	// completions tied in time fire in the same relative order as in the
+	// parent trajectory. May be nil for hand-built snapshots, in which case
+	// activity index order is used.
 	ScheduledSeq []uint64
 	// RateAccum, LastRate, and Impulses are the reward accumulators, indexed
 	// like the simulator's reward variables.
@@ -84,24 +85,24 @@ func (sn *Snapshot) Clone() *Snapshot {
 // snapshot captures st at time now. Reward integrals are current through now
 // because complete integrates before observing the monitor.
 func (s *Simulator) snapshot(st *runState, now float64) *Snapshot {
+	n := s.cm.model.NumActivities()
 	snap := &Snapshot{
 		Time:         now,
 		Tokens:       append([]int(nil), st.mark.tokens...),
-		Scheduled:    make([]float64, len(st.scheduled)),
-		ScheduledSeq: make([]uint64, len(st.scheduled)),
+		Scheduled:    make([]float64, n),
+		ScheduledSeq: make([]uint64, n),
 		RateAccum:    append([]float64(nil), st.rateAccum...),
 		LastRate:     append([]float64(nil), st.lastRate...),
 		Impulses:     append([]float64(nil), st.impulses...),
 		RNG:          s.stream.State(),
 		Events:       st.engine.Fired(),
 	}
-	for i, ev := range st.scheduled {
-		if ev == nil || ev.Canceled() {
-			snap.Scheduled[i] = math.NaN()
-		} else {
-			snap.Scheduled[i] = ev.Time()
-			snap.ScheduledSeq[i] = ev.Sequence()
+	for i := range n {
+		t, seq, ok := st.engine.Pending(i)
+		if !ok {
+			t = math.NaN()
 		}
+		snap.Scheduled[i], snap.ScheduledSeq[i] = t, seq
 	}
 	return snap
 }
@@ -155,8 +156,7 @@ func (s *Simulator) RunFrom(snap *Snapshot, mission float64, mon *Monitor, resam
 	if err := s.stream.Restore(snap.RNG); err != nil {
 		return Result{}, err
 	}
-	st := s.newRunState()
-	st.monitor = mon
+	st := s.startRun(mon)
 	copy(st.mark.tokens, snap.Tokens)
 	copy(st.rateAccum, snap.RateAccum)
 	copy(st.lastRate, snap.LastRate)
@@ -165,8 +165,8 @@ func (s *Simulator) RunFrom(snap *Snapshot, mission float64, mon *Monitor, resam
 	if err := st.engine.ResumeAt(snap.Time, snap.Events); err != nil {
 		return Result{}, err
 	}
-	// Re-schedule pending events in their original insertion order: the
-	// event heap breaks completion-time ties by sequence, so restoring in
+	// Re-schedule pending completions in their original sequence order: the
+	// engine breaks completion-time ties by sequence, so restoring in
 	// activity-index order could fire tied deterministic completions in a
 	// different order than the parent trajectory.
 	type pendingEvent struct {
@@ -198,7 +198,7 @@ func (s *Simulator) RunFrom(snap *Snapshot, mission float64, mon *Monitor, resam
 			return Result{}, fmt.Errorf("san: snapshot schedules activity %q at %v before snapshot time %v",
 				a.name, t, snap.Time)
 		}
-		if err := s.scheduleCompletionAt(st, a, t); err != nil {
+		if err := st.engine.Schedule(pe.index, t); err != nil {
 			return Result{}, err
 		}
 	}
@@ -207,7 +207,7 @@ func (s *Simulator) RunFrom(snap *Snapshot, mission float64, mon *Monitor, resam
 	// e.g. when one completion jumps several importance levels at once.
 	s.observe(st, snap.Time)
 	if !(st.crossed && mon.StopOnCross) {
-		st.engine.Run(mission)
+		st.engine.Run(mission, s.onComplete)
 	}
 	if st.err != nil {
 		return Result{}, st.err

@@ -1274,3 +1274,160 @@ func TestSnapshotReplayPreservesTieOrder(t *testing.T) {
 		t.Errorf("replay diverged on tied events:\nfull   = %+v\nreplay = %+v", full, replay)
 	}
 }
+
+// reuseModel is a fail/repair component plus an instantaneous "arm" that
+// fires in the initial marking, a reactivating "watch" that reads only the
+// place it arms, and an hourly "tick" that changes no marking. Places touched
+// at time 0 are reconciled at the first completion, usually a tick, which
+// then resamples watch; a run that inherited another run's touched places
+// would resample it where a fresh run does not.
+func reuseModel(t *testing.T) (*CompiledModel, map[string]ImportanceFunc) {
+	t.Helper()
+	m, up := buildFailRepair(t, 30, 3)
+	down := m.Place("down")
+	trig := m.AddPlace("trig", 1)
+	armed := m.AddPlace("armed", 0)
+	boost := m.AddPlace("boost", 0)
+	m.AddInstantaneousActivity("arm").AddInputArc(trig, 1).AddOutputArc(armed, 1)
+	watch := m.AddTimedActivity("watch", mustExp(t, 20)).AddOutputArc(boost, 1)
+	watch.AddInputGate(&InputGate{
+		Name:    "armed",
+		Reads:   []*Place{armed},
+		Enabled: func(mr MarkingReader) bool { return mr.Tokens(armed) > 0 },
+	})
+	watch.SetReactivation(true)
+	m.AddTimedActivity("tick", mustDet(t, 1))
+	rewards := []RewardVariable{
+		UpFraction("avail", func(mr MarkingReader) bool { return mr.Tokens(up) == 1 }),
+		CompletionCount("repairs", "repair"),
+		{Name: "boost", Mode: InstantAtEnd, Rate: func(mr MarkingReader) float64 { return float64(mr.Tokens(boost)) }},
+	}
+	cm, err := Compile(m, rewards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cm, map[string]ImportanceFunc{
+		"crossing at time 0": func(mr MarkingReader) float64 { return float64(mr.Tokens(armed)) },
+		"crossing mid-run":   func(mr MarkingReader) float64 { return float64(mr.Tokens(down)) },
+	}
+}
+
+// comparableSnapshot returns a copy of snap whose NaN "not scheduled" marks
+// read -1, so reflect.DeepEqual can compare it (NaN never equals itself).
+func comparableSnapshot(snap *Snapshot) *Snapshot {
+	c := snap.Clone()
+	for i, t := range c.Scheduled {
+		if math.IsNaN(t) {
+			c.Scheduled[i] = -1
+		}
+	}
+	return c
+}
+
+// TestSimulatorReusesRunState drives one simulator through Run, a
+// RunMonitored stopped at a crossing (which leaves pending completions and,
+// at time 0, touched places behind), RunFrom of its snapshot and Run again,
+// each on its own stream. Every result and the snapshot must equal what a
+// fresh simulator returns for the same call.
+func TestSimulatorReusesRunState(t *testing.T) {
+	const mission = 400
+	cm, importances := reuseModel(t)
+	for _, name := range []string{"crossing at time 0", "crossing mid-run"} {
+		t.Run(name, func(t *testing.T) {
+			type call func(sim *Simulator) (Result, *Snapshot, error)
+			var snaps [2]*Snapshot // reused, fresh
+			calls := []call{
+				func(sim *Simulator) (Result, *Snapshot, error) {
+					res, err := sim.Run(mission)
+					return res, nil, err
+				},
+				func(sim *Simulator) (Result, *Snapshot, error) {
+					var snap *Snapshot
+					res, err := sim.RunMonitored(mission, &Monitor{
+						Importance:  importances[name],
+						Threshold:   1,
+						OnCross:     func(_ float64, s *Snapshot) { snap = s },
+						StopOnCross: true,
+					})
+					if err == nil && snap == nil {
+						err = errors.New("no crossing")
+					}
+					return res, snap, err
+				},
+				nil, // RunFrom, built per side below
+				func(sim *Simulator) (Result, *Snapshot, error) {
+					res, err := sim.Run(mission)
+					return res, nil, err
+				},
+			}
+			reused, err := cm.NewSimulator(rng.NewStream(1, "unused"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range calls {
+				seed := uint64(100 + i)
+				var got, want Result
+				var gotSnap, wantSnap *Snapshot
+				if err := reused.Reset(rng.NewStream(seed, "reused")); err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := cm.NewSimulator(rng.NewStream(seed, "fresh"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c == nil {
+					got, err = reused.RunFrom(snaps[0], mission, nil, nil)
+					if err == nil {
+						want, err = fresh.RunFrom(snaps[1], mission, nil, nil)
+					}
+				} else if got, gotSnap, err = c(reused); err == nil {
+					want, wantSnap, err = c(fresh)
+				}
+				if err != nil {
+					t.Fatalf("call %d: %v", i, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("call %d: reused simulator returned %+v, fresh one %+v", i, got, want)
+				}
+				if gotSnap != nil {
+					if snap := comparableSnapshot(gotSnap); !reflect.DeepEqual(snap, comparableSnapshot(wantSnap)) {
+						t.Errorf("call %d: reused simulator's snapshot %+v differs from a fresh one's %+v", i, snap, wantSnap)
+					}
+					snaps = [2]*Snapshot{gotSnap, wantSnap}
+				}
+			}
+		})
+	}
+}
+
+// TestWarmRunAllocatesOnlyItsResult bounds the allocations of a warmed
+// Reset+Run: the marking, the event queue and the reward accumulators belong
+// to the simulator and are reset, not allocated, per replication. Only the
+// result's reward map is new: a small map is two allocations, its header and
+// one group of slots.
+func TestWarmRunAllocatesOnlyItsResult(t *testing.T) {
+	m, up := buildFailRepair(t, 50, 5)
+	rewards := []RewardVariable{
+		UpFraction("avail", func(mr MarkingReader) bool { return mr.Tokens(up) == 1 }),
+		CompletionCount("repairs", "repair"),
+	}
+	stream := rng.NewStream(7, "allocs")
+	sim := mustSimulator(t, m, rewards, stream)
+	var err error
+	run := func() {
+		if err == nil {
+			err = sim.Reset(stream)
+		}
+		if err == nil {
+			_, err = sim.Run(5000)
+		}
+	}
+	run()
+	allocs := testing.AllocsPerRun(20, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > 2 {
+		t.Errorf("warm Reset+Run allocates %v times, want at most 2 (the result map)", allocs)
+	}
+}

@@ -75,10 +75,19 @@ type Result struct {
 // and derived indexes live on the compiled model, so constructing a
 // Simulator from one (CompiledModel.NewSimulator) is O(activities) — just
 // the per-simulator scratch — rather than the O(model) validation and index
-// derivation Compile performs.
+// derivation Compile performs. The scratch includes the run state, which
+// every Run, RunMonitored and RunFrom resets rather than reallocates, so a
+// Simulator runs one replication at a time: a Monitor callback must not start
+// another run on the simulator that called it.
 type Simulator struct {
 	cm     *CompiledModel
 	stream *rng.Stream
+
+	// run is the state of the current replication, and onComplete the
+	// completion callback its engine runs (built once, so runs allocate no
+	// closure).
+	run        runState
+	onComplete func(id int, now float64)
 
 	// seenGeneration/currentGeneration implement an allocation-free "visited
 	// this event" set over activities for reconcile.
@@ -101,11 +110,12 @@ type impulseBinding struct {
 var ErrUnstableModel = errors.New("san: instantaneous activity loop (unstable model)")
 
 // Reset prepares the simulator to run another independent replication
-// drawing randomness from stream. All per-run state lives in the run itself,
-// so Reset only swaps the random stream; the compiled model — which depends
-// solely on the immutable model and reward variables — is kept, making
-// Reset+Run much cheaper than constructing a new Simulator for every
-// replication of a large composed model.
+// drawing randomness from stream. Every run starts by resetting the run state
+// the simulator keeps, so Reset only swaps the random stream; the compiled
+// model — which depends solely on the immutable model and reward variables —
+// and the run state's storage are kept, making Reset+Run much cheaper than
+// constructing a new Simulator for every replication of a large composed
+// model.
 func (s *Simulator) Reset(stream *rng.Stream) error {
 	if stream == nil {
 		return errors.New("san: nil random stream")
@@ -117,15 +127,11 @@ func (s *Simulator) Reset(stream *rng.Stream) error {
 // Compiled returns the compiled model the simulator runs.
 func (s *Simulator) Compiled() *CompiledModel { return s.cm }
 
-// runState is the per-replication mutable state.
+// runState is the per-replication mutable state. The engine's ids are
+// activity indexes: it holds each timed activity's pending completion.
 type runState struct {
-	mark      *marking
-	engine    *des.Engine
-	scheduled []*des.Event // per-activity pending completion (nil if not scheduled)
-	// handlers caches the per-activity completion callback so rescheduling —
-	// which reactivating marking-dependent activities do on every rate
-	// change — does not allocate a fresh closure each time.
-	handlers []des.Handler
+	mark   *marking
+	engine *des.Engine
 
 	// Reward accumulation.
 	rateAccum []float64 // integral of rate reward so far
@@ -143,29 +149,31 @@ type runState struct {
 	crossed bool
 }
 
-func (s *Simulator) newRunState() *runState {
-	return &runState{
-		mark:      newMarking(s.cm.initial),
-		engine:    des.NewEngine(),
-		scheduled: make([]*des.Event, s.cm.model.NumActivities()),
-		handlers:  make([]des.Handler, s.cm.model.NumActivities()),
-		rateAccum: make([]float64, len(s.cm.rewards)),
-		lastRate:  make([]float64, len(s.cm.rewards)),
-		impulses:  make([]float64, len(s.cm.rewards)),
+func newRunState(cm *CompiledModel) runState {
+	return runState{
+		mark:      newMarking(cm.initial),
+		engine:    des.NewEngine(cm.model.NumActivities()),
+		rateAccum: make([]float64, len(cm.rewards)),
+		lastRate:  make([]float64, len(cm.rewards)),
+		impulses:  make([]float64, len(cm.rewards)),
 	}
 }
 
-// handlerFor returns the cached completion callback of a for this run.
-func (s *Simulator) handlerFor(st *runState, a *Activity) des.Handler {
-	h := st.handlers[a.index]
-	if h == nil {
-		h = func(now float64) {
-			st.scheduled[a.index] = nil
-			s.complete(st, a, now)
-		}
-		st.handlers[a.index] = h
-	}
-	return h
+// startRun resets the simulator's run state to the initial marking at time 0,
+// with nothing scheduled and nothing accumulated, observed by mon.
+func (s *Simulator) startRun(mon *Monitor) *runState {
+	st := &s.run
+	st.mark.clearTouched()
+	copy(st.mark.tokens, s.cm.initial)
+	st.engine.Reset()
+	clear(st.rateAccum)
+	clear(st.lastRate)
+	clear(st.impulses)
+	st.lastTime = 0
+	st.err = nil
+	st.monitor = mon
+	st.crossed = false
+	return st
 }
 
 // finishRun closes out reward integration at the mission end and assembles
@@ -202,8 +210,7 @@ func (s *Simulator) RunMonitored(mission float64, mon *Monitor) (Result, error) 
 	if !(mission > 0) || math.IsInf(mission, 0) || math.IsNaN(mission) {
 		return Result{}, fmt.Errorf("san: invalid mission time %v", mission)
 	}
-	st := s.newRunState()
-	st.monitor = mon
+	st := s.startRun(mon)
 
 	// Resolve initial instantaneous activities, then schedule enabled timed
 	// activities, then capture initial reward rates.
@@ -220,7 +227,7 @@ func (s *Simulator) RunMonitored(mission float64, mon *Monitor) (Result, error) 
 	s.observe(st, 0)
 
 	if !(st.crossed && mon.StopOnCross) {
-		st.engine.Run(mission)
+		st.engine.Run(mission, s.onComplete)
 	}
 	if st.err != nil {
 		return Result{}, st.err
@@ -257,16 +264,15 @@ func (s *Simulator) refreshActivity(st *runState, a *Activity) {
 		return
 	}
 	enabled := a.enabled(st.mark)
-	pending := st.scheduled[a.index]
+	_, _, pending := st.engine.Pending(a.index)
 	switch {
-	case enabled && pending == nil:
+	case enabled && !pending:
 		s.scheduleCompletion(st, a)
-	case !enabled && pending != nil:
-		st.engine.Cancel(pending)
-		st.scheduled[a.index] = nil
-	case enabled && pending != nil && a.reactivate:
-		st.engine.Cancel(pending)
-		st.scheduled[a.index] = nil
+	case !enabled && pending:
+		st.engine.Cancel(a.index)
+	case enabled && pending && a.reactivate:
+		// Rescheduling replaces the pending completion and takes the next
+		// sequence number, exactly like a cancel followed by a schedule.
 		s.scheduleCompletion(st, a)
 	}
 }
@@ -277,25 +283,11 @@ func (s *Simulator) scheduleCompletion(st *runState, a *Activity) {
 	if delay < 0 || math.IsNaN(delay) {
 		delay = 0
 	}
-	ev, err := st.engine.ScheduleAfter(delay, s.handlerFor(st, a))
-	if err != nil {
-		// ScheduleAfter only fails for NaN/negative times, which the clamp
-		// above prevents; treat any residual failure as a disabled activity.
-		return
+	if err := st.engine.Schedule(a.index, st.engine.Now()+delay); err != nil {
+		// Schedule only fails for NaN/past times, which the clamp above
+		// prevents; treat any residual failure as a disabled activity.
+		st.engine.Cancel(a.index)
 	}
-	st.scheduled[a.index] = ev
-}
-
-// scheduleCompletionAt registers a pending completion of a at the absolute
-// time t. It is the snapshot-restore path: the delay was already sampled by
-// the trajectory the snapshot was taken from, so no randomness is consumed.
-func (s *Simulator) scheduleCompletionAt(st *runState, a *Activity, t float64) error {
-	ev, err := st.engine.Schedule(t, s.handlerFor(st, a))
-	if err != nil {
-		return err
-	}
-	st.scheduled[a.index] = ev
-	return nil
 }
 
 // complete fires activity a at time now: integrates rewards up to now,
