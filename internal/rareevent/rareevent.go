@@ -171,8 +171,9 @@ func Run(model *san.Model, importance san.ImportanceFunc, opts Options) (*Estima
 
 	est := &Estimate{Options: opts}
 	var pool []*san.Snapshot
+	sims := make([]*san.Simulator, max(1, opts.Parallelism))
 	for stage := range opts.Levels {
-		sr, next, err := runStage(cm, importance, opts, master, stage, pool)
+		sr, next, err := runStage(cm, sims, importance, opts, master, stage, pool)
 		if err != nil {
 			return nil, err
 		}
@@ -210,9 +211,10 @@ func Run(model *san.Model, importance san.ImportanceFunc, opts Options) (*Estima
 
 // runStage executes one fixed-effort stage: Effort[stage] trajectories
 // aiming for Levels[stage], restarting from entries (round-robin) unless
-// this is the first stage. It returns the stage counts and the snapshot pool
-// for the next stage, in deterministic trajectory-index order.
-func runStage(cm *san.CompiledModel, importance san.ImportanceFunc, opts Options, master *rng.Stream, stage int, entries []*san.Snapshot) (StageResult, []*san.Snapshot, error) {
+// this is the first stage. sims holds one simulator slot per fan-out worker.
+// It returns the stage counts and the snapshot pool for the next stage, in
+// deterministic trajectory-index order.
+func runStage(cm *san.CompiledModel, sims []*san.Simulator, importance san.ImportanceFunc, opts Options, master *rng.Stream, stage int, entries []*san.Snapshot) (StageResult, []*san.Snapshot, error) {
 	effort := opts.Effort[stage]
 	threshold := opts.Levels[stage]
 	sr := StageResult{Level: threshold, Trials: effort, PoolSize: len(entries)}
@@ -225,8 +227,8 @@ func runStage(cm *san.CompiledModel, importance san.ImportanceFunc, opts Options
 	}
 
 	outcomes := make([]trajectoryOutcome, effort)
-	fanout.For(effort, opts.Parallelism, func(_, i int) {
-		outcomes[i] = runTrajectory(cm, importance, opts, stage, threshold, seeds[i], entries, i)
+	fanout.For(effort, opts.Parallelism, func(w, i int) {
+		outcomes[i] = runTrajectory(cm, &sims[w], importance, opts, stage, threshold, seeds[i], entries, i)
 	})
 
 	var pool []*san.Snapshot
@@ -243,12 +245,28 @@ func runStage(cm *san.CompiledModel, importance san.ImportanceFunc, opts Options
 	return sr, pool, nil
 }
 
-// runTrajectory runs one trajectory of a stage: from time 0 for the first
-// stage, otherwise restarted from its round-robin entry snapshot with a
-// fresh stream. It stops at the first crossing of the stage threshold.
-func runTrajectory(cm *san.CompiledModel, importance san.ImportanceFunc, opts Options, stage int, threshold float64, seed uint64, entries []*san.Snapshot, index int) trajectoryOutcome {
+// workerSimulator returns the simulator in a fan-out worker's slot, reset
+// onto stream, building it on the worker's first trajectory. Every run
+// resets the simulator's run state, so reuse changes no result.
+func workerSimulator(cm *san.CompiledModel, slot **san.Simulator, stream *rng.Stream) (*san.Simulator, error) {
+	if *slot == nil {
+		sim, err := cm.NewSimulator(stream)
+		if err != nil {
+			return nil, err
+		}
+		*slot = sim
+		return sim, nil
+	}
+	return *slot, (*slot).Reset(stream)
+}
+
+// runTrajectory runs one trajectory of a stage on the worker's simulator:
+// from time 0 for the first stage, otherwise restarted from its round-robin
+// entry snapshot with a fresh stream. It stops at the first crossing of the
+// stage threshold.
+func runTrajectory(cm *san.CompiledModel, slot **san.Simulator, importance san.ImportanceFunc, opts Options, stage int, threshold float64, seed uint64, entries []*san.Snapshot, index int) trajectoryOutcome {
 	stream := rng.NewStream(seed, fmt.Sprintf("stage-%d-traj-%d", stage, index))
-	sim, err := cm.NewSimulator(stream)
+	sim, err := workerSimulator(cm, slot, stream)
 	if err != nil {
 		return trajectoryOutcome{err: err}
 	}
@@ -371,6 +389,7 @@ func RunNaive(model *san.Model, importance san.ImportanceFunc, opts NaiveOptions
 	}
 
 	est := &NaiveEstimate{}
+	sims := make([]*san.Simulator, max(1, opts.Parallelism))
 	for est.Replications < opts.MaxReplications {
 		batch := naiveBatchSize
 		if rem := opts.MaxReplications - est.Replications; batch > rem {
@@ -381,9 +400,9 @@ func RunNaive(model *san.Model, importance san.ImportanceFunc, opts NaiveOptions
 			seeds[i] = master.Uint64()
 		}
 		outcomes := make([]trajectoryOutcome, batch)
-		fanout.For(batch, opts.Parallelism, func(_, i int) {
+		fanout.For(batch, opts.Parallelism, func(w, i int) {
 			stream := rng.NewStream(seeds[i], fmt.Sprintf("naive-%d", i))
-			sim, err := cm.NewSimulator(stream)
+			sim, err := workerSimulator(cm, &sims[w], stream)
 			if err != nil {
 				outcomes[i] = trajectoryOutcome{err: err}
 				return

@@ -2,6 +2,7 @@ package san
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -45,17 +46,40 @@ type ReplicateBuilder func(m *Model, prefix string, index int) error
 
 // Replicate composes n identical copies of a submodel, namespaced
 // "<prefix>[i]". As with Join, shared places are the ones the builder
-// captures from the enclosing scope rather than creates per instance.
+// captures from the enclosing scope rather than creates per instance. The
+// group is recorded on the model (ReplicateGroups), so state-space
+// exploration can try to collapse its exchangeable instances.
 func Replicate(m *Model, prefix string, n int, build ReplicateBuilder) error {
 	if n < 0 {
 		return fmt.Errorf("san: replicate %q with negative count %d", prefix, n)
 	}
+	g := ReplicateGroup{Prefix: prefix, Count: n}
 	for i := 0; i < n; i++ {
-		if err := build(m, fmt.Sprintf("%s[%d]", prefix, i), i); err != nil {
+		if err := build(m, g.Instance(i), i); err != nil {
 			return fmt.Errorf("san: replicate %q instance %d: %w", prefix, i, err)
 		}
 	}
+	m.replicates = append(m.replicates, g)
 	return nil
+}
+
+// ReplicateGroup records one Replicate composition: Count instances named
+// "<Prefix>[i]". Identical builders make the instances candidates for
+// exchangeability; whether they really are is a property of the behavior,
+// which statespace checks state by state before relying on it.
+type ReplicateGroup struct {
+	Prefix string
+	Count  int
+}
+
+// Instance returns the namespace prefix of instance i.
+func (g ReplicateGroup) Instance(i int) string { return fmt.Sprintf("%s[%d]", g.Prefix, i) }
+
+// ReplicateGroups returns the recorded Replicate groups, innermost groups
+// before the groups that hold them (a group is recorded when its last
+// instance is built).
+func (m *Model) ReplicateGroups() []ReplicateGroup {
+	return slices.Clone(m.replicates)
 }
 
 // sortStrings is a tiny insertion sort to avoid importing sort for a handful

@@ -499,3 +499,61 @@ func rewriteSnapshot(m *Model) string {
 	}
 	return b.String()
 }
+
+// TestReplicateGroupsSurviveRewrites records nested Replicate groups on the
+// model and checks that ExpandPhases and FitPhases carry the record into
+// their copies, with the phase places they add named under the owning
+// instance, so exploration can still align the instances.
+func TestReplicateGroupsSurviveRewrites(t *testing.T) {
+	erlang, err := dist.NewGamma(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wearOut, err := dist.NewWeibull(1.5, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repair, err := dist.NewExponentialFromRate(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewModel("groups")
+	err = Replicate(m, "tier", 2, func(m *Model, tier string, _ int) error {
+		return Replicate(m, Qualify(tier, "disk"), 3, func(m *Model, disk string, _ int) error {
+			up := m.AddPlace(Qualify(disk, "up"), 1)
+			down := m.AddPlace(Qualify(disk, "down"), 0)
+			life := dist.Distribution(erlang)
+			if disk == "tier[1]/disk[2]" {
+				life = wearOut
+			}
+			m.AddTimedActivity(Qualify(disk, "fail"), life).AddInputArc(up, 1).AddOutputArc(down, 1)
+			m.AddTimedActivity(Qualify(disk, "repair"), repair).AddInputArc(down, 1).AddOutputArc(up, 1)
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []ReplicateGroup{{"tier[0]/disk", 3}, {"tier[1]/disk", 3}, {"tier", 2}}
+	if got := m.ReplicateGroups(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("groups %v, want %v", got, want)
+	}
+	expanded, _, err := ExpandPhases(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fitted, rep, err := FitPhases(expanded, 0.1)
+	if err != nil || len(rep.Fits) != 1 {
+		t.Fatalf("fit: %v, %d fits", err, len(rep.Fits))
+	}
+	for _, out := range []*Model{expanded, fitted} {
+		if got := out.ReplicateGroups(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("rewritten copy groups %v, want %v", got, want)
+		}
+	}
+	for _, name := range []string{"tier[0]/disk[1]/fail/phase2", "tier[1]/disk[2]/fail/phase1"} {
+		if fitted.Place(name) == nil {
+			t.Fatalf("phase place %q missing", name)
+		}
+	}
+}

@@ -237,6 +237,8 @@ type Model struct {
 	// externalReads holds the declared out-of-model place readers
 	// (DeclareExternalReader), folded into Analyze's read set.
 	externalReads []externalRead
+	// replicates holds the Replicate groups, in completion order.
+	replicates []ReplicateGroup
 }
 
 // NewModel returns an empty model with the given name.
@@ -266,6 +268,7 @@ func (m *Model) rewriteCopy() *Model {
 		actByName:     make(map[string]*Activity, len(m.actByName)),
 		families:      slices.Clone(m.families),
 		externalReads: slices.Clone(m.externalReads),
+		replicates:    slices.Clone(m.replicates),
 	}
 	for i, a := range m.activities {
 		c := *a

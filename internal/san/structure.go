@@ -192,6 +192,11 @@ type Certificate struct {
 	// when Bounded).
 	States      int `json:"states,omitempty"`
 	Transitions int `json:"transitions,omitempty"`
+	// Symmetry is set when the generated CTMC is the symmetric quotient of
+	// the flat chain: States and Transitions then count equivalence classes
+	// and their edges, and the evidence names the collapsed groups and the
+	// flat states checked.
+	Symmetry *SymmetryEvidence `json:"symmetry,omitempty"`
 	// PInvariants and TInvariants count the invariants found over the
 	// rationals (zero when the invariant tableau exceeded its budget).
 	PInvariants int `json:"p_invariants,omitempty"`
@@ -215,6 +220,21 @@ type Certificate struct {
 	Approximations []FitEvidence `json:"approximations,omitempty"`
 }
 
+// SymmetryEvidence records a symmetric quotient. Exploration interned every
+// marking with the instances of each listed replicate group sorted, and
+// admitted each equivalence class only after expanding every distinct
+// permutation of its representative: each gave the same multiset of
+// (successor class, rate, impulse vector) and the same reward rates, bit for
+// bit, which is the strong lumpability condition.
+type SymmetryEvidence struct {
+	// Groups are the prefixes of the collapsed replicate groups.
+	Groups []string `json:"groups"`
+	// FlatStates is the number of flat markings checked, every member of
+	// every class: the flat chain's state count whenever the flat chain
+	// reaches every member.
+	FlatStates int `json:"flat_states"`
+}
+
 // Certified reports whether every solver precondition holds.
 func (c Certificate) Certified() bool { return c.Memoryless && c.VanishingFree && c.Bounded }
 
@@ -227,6 +247,9 @@ func (c Certificate) Summary() string {
 		}
 		if n := len(c.Approximations); n > 0 {
 			expanded += fmt.Sprintf(" (approximate: %d fitted surrogates with certified bounds)", n)
+		}
+		if c.Symmetry != nil {
+			expanded += fmt.Sprintf(" (symmetric quotient of %d flat states)", c.Symmetry.FlatStates)
 		}
 		return fmt.Sprintf("certified%s: %d states, %d transitions, %d P-invariants, %d T-invariants",
 			expanded, c.States, c.Transitions, c.PInvariants, c.TInvariants)

@@ -34,7 +34,8 @@ type exploreResult struct {
 	err            error  // hard failure: negative marking, panicking closure, unstable sweep
 	nonMemoryless  string // non-empty when a reachable state broke memorylessness
 	budgetExceeded bool
-	observedMax    []int // per-place maximum token count over all explored states
+	observedMax    []int                 // per-place maximum token count over all explored states
+	symmetry       *san.SymmetryEvidence // set when the generator is a symmetric quotient
 }
 
 // outcome is one tangible result of a vanishing closure: the settled
@@ -133,7 +134,7 @@ func (ex *explorer) fireBranches(mark []int, a *san.Activity) ([]outcome, error)
 	if len(cases) == 0 {
 		// No cases: the simulator applies no output side.
 		imp := make([]float64, ex.nRewards)
-		if err := ex.addImpulses(a, in.mark, imp); err != nil {
+		if err := ex.addImpulses(a, markingVec(in.mark), imp); err != nil {
 			return nil, err
 		}
 		return []outcome{{mark: in.mark, prob: 1, imp: imp}}, nil
@@ -166,7 +167,7 @@ func (ex *explorer) fireBranches(mark []int, a *san.Activity) ([]outcome, error)
 			return nil, fmt.Errorf("activity %q: %v", a.Name(), w.err)
 		}
 		imp := make([]float64, ex.nRewards)
-		if err := ex.addImpulses(a, w.mark, imp); err != nil {
+		if err := ex.addImpulses(a, markingVec(w.mark), imp); err != nil {
 			return nil, err
 		}
 		branches = append(branches, outcome{mark: w.mark, prob: p, imp: imp})
@@ -183,13 +184,13 @@ func caseProbs(a *san.Activity, mark []int) ([]float64, error) {
 	if len(cases) == 1 {
 		return []float64{1}, nil
 	}
-	return caseProbsInto(a, mark, make([]float64, len(cases)), make([]float64, len(cases)))
+	return caseProbsInto(a, markingVec(mark), make([]float64, len(cases)), make([]float64, len(cases)))
 }
 
 // caseProbsInto is caseProbs with caller-supplied scratch (the expander
 // reuses masses and probs across activations; probs is also the return
 // value). Both slices must have length len(a.Cases()) ≥ 2.
-func caseProbsInto(a *san.Activity, mark []int, masses, probs []float64) ([]float64, error) {
+func caseProbsInto(a *san.Activity, mark san.MarkingReader, masses, probs []float64) ([]float64, error) {
 	cases := a.Cases()
 	var explicit float64
 	nilCount := 0
@@ -237,25 +238,25 @@ func caseProbsInto(a *san.Activity, mark []int, masses, probs []float64) ([]floa
 }
 
 // evalCaseProb evaluates a case probability with panic recovery.
-func evalCaseProb(a *san.Activity, c san.Case, mark []int) (p float64, err error) {
+func evalCaseProb(a *san.Activity, c san.Case, mark san.MarkingReader) (p float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("activity %q: case probability panicked: %v", a.Name(), r)
 		}
 	}()
-	return c.Probability(markingVec(mark)), nil
+	return c.Probability(mark), nil
 }
 
 // addImpulses accumulates a's impulse rewards evaluated at the post-fire
 // marking into imp.
-func (ex *explorer) addImpulses(a *san.Activity, mark []int, imp []float64) (err error) {
+func (ex *explorer) addImpulses(a *san.Activity, mark san.MarkingReader, imp []float64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("activity %q: impulse reward panicked: %v", a.Name(), r)
 		}
 	}()
 	for _, ib := range ex.impulses[a.Index()] {
-		imp[ib.rewardIndex] += ib.fn(markingVec(mark))
+		imp[ib.rewardIndex] += ib.fn(mark)
 	}
 	return nil
 }
@@ -315,6 +316,19 @@ func (ex *explorer) sweep(mark []int, prob float64, imp []float64, idx int, fire
 		return fmt.Errorf("instantaneous closure did not stabilize within %d sweeps", maxVanishingSweeps)
 	}
 	return ex.sweep(mark, prob, imp, 0, false, sweeps+1, out)
+}
+
+// addAtom adds prob to state si's atom of an initial distribution, appending
+// the atom on first sight, so each state appears once, in first-seen order:
+// vanishing-closure outcomes that settle in one state share its atom.
+func addAtom(atoms []StateProb, si int, prob float64) []StateProb {
+	for i := range atoms {
+		if atoms[i].State == si {
+			atoms[i].Prob += prob
+			return atoms
+		}
+	}
+	return append(atoms, StateProb{State: si, Prob: prob})
 }
 
 // addVec returns dst with scale·src added in place.

@@ -96,28 +96,50 @@ func buildMini(t *testing.T, cfg abe.Config, expand bool, fitTol float64) *san.C
 }
 
 // chainFixture is one model the differential and golden tests explore, with
-// its tangible state count and the SHA-256 digest of its state numbering
-// (every token count in state order, as a little-endian uint64).
+// the tangible state count and the SHA-256 digest of the state numbering
+// (every token count in state order, as a little-endian uint64) of the chain
+// Certify generates and of the flat chain the reference explorer generates.
+// They differ only for a model Certify solves as a symmetric quotient.
 type chainFixture struct {
-	name   string
-	states int
-	golden string
-	build  func(t *testing.T) *san.CompiledModel
+	name       string
+	states     int
+	golden     string
+	flatStates int
+	flatGolden string
+	build      func(t *testing.T) *san.CompiledModel
 }
 
 // chainFixtures are the hypercube fixture and the three shipped minis in the
-// form the sweep solves them.
+// form the sweep solves them. MiniWeibull's three disks are exchangeable, so
+// Certify generates its symmetric quotient.
 var chainFixtures = []chainFixture{
 	{"farm8", 256, "c4ad5665ce507fab4bd04e4f95bb3e4bc8a543d60056960d57949dd0b445d6a4",
+		256, "c4ad5665ce507fab4bd04e4f95bb3e4bc8a543d60056960d57949dd0b445d6a4",
 		func(t *testing.T) *san.CompiledModel { return buildComponentFarm(t, 8) }},
 	{"MiniExponential", 1728, "5f777292ec346cb53e124044b11771da34e378d95e338f5de7321b3c7e465457",
+		1728, "5f777292ec346cb53e124044b11771da34e378d95e338f5de7321b3c7e465457",
 		func(t *testing.T) *san.CompiledModel { return buildMini(t, abe.MiniExponential(), false, 0) }},
 	{"MiniErlang", 3456, "8a651d3490a0ecaf5e14b492cb89fa2423cede5b8dde64836ec75801e33d8440",
+		3456, "8a651d3490a0ecaf5e14b492cb89fa2423cede5b8dde64836ec75801e33d8440",
 		func(t *testing.T) *san.CompiledModel { return buildMini(t, abe.MiniErlang(), true, 0) }},
-	{"MiniWeibull", 27648, "21bc99d85549b38af4c464aa58c082f2949c4fcc34de1c49877e045a2f6ec145",
+	{"MiniWeibull", 8640, "9c683e21185bea010a11dc29e86c0b5296c0dad3d4c1dbbd49067ac4a82be85c",
+		27648, "21bc99d85549b38af4c464aa58c082f2949c4fcc34de1c49877e045a2f6ec145",
 		func(t *testing.T) *san.CompiledModel {
 			return buildMini(t, abe.MiniWeibull(), true, figure4FitTolerance)
 		}},
+}
+
+// numberingDigest is the golden digest of a generator's state numbering.
+func numberingDigest(gen *statespace.Generator) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, mark := range gen.States {
+		for _, v := range mark {
+			binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
+			h.Write(buf[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // mustCertify runs certify (statespace.Certify or the reference pipeline
@@ -196,19 +218,27 @@ func sameChain(t *testing.T, got, want *statespace.Generator) {
 // TestExploreFastMatchesBaseline checks the interned explorer against the
 // sequential reference explorer on the hypercube fixture and the three
 // shipped minis: identical state numbering, markings, initial distribution,
-// and edges, at parallelism 1 and at a worker count far above the chunk
+// and edges — or, for a symmetric quotient, the reference chain lumped class
+// for class — at parallelism 1 and at a worker count far above the chunk
 // count.
 func TestExploreFastMatchesBaseline(t *testing.T) {
 	for _, fx := range chainFixtures {
 		t.Run(fx.name, func(t *testing.T) {
 			cm := fx.build(t)
 			ref := mustCertify(t, statespace.CertifyReference, cm, statespace.Options{})
-			if len(ref.States) != fx.states {
-				t.Fatalf("fixture: got %d states, want %d", len(ref.States), fx.states)
+			if len(ref.States) != fx.flatStates {
+				t.Fatalf("fixture: got %d flat states, want %d", len(ref.States), fx.flatStates)
 			}
 			for _, par := range []int{1, 8} {
 				fast := mustCertify(t, statespace.Certify, cm, statespace.Options{Parallelism: par})
-				sameChain(t, fast, ref)
+				if len(fast.States) != fx.states {
+					t.Fatalf("parallelism %d: got %d states, want %d", par, len(fast.States), fx.states)
+				}
+				if fx.states == fx.flatStates {
+					sameChain(t, fast, ref)
+				} else {
+					sameQuotient(t, cm, fast, ref)
+				}
 			}
 		})
 	}
@@ -258,28 +288,24 @@ func TestExploreFastMatchesBaselineVanishing(t *testing.T) {
 }
 
 // TestExploreGoldenNumbering pins the state numbering of the hypercube
-// fixture and the three shipped minis to golden digests. The explorer must
-// match them at every parallelism, and TestExploreFastMatchesBaseline holds
-// the reference explorer to the explorer state for state, so neither can
-// silently drift — the interned index must keep assigning indices in the
-// reference discovery order.
+// fixture and the three shipped minis to golden digests: the explorer's at
+// every parallelism, and the reference explorer's flat numbering. With
+// TestExploreFastMatchesBaseline holding the two explorers to each other,
+// neither can silently drift — the interned index must keep assigning
+// indices in the reference discovery order.
 func TestExploreGoldenNumbering(t *testing.T) {
 	for _, fx := range chainFixtures {
 		t.Run(fx.name, func(t *testing.T) {
 			cm := fx.build(t)
 			for _, opts := range []statespace.Options{{Parallelism: 1}, {Parallelism: 8}} {
 				gen := mustCertify(t, statespace.Certify, cm, opts)
-				h := sha256.New()
-				var buf [8]byte
-				for _, mark := range gen.States {
-					for _, v := range mark {
-						binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
-						h.Write(buf[:])
-					}
-				}
-				if got := hex.EncodeToString(h.Sum(nil)); got != fx.golden {
+				if got := numberingDigest(gen); got != fx.golden {
 					t.Fatalf("state numbering drifted (opts %+v):\n got %s\nwant %s", opts, got, fx.golden)
 				}
+			}
+			ref := mustCertify(t, statespace.CertifyReference, cm, statespace.Options{})
+			if got := numberingDigest(ref); got != fx.flatGolden {
+				t.Fatalf("flat reference numbering drifted:\n got %s\nwant %s", got, fx.flatGolden)
 			}
 		})
 	}

@@ -12,3 +12,19 @@ func CertifyReference(cm *san.CompiledModel, opts Options) (*Generator, san.Cert
 func (g *Generator) SolveTransientReference(T float64) (map[string]float64, error) {
 	return g.solveTransientBaseline(T)
 }
+
+// Canonicalizer returns the symmetric quotient's canonical form for cm's
+// markings (the identity when cm has no exchangeable group), so tests can
+// lump a flat chain by the partition the explorer uses.
+func Canonicalizer(cm *san.CompiledModel) func(mark []int) []int {
+	sym := findSymmetry(cm)
+	if sym == nil {
+		return func(mark []int) []int { return append([]int(nil), mark...) }
+	}
+	sc := newSymScratch(sym)
+	return func(mark []int) []int {
+		out := append([]int(nil), mark...)
+		sym.canon(out, &sc)
+		return out
+	}
+}

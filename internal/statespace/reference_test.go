@@ -50,7 +50,7 @@ func exploreBaseline(cm *san.CompiledModel, opts Options) (*Generator, exploreRe
 			res.budgetExceeded = true
 			return nil, res
 		}
-		gen.Initial = append(gen.Initial, StateProb{State: si, Prob: o.prob})
+		gen.Initial = addAtom(gen.Initial, si, o.prob)
 		for ri := range o.imp {
 			gen.InitialImpulses[ri] += o.prob * o.imp[ri]
 		}
@@ -229,7 +229,7 @@ func (g *Generator) solveTransientBaseline(T float64) (map[string]float64, error
 	pi := make([]float64, n)      // π(T)
 	sojourn := make([]float64, n) // L(T)
 	for _, sp := range g.Initial {
-		pi[sp.State] = sp.Prob
+		pi[sp.State] += sp.Prob
 	}
 
 	lambda := g.maxExitRate()
@@ -248,7 +248,7 @@ func (g *Generator) solveTransientBaseline(T float64) (map[string]float64, error
 	P := g.buildCSR(lambda)
 	v := make([]float64, n)
 	for _, sp := range g.Initial {
-		v[sp.State] = sp.Prob
+		v[sp.State] += sp.Prob
 	}
 	next := make([]float64, n)
 

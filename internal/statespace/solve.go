@@ -64,7 +64,7 @@ func (g *Generator) stateRates(ri int) ([]float64, error) {
 		return rates, nil
 	}
 	for s, mark := range g.States {
-		r, err := evalRewardRate(rv, mark)
+		r, err := evalRewardRate(rv, markingVec(mark))
 		if err != nil {
 			return nil, err
 		}
@@ -73,13 +73,13 @@ func (g *Generator) stateRates(ri int) ([]float64, error) {
 	return rates, nil
 }
 
-func evalRewardRate(rv san.RewardVariable, mark []int) (r float64, err error) {
+func evalRewardRate(rv san.RewardVariable, mark san.MarkingReader) (r float64, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("%w: reward %q rate panicked: %v", ErrSolve, rv.Name, rec)
 		}
 	}()
-	return rv.Rate(markingVec(mark)), nil
+	return rv.Rate(mark), nil
 }
 
 // evalRewards folds the transient distribution π(T) and sojourn vector L(T)

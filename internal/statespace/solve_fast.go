@@ -195,7 +195,7 @@ func (g *Generator) SolveTransient(T float64) (map[string]float64, error) {
 	defer putVec(pi)
 	defer putVec(sojourn)
 	for _, sp := range g.Initial {
-		pi[sp.State] = sp.Prob
+		pi[sp.State] += sp.Prob
 	}
 
 	lambda := g.maxExitRate()
@@ -217,7 +217,7 @@ func (g *Generator) SolveTransient(T float64) (map[string]float64, error) {
 	defer putVec(v)
 	defer putVec(next)
 	for _, sp := range g.Initial {
-		v[sp.State] = sp.Prob
+		v[sp.State] += sp.Prob
 	}
 
 	// Iteratively updated Poisson weights in log space (the leading weights

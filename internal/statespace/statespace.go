@@ -9,6 +9,15 @@
 // fail a precondition are refused with a structured reason, never silently
 // solved.
 //
+// When the model records exchangeable replicate groups (san.Replicate),
+// exploration generates the symmetric quotient instead of the flat chain:
+// markings are interned with each group's instance blocks sorted, and a class
+// is admitted only after every member gave its representative's successor
+// classes, rates, impulses and reward rates bit for bit — strong lumpability
+// checked on every flat state. A quotient that fails the check, or any
+// refusal or budget overrun on the way, reruns the flat exploration, and the
+// certificate records the collapsed groups (san.SymmetryEvidence).
+//
 // The package mirrors the simulator's firing semantics exactly (input arcs,
 // input-gate transforms, case selection mass normalization, sweep-ordered
 // instantaneous closure, post-fire impulse evaluation), so the generated
@@ -208,6 +217,7 @@ func certifyWith(cm *san.CompiledModel, opts Options, explore func(*san.Compiled
 	cert.Bounded = true
 	cert.States = len(gen.States)
 	cert.Transitions = gen.NumTransitions()
+	cert.Symmetry = exp.symmetry
 	cert.PlaceBounds = placeBounds(cm, inv, exp.observedMax)
 	gen.par = opts.Parallelism
 	return gen, cert
