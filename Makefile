@@ -2,7 +2,7 @@ GO ?= go
 # BENCHTIME tunes the bench target (e.g. BENCHTIME=1x for a CI smoke pass).
 BENCHTIME ?= 1s
 
-.PHONY: all build lint test race vet bench bench-all benchmark cover examples clean
+.PHONY: all build lint test race vet bench bench-all benchmark identity cover examples clean
 
 all: build vet lint test
 
@@ -55,6 +55,22 @@ bench:
 benchmark:
 	bash benchmark/run.sh
 
+# Byte-identity reports: builds abesim once (into .identity_build/) and writes
+# the reports a behavior-preserving change must leave byte-identical into
+# OUT: figure4 at two parallelism settings, figure4 with the certificate
+# analysis, paper_full, and the rare-event study at two seeds. Run it at both
+# commits, then compare with `diff -r <before> <after>`. About 15 s on 2 vCPUs.
+identity:
+	@test -n "$(OUT)" || { echo "usage: make identity OUT=<dir>" >&2; exit 2; }
+	mkdir -p $(OUT) .identity_build
+	$(GO) build -o .identity_build/abesim ./cmd/abesim
+	.identity_build/abesim -experiment figure4 -quick -replications 60 -parallelism 1 -json > $(OUT)/figure4_par1.json
+	.identity_build/abesim -experiment figure4 -quick -replications 60 -parallelism 2 -json > $(OUT)/figure4_par2.json
+	.identity_build/abesim -experiment figure4 -quick -replications 4 -mission 2190 -analyze -json > $(OUT)/figure4_analyze.json
+	.identity_build/abesim -experiment paper_full -quick -json > $(OUT)/paper_full.json
+	.identity_build/abesim -experiment rare_event_dataloss -quick -seed 1 -json > $(OUT)/rare_event_seed1.json
+	.identity_build/abesim -experiment rare_event_dataloss -quick -seed 7 -json > $(OUT)/rare_event_seed7.json
+
 # Every benchmark in the repository (slow).
 bench-all:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
@@ -82,3 +98,4 @@ paper-smoke:
 clean:
 	$(GO) clean ./...
 	rm -f coverage.out BENCH_sweep.txt BENCH_sweep.json
+	rm -rf .identity_build

@@ -346,8 +346,8 @@ func TestEmpiricalQuantiles(t *testing.T) {
 	}
 }
 
-// TestMixtureComponentsNormalized checks weight normalization and the
-// reported component weights.
+// TestMixtureComponentsNormalized checks that the component weights are
+// normalized, through the mixture's mean and CDF.
 func TestMixtureComponentsNormalized(t *testing.T) {
 	a, err := NewDeterministic(10)
 	if err != nil {
@@ -360,10 +360,6 @@ func TestMixtureComponentsNormalized(t *testing.T) {
 	m, err := NewMixture(Component{Weight: 3, Dist: a}, Component{Weight: 1, Dist: b})
 	if err != nil {
 		t.Fatal(err)
-	}
-	comps := m.Components()
-	if math.Abs(comps[0].Weight-0.75) > 1e-12 || math.Abs(comps[1].Weight-0.25) > 1e-12 {
-		t.Errorf("weights = %v, %v", comps[0].Weight, comps[1].Weight)
 	}
 	if got, want := m.Mean(), 0.75*10+0.25*100; math.Abs(got-want) > 1e-12 {
 		t.Errorf("mean = %v, want %v", got, want)

@@ -86,7 +86,7 @@ func (g Gamma) CDF(x float64) float64 {
 	if x <= 0 {
 		return 0
 	}
-	return regularizedGammaP(g.shape, x/g.scale)
+	return RegularizedGammaP(g.shape, x/g.scale)
 }
 
 // Quantile inverts the CDF numerically; the gamma quantile has no closed
@@ -111,18 +111,35 @@ func (g Gamma) Params() map[string]float64 {
 	return map[string]float64{"shape": g.shape, "scale": g.scale}
 }
 
-// regularizedGammaP computes P(a, x) = gamma(a, x)/Gamma(a), the regularized
+// RegularizedGammaP computes P(a, x) = gamma(a, x)/Gamma(a), the regularized
 // lower incomplete gamma function, by series expansion for x < a+1 and by
 // the Lentz continued fraction for the complement otherwise (Numerical
 // Recipes 6.2).
-func regularizedGammaP(a, x float64) float64 {
+func RegularizedGammaP(a, x float64) float64 {
 	if x <= 0 {
 		return 0
 	}
 	if x < a+1 {
-		return gammaPSeries(a, x)
+		sum, logScale := gammaPSeries(a, x)
+		return sum * math.Exp(logScale)
 	}
 	return 1 - gammaQContinuedFraction(a, x)
+}
+
+// LogRegularizedGammaP computes ln P(a, x) without underflow: the series
+// branch keeps the well-scaled series sum and its exponent apart, and the
+// continued-fraction branch takes log1p of the (small) complement. Products
+// of P with huge factors, such as the hypoexponential CDF's rate-ratio
+// powers, are assembled in log space from it.
+func LogRegularizedGammaP(a, x float64) float64 {
+	if x <= 0 {
+		return math.Inf(-1)
+	}
+	if x < a+1 {
+		sum, logScale := gammaPSeries(a, x)
+		return math.Log(sum) + logScale
+	}
+	return math.Log1p(-gammaQContinuedFraction(a, x))
 }
 
 const (
@@ -131,11 +148,12 @@ const (
 )
 
 // gammaPSeries evaluates P(a, x) by its power series, convergent for
-// x < a+1.
-func gammaPSeries(a, x float64) float64 {
+// x < a+1, as the series sum and the log of the scale that multiplies it:
+// P(a, x) = sum * exp(logScale), logScale = -x + a ln x - ln Gamma(a).
+func gammaPSeries(a, x float64) (sum, logScale float64) {
 	lg, _ := math.Lgamma(a)
 	ap := a
-	sum := 1 / a
+	sum = 1 / a
 	del := sum
 	for i := 0; i < gammaMaxIter; i++ {
 		ap++
@@ -145,7 +163,7 @@ func gammaPSeries(a, x float64) float64 {
 			break
 		}
 	}
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
+	return sum, -x + a*math.Log(x) - lg
 }
 
 // gammaQContinuedFraction evaluates Q(a, x) = 1 - P(a, x) by the modified

@@ -54,20 +54,6 @@ func NewMixture(comps ...Component) (Mixture, error) {
 	return Mixture{comps: owned, cum: cum}, nil
 }
 
-// Components returns the components with their normalized weights.
-func (m Mixture) Components() []Component {
-	out := make([]Component, len(m.comps))
-	copy(out, m.comps)
-	for i := range out {
-		if i == 0 {
-			out[i].Weight = m.cum[0]
-		} else {
-			out[i].Weight = m.cum[i] - m.cum[i-1]
-		}
-	}
-	return out
-}
-
 // Sample picks a component by weight, then samples it.
 func (m Mixture) Sample(s *rng.Stream) float64 {
 	u := s.Float64()

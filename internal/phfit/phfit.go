@@ -155,7 +155,7 @@ func (s Surrogate) CDF(x float64) float64 {
 	case s.k == 1:
 		return clamp01(-math.Expm1(-s.rate2 * x))
 	case s.rate1 == s.rate2:
-		return clamp01(regularizedGammaP(float64(s.k), s.rate1*x))
+		return clamp01(dist.RegularizedGammaP(float64(s.k), s.rate1*x))
 	default:
 		// Erlang(k-1, rate1) convolved with Exp(rate2), rate1 > rate2:
 		//   F(x) = P(m, r1 x) - e^(-r2 x) (r1/(r1-r2))^m P(m, (r1-r2) x)
@@ -164,8 +164,8 @@ func (s Surrogate) CDF(x float64) float64 {
 		// long before the product stops being meaningful.
 		m := float64(s.k - 1)
 		gap := s.rate1 - s.rate2
-		logTerm := -s.rate2*x + m*math.Log(s.rate1/gap) + logRegularizedGammaP(m, gap*x)
-		return clamp01(regularizedGammaP(m, s.rate1*x) - math.Exp(logTerm))
+		logTerm := -s.rate2*x + m*math.Log(s.rate1/gap) + dist.LogRegularizedGammaP(m, gap*x)
+		return clamp01(dist.RegularizedGammaP(m, s.rate1*x) - math.Exp(logTerm))
 	}
 }
 

@@ -258,8 +258,9 @@ func sampleSurrogate(s Surrogate, stream *rng.Stream) float64 {
 	return total
 }
 
-// TestErlangChainCDFMatchesGamma pins the equal-rate chain CDF against the
-// dist package's independent regularized-gamma implementation.
+// TestErlangChainCDFMatchesGamma pins the equal-rate chain CDF against
+// dist's Erlang CDF. Both evaluate dist.RegularizedGammaP, so this checks the
+// chain's shape and rate mapping.
 func TestErlangChainCDFMatchesGamma(t *testing.T) {
 	g, err := dist.NewErlang(12, 0.5)
 	if err != nil {

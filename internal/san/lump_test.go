@@ -233,7 +233,7 @@ func TestCompileSharedAcrossSimulators(t *testing.T) {
 		t.Fatal(err)
 	}
 	simB := mustSimulator(t, m, rewards, rng.NewStream(77, "shared"))
-	if simB.Compiled() == cm {
+	if simB.cm == cm {
 		t.Error("shim unexpectedly reused the compiled model")
 	}
 	resA, err := simA.Run(3000)

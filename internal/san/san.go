@@ -10,7 +10,9 @@
 // activities. Models are composed from submodels with Join/Replicate-style
 // builders (see compose.go); reward variables (reward.go) define the
 // measures of interest; the simulator (simulate.go) estimates them by
-// terminating Monte Carlo simulation.
+// terminating Monte Carlo simulation. What a completion does to the marking
+// is defined once (fire.go): the simulator and the state-space explorer
+// (internal/statespace) both apply it.
 package san
 
 import (

@@ -97,6 +97,9 @@ type Simulator struct {
 	// maxInstFirings bounds consecutive instantaneous completions at one
 	// time instant to detect ill-formed models (vanishing-marking loops).
 	maxInstFirings int
+
+	// masses is selectCase's scratch for the case masses of one completion.
+	masses []float64
 }
 
 // impulseBinding couples a reward index with the impulse function to apply.
@@ -123,9 +126,6 @@ func (s *Simulator) Reset(stream *rng.Stream) error {
 	s.stream = stream
 	return nil
 }
-
-// Compiled returns the compiled model the simulator runs.
-func (s *Simulator) Compiled() *CompiledModel { return s.cm }
 
 // runState is the per-replication mutable state. The engine's ids are
 // activity indexes: it holds each timed activity's pending completion.
@@ -290,9 +290,9 @@ func (s *Simulator) scheduleCompletion(st *runState, a *Activity) {
 	}
 }
 
-// complete fires activity a at time now: integrates rewards up to now,
-// applies the marking change, earns impulse rewards, and reconciles the
-// activities whose enabling may have changed.
+// complete fires activity a at time now: integrates rewards up to now, fires
+// a (marking change and impulse rewards), and reconciles the activities whose
+// enabling may have changed.
 func (s *Simulator) complete(st *runState, a *Activity, now float64) {
 	// A timed activity may have been disabled and re-enabled between
 	// scheduling and firing only via Cancel, so reaching here means it is
@@ -304,11 +304,6 @@ func (s *Simulator) complete(st *runState, a *Activity, now float64) {
 	}
 	s.integrateRates(st, now)
 	s.fire(st, a)
-
-	// Earn impulse rewards for this completion.
-	for _, ib := range s.cm.impulsesByActivity[a.index] {
-		st.impulses[ib.rewardIndex] += ib.fn(st.mark)
-	}
 
 	if err := s.fireInstantaneous(st); err != nil {
 		// Record the instability and stop the run; Run returns the error to
@@ -359,41 +354,19 @@ func (s *Simulator) observe(st *runState, now float64) {
 	}
 }
 
-// fire applies the marking transformation of a single activity completion.
+// fire completes activity a on the run's marking by the completion rule
+// (fire.go), drawing the case, and earns a's impulse rewards.
 func (s *Simulator) fire(st *runState, a *Activity) {
-	// Input side: remove tokens, run input-gate transformations.
-	for _, arc := range a.inputArcs {
-		st.mark.Add(arc.Place, -arc.Mult)
+	a.FireInput(st.mark)
+	if c := s.selectCase(st, a); c != nil {
+		c.FireOutput(st.mark)
 	}
-	for _, g := range a.inputGates {
-		if g.Transform != nil {
-			g.Transform(st.mark)
-		}
-	}
-	// Select a case.
-	c := s.selectCase(st, a)
-	if c != nil {
-		for _, arc := range c.OutputArcs {
-			st.mark.Add(arc.Place, arc.Mult)
-		}
-		for _, og := range c.OutputGates {
-			if og.Transform != nil {
-				og.Transform(st.mark)
-			}
-		}
-	}
+	s.cm.AddImpulses(a, st.mark, st.impulses)
 }
 
-// selectCase picks a probabilistic case of a. Activities without cases
-// return nil; a single case is returned directly.
-//
-// Explicit (marking-dependent) probabilities cannot be checked at model
-// validation time, so selection is defensive against ill-formed values:
-// negative probabilities are clamped to 0, and when the explicit mass does
-// not sum to 1 — over-unity, or under-unity with no nil-probability case to
-// absorb the leftovers — the draw is scaled to the total mass, degrading
-// gracefully to selection by relative weight instead of silently starving
-// or inflating the tail cases.
+// selectCase draws a case of a from its CaseMasses at the post-input marking.
+// Activities without cases return nil; a single case is returned without a
+// draw.
 func (s *Simulator) selectCase(st *runState, a *Activity) *Case {
 	switch len(a.cases) {
 	case 0:
@@ -401,45 +374,20 @@ func (s *Simulator) selectCase(st *runState, a *Activity) *Case {
 	case 1:
 		return &a.cases[0]
 	}
-	// Cases with nil probability share the mass left over by explicit ones.
-	var explicit float64
-	nilCount := 0
-	for _, c := range a.cases {
-		if c.Probability != nil {
-			explicit += math.Max(0, c.Probability(st.mark))
-		} else {
-			nilCount++
-		}
+	if cap(s.masses) < len(a.cases) {
+		s.masses = make([]float64, len(a.cases))
 	}
-	remainder := math.Max(0, 1-explicit)
-	// Total selectable mass: 1 for well-formed models (the scaling below is
-	// then a no-op up to float rounding), the explicit sum when it exceeds 1,
-	// and — with no nil case to absorb the leftover — the explicit sum also
-	// when it falls short of 1, so the last case is not silently inflated.
-	total := math.Max(1, explicit)
-	if nilCount == 0 {
-		total = explicit
-	}
+	masses := s.masses[:len(a.cases)]
+	total := a.CaseMasses(st.mark, masses)
 	u := s.stream.Float64() * total
 	cum := 0.0
-	for i := range a.cases {
-		p := remainder / float64(maxInt(nilCount, 1))
-		if a.cases[i].Probability != nil {
-			p = math.Max(0, a.cases[i].Probability(st.mark))
-		}
+	for i, p := range masses {
 		cum += p
 		if u < cum {
 			return &a.cases[i]
 		}
 	}
 	return &a.cases[len(a.cases)-1]
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // fireInstantaneous repeatedly fires enabled instantaneous activities until
@@ -457,9 +405,6 @@ func (s *Simulator) fireInstantaneous(st *runState) error {
 		for _, a := range s.cm.instantaneous {
 			if a.enabled(st.mark) {
 				s.fire(st, a)
-				for _, ib := range s.cm.impulsesByActivity[a.index] {
-					st.impulses[ib.rewardIndex] += ib.fn(st.mark)
-				}
 				fired = true
 			}
 		}

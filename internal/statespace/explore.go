@@ -2,32 +2,22 @@ package statespace
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"repro/internal/san"
 )
 
-// This file holds the firing semantics the explorer (explore_fast.go)
-// applies to every tangible state. Vanishing markings (those enabling an
-// instantaneous activity) are eliminated on the fly: every timed firing is
-// immediately closed under the simulator's instantaneous sweep, so only
-// tangible states are interned and the emitted edges carry the path
-// probability and accumulated impulse rewards of the elimination.
-//
-// The firing semantics replicate the simulator exactly — input arcs, then
-// input-gate transforms, then case selection with the simulator's mass
-// normalization, then case output arcs and gates, then the activity's
-// impulse rewards on the post-fire marking — so the generated CTMC is the
-// chain the simulator samples, state for state and rate for rate.
-
-// impulseBinding resolves one reward variable's impulse function for an
-// activity (rebuilt from the compiled model's reward variables, which keep
-// their bindings name-keyed).
-type impulseBinding struct {
-	rewardIndex int
-	fn          san.ImpulseFunc
-}
+// This file holds the explorer's semantic core. A firing applies san's
+// completion rule (san/fire.go), the rule the simulator applies, to a guarded
+// copy of the marking: where the simulator draws one case, the explorer takes
+// every case of positive probability, at the probability the draw gives it,
+// and a panicking closure or a negative marking becomes an exploration error
+// instead of a crash. Vanishing markings (those enabling an instantaneous
+// activity) are eliminated on the fly: every timed firing is immediately
+// closed under the simulator's instantaneous sweep, so only tangible states
+// are interned and the emitted edges carry the path probability and
+// accumulated impulse rewards of the elimination. The generated CTMC is
+// therefore the chain the simulator samples, state for state and rate for
+// rate.
 
 // exploreResult carries the exploration outcome into certificate assembly.
 type exploreResult struct {
@@ -53,7 +43,6 @@ type explorer struct {
 	timed     []*san.Activity
 	nPlaces   int
 	nRewards  int
-	impulses  [][]impulseBinding // per activity index
 	maxStates int
 
 	states      [][]int
@@ -63,40 +52,20 @@ type explorer struct {
 }
 
 // newExplorer builds the semantic core: the timed/instantaneous activity
-// split and the per-activity impulse bindings that expansion and the
-// vanishing closure evaluate against.
+// split that expansion and the vanishing closure walk.
 func newExplorer(cm *san.CompiledModel, opts Options) *explorer {
 	model := cm.Model()
 	ex := &explorer{
-		cm:        cm,
-		inst:      cm.Instantaneous(),
-		nPlaces:   model.NumPlaces(),
-		nRewards:  len(cm.Rewards()),
-		maxStates: opts.MaxStates,
+		cm:          cm,
+		inst:        cm.Instantaneous(),
+		nPlaces:     model.NumPlaces(),
+		nRewards:    len(cm.Rewards()),
+		maxStates:   opts.MaxStates,
+		observedMax: make([]int, model.NumPlaces()),
 	}
 	for _, a := range model.Activities() {
 		if a.Kind() == san.Timed {
 			ex.timed = append(ex.timed, a)
-		}
-	}
-	ex.observedMax = make([]int, ex.nPlaces)
-	// Rebuild the per-activity impulse bindings from the reward variables
-	// (the compiled model's pre-resolved index is private to the simulator).
-	// Reward order, then sorted activity names within each reward, matching
-	// the simulator's deterministic accumulation order.
-	ex.impulses = make([][]impulseBinding, model.NumActivities())
-	for ri, rv := range cm.Rewards() {
-		names := make([]string, 0, len(rv.Impulses))
-		for name := range rv.Impulses {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			a := model.Activity(name)
-			if a == nil {
-				continue
-			}
-			ex.impulses[a.Index()] = append(ex.impulses[a.Index()], impulseBinding{rewardIndex: ri, fn: rv.Impulses[name]})
 		}
 	}
 	return ex
@@ -110,64 +79,38 @@ func (e nonMemorylessError) Error() string { return string(e) }
 
 // fireBranches fires activity a in marking mark, returning one branch per
 // probabilistic case with positive probability. Each branch's marking has
-// the full firing applied (input arcs, input-gate transforms, case outputs)
-// and its impulse vector holds a's impulse rewards evaluated on the
-// post-fire marking, exactly as the simulator earns them.
+// the full firing applied (input side, then the case's output side) and its
+// impulse vector holds a's impulse rewards evaluated on the post-fire
+// marking, exactly as the simulator earns them.
 func (ex *explorer) fireBranches(mark []int, a *san.Activity) ([]outcome, error) {
-	// Input side, shared by all cases.
 	in := &guardedWriter{mark: append([]int(nil), mark...)}
-	for _, arc := range a.InputArcs() {
-		in.Add(arc.Place, -arc.Mult)
+	if err := fireInput(a, in); err != nil {
+		return nil, err
 	}
-	for _, g := range a.InputGates() {
-		if g.Transform != nil {
-			if err := runGate(a, g.Name, g.Transform, in); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if in.err != nil {
-		return nil, fmt.Errorf("activity %q: %v", a.Name(), in.err)
-	}
-
 	cases := a.Cases()
 	if len(cases) == 0 {
 		// No cases: the simulator applies no output side.
 		imp := make([]float64, ex.nRewards)
-		if err := ex.addImpulses(a, markingVec(in.mark), imp); err != nil {
+		if err := addImpulses(ex.cm, a, in, imp); err != nil {
 			return nil, err
 		}
 		return []outcome{{mark: in.mark, prob: 1, imp: imp}}, nil
 	}
-
-	probs, err := caseProbs(a, in.mark)
+	probs, err := caseProbs(a, in, make([]float64, len(cases)))
 	if err != nil {
 		return nil, err
 	}
-
 	var branches []outcome
-	for ci := range cases {
-		p := probs[ci]
+	for ci, p := range probs {
 		if p <= 0 {
 			continue
 		}
 		w := &guardedWriter{mark: append([]int(nil), in.mark...)}
-		c := cases[ci]
-		for _, arc := range c.OutputArcs {
-			w.Add(arc.Place, arc.Mult)
-		}
-		for _, og := range c.OutputGates {
-			if og.Transform != nil {
-				if err := runGate(a, og.Name, og.Transform, w); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if w.err != nil {
-			return nil, fmt.Errorf("activity %q: %v", a.Name(), w.err)
+		if err := fireOutput(a, &cases[ci], w); err != nil {
+			return nil, err
 		}
 		imp := make([]float64, ex.nRewards)
-		if err := ex.addImpulses(a, markingVec(w.mark), imp); err != nil {
+		if err := addImpulses(ex.cm, a, w, imp); err != nil {
 			return nil, err
 		}
 		branches = append(branches, outcome{mark: w.mark, prob: p, imp: imp})
@@ -175,89 +118,76 @@ func (ex *explorer) fireBranches(mark []int, a *san.Activity) ([]outcome, error)
 	return branches, nil
 }
 
-// caseProbs computes the selection probability of every case of a at the
-// post-input marking, replicating the simulator's defensive mass
-// normalization (negative probabilities clamped, nil cases sharing the
-// remaining mass, draws scaled by the total selectable mass).
-func caseProbs(a *san.Activity, mark []int) ([]float64, error) {
-	cases := a.Cases()
-	if len(cases) == 1 {
-		return []float64{1}, nil
-	}
-	return caseProbsInto(a, markingVec(mark), make([]float64, len(cases)), make([]float64, len(cases)))
+// The wrappers below apply one step of san's completion rule each, turning
+// a panicking model closure into an error that names the activity. Each
+// recovers in its own deferred closure: a shared helper taking the message
+// arguments would box them on every firing.
+
+// fireInput applies a's input side to w.
+func fireInput(a *san.Activity, w *guardedWriter) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("activity %q: input gate transform panicked: %v", a.Name(), r)
+		}
+	}()
+	a.FireInput(w)
+	return w.failure(a)
 }
 
-// caseProbsInto is caseProbs with caller-supplied scratch (the expander
-// reuses masses and probs across activations; probs is also the return
-// value). Both slices must have length len(a.Cases()) ≥ 2.
-func caseProbsInto(a *san.Activity, mark san.MarkingReader, masses, probs []float64) ([]float64, error) {
-	cases := a.Cases()
-	var explicit float64
-	nilCount := 0
-	for i, c := range cases {
-		if c.Probability == nil {
-			nilCount++
-			masses[i] = -1 // filled below
-			continue
+// fireOutput applies case c of a's output side to w.
+func fireOutput(a *san.Activity, c *san.Case, w *guardedWriter) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("activity %q: output gate transform panicked: %v", a.Name(), r)
 		}
-		p, err := evalCaseProb(a, c, mark)
-		if err != nil {
-			return nil, err
-		}
-		masses[i] = math.Max(0, p)
-		explicit += masses[i]
-	}
-	remainder := math.Max(0, 1-explicit)
-	total := math.Max(1, explicit)
-	if nilCount == 0 {
-		total = explicit
-	}
-	clear(probs)
-	if total <= 0 {
-		// No selectable mass: the simulator's scan falls through to the last
-		// case.
-		probs[len(cases)-1] = 1
-		return probs, nil
-	}
-	sum := 0.0
-	for i := range cases {
-		m := masses[i]
-		if m < 0 {
-			m = remainder / float64(nilCount)
-		}
-		p := m / total
-		probs[i] += p
-		sum += p
-	}
-	// Residual mass (total mass short of the draw range) falls through to
-	// the last case in the simulator's scan.
-	if sum < 1 {
-		probs[len(cases)-1] += 1 - sum
-	}
-	return probs, nil
+	}()
+	c.FireOutput(w)
+	return w.failure(a)
 }
 
-// evalCaseProb evaluates a case probability with panic recovery.
-func evalCaseProb(a *san.Activity, c san.Case, mark san.MarkingReader) (p float64, err error) {
+// caseProbs fills probs (length len(a.Cases()) >= 1) with the probability
+// the simulator's draw gives each case of a at post-input marking m:
+// CaseMasses over their total, with the residual of the draw range on the
+// last case. A lone case has probability 1 and its closure is not evaluated.
+func caseProbs(a *san.Activity, m san.MarkingReader, probs []float64) (_ []float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("activity %q: case probability panicked: %v", a.Name(), r)
 		}
 	}()
-	return c.Probability(mark), nil
+	last := len(probs) - 1
+	if last == 0 {
+		probs[0] = 1
+		return probs, nil
+	}
+	total := a.CaseMasses(m, probs)
+	if total <= 0 {
+		// No selectable mass: the simulator's scan falls through to the last
+		// case.
+		clear(probs)
+		probs[last] = 1
+		return probs, nil
+	}
+	sum := 0.0
+	for i := range probs {
+		probs[i] /= total
+		sum += probs[i]
+	}
+	if sum < 1 {
+		probs[last] += 1 - sum
+	}
+	return probs, nil
 }
 
-// addImpulses accumulates a's impulse rewards evaluated at the post-fire
-// marking into imp.
-func (ex *explorer) addImpulses(a *san.Activity, mark san.MarkingReader, imp []float64) (err error) {
+// addImpulses adds a's impulse rewards evaluated at the post-fire marking m
+// into imp.
+func addImpulses(cm *san.CompiledModel, a *san.Activity, m san.MarkingReader, imp []float64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("activity %q: impulse reward panicked: %v", a.Name(), r)
 		}
 	}()
-	for _, ib := range ex.impulses[a.Index()] {
-		imp[ib.rewardIndex] += ib.fn(mark)
-	}
+	cm.AddImpulses(a, m, imp)
 	return nil
 }
 
@@ -350,18 +280,6 @@ func activityEnabled(a *san.Activity, m san.MarkingReader) (enabled bool, err er
 	return a.Enabled(m), nil
 }
 
-// runGate runs a gate transform against the guarded writer with panic
-// recovery.
-func runGate(a *san.Activity, gate string, f san.GateFunc, w *guardedWriter) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("activity %q gate %q: transform panicked: %v", a.Name(), gate, r)
-		}
-	}()
-	f(w)
-	return nil
-}
-
 // guardedWriter is the exploration marking writer: it mirrors the
 // simulator's negative-token panic as a recorded error, so an ill-formed
 // firing becomes a structured exploration refusal instead of a crash.
@@ -383,3 +301,11 @@ func (w *guardedWriter) SetTokens(p *san.Place, n int) {
 }
 
 func (w *guardedWriter) Add(p *san.Place, delta int) { w.SetTokens(p, w.Tokens(p)+delta) }
+
+// failure returns the first negative-marking error of a's firing, if any.
+func (w *guardedWriter) failure(a *san.Activity) error {
+	if w.err == nil {
+		return nil
+	}
+	return fmt.Errorf("activity %q: %v", a.Name(), w.err)
+}

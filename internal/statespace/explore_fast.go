@@ -41,7 +41,9 @@ import (
 // lumpability condition, checked on every flat state. Members count against
 // the state budget and their markings fold into the place bounds. Any
 // failure — a member that differs, a refusal, a budget overrun — abandons the
-// quotient, and explore reruns the flat exploration.
+// quotient, and explore reruns the flat exploration. The flat exploration is
+// the quotient with no groups: a marking is its own canonical form and every
+// class has one member.
 
 // exploreChunkSize is the number of frontier states per parallel expansion
 // task.
@@ -57,8 +59,7 @@ var errNotLumpable = errors.New("statespace: symmetric quotient is not lumpable"
 
 // timedRef caches per-activity facts the hot loop would otherwise re-derive
 // per state: whether the delay is marking-independent (its rate then
-// classifies once, here), whether the activity carries impulse bindings, and
-// whether case selection is trivial.
+// classifies once, here) and whether the activity carries impulse bindings.
 type timedRef struct {
 	a       *san.Activity
 	hasImp  bool
@@ -83,8 +84,8 @@ type memberAct struct {
 	rate float64
 }
 
-// protoEdge is one successor recorded by a worker: the packed marking (a view
-// into the chunk arena; canonical in a quotient), its hash, the total branch
+// protoEdge is one successor recorded by a worker: the packed canonical
+// marking (a view into the chunk arena), its hash, the total branch
 // probability (case times vanishing path), and the impulse vector (nil when
 // the firing earns none — impulse-free edges accumulate +0.0 either way).
 type protoEdge struct {
@@ -103,15 +104,15 @@ type chunkOut struct {
 	edges   []protoEdge
 	arena   []byte
 
-	// Quotient only, per state: end index into memberActs, and whether the
-	// member check failed.
+	// Per state: end index into memberActs, and whether the member check
+	// failed.
 	memberActEnd []int32
 	notLumpable  []bool
 	memberActs   []memberAct
 }
 
 type fastExplorer struct {
-	*explorer // shared semantic core: vanishing closure, impulse bindings
+	*explorer // shared semantic core: firing and vanishing closure
 
 	timedRefs []timedRef
 	par       int
@@ -123,8 +124,8 @@ type fastExplorer struct {
 	seenRate   []bool
 	pinnedRate []float64
 
-	// sym is non-nil when exploring the symmetric quotient; flatStates then
-	// counts the members of the interned classes.
+	// sym holds the groups exploration canonicalizes (none for the flat
+	// chain); flatStates counts the members of the interned classes.
 	sym        *symmetry
 	flatStates int
 	canonBuf   []int
@@ -147,7 +148,7 @@ func explore(cm *san.CompiledModel, opts Options) (*Generator, exploreResult) {
 			return gen, res
 		}
 	}
-	return newFastExplorer(cm, opts, nil).explore()
+	return newFastExplorer(cm, opts, &symmetry{}).explore()
 }
 
 func newFastExplorer(cm *san.CompiledModel, opts Options, sym *symmetry) *fastExplorer {
@@ -160,14 +161,12 @@ func newFastExplorer(cm *san.CompiledModel, opts Options, sym *symmetry) *fastEx
 		seenRate:   make([]bool, model.NumActivities()),
 		pinnedRate: make([]float64, model.NumActivities()),
 		sym:        sym,
-	}
-	if sym != nil {
-		fx.symScratch = newSymScratch(sym)
+		symScratch: newSymScratch(sym),
 	}
 	initial := cm.InitialMarking()
 	fx.timedRefs = make([]timedRef, len(ex.timed))
 	for i, a := range ex.timed {
-		tr := timedRef{a: a, hasImp: len(ex.impulses[a.Index()]) > 0}
+		tr := timedRef{a: a, hasImp: cm.EarnsImpulses(a)}
 		if a.FixedDelay() != nil {
 			tr.fixed = true
 			if r, err := activityRate(a, markingVec(initial)); err != nil {
@@ -224,7 +223,7 @@ func (fx *fastExplorer) explore() (*Generator, exploreResult) {
 	res.observedMax = fx.observedMax
 	// A quotient whose classes are all singletons is the flat chain, state
 	// for state; it carries no symmetry evidence.
-	if fx.sym != nil && fx.flatStates > len(fx.states) {
+	if fx.flatStates > len(fx.states) {
 		res.symmetry = &san.SymmetryEvidence{Groups: fx.sym.prefixes(), FlatStates: fx.flatStates}
 	}
 	return gen, res
@@ -296,32 +295,26 @@ func (fx *fastExplorer) runLevelParallel(lo, hi, par int) error {
 	return nil
 }
 
-// intern interns an unpacked marking (initial-closure path), in canonical
-// form in a quotient.
+// intern interns an unpacked marking (initial-closure path) in canonical
+// form.
 func (fx *fastExplorer) intern(mark []int) (int, bool) {
-	if fx.sym != nil {
-		fx.canonBuf = append(fx.canonBuf[:0], mark...)
-		fx.sym.canon(fx.canonBuf, &fx.symScratch)
-		mark = fx.canonBuf
-	}
-	fx.packBuf = packMarking(fx.packBuf[:0], mark)
+	fx.canonBuf = append(fx.canonBuf[:0], mark...)
+	fx.sym.canon(fx.canonBuf, &fx.symScratch)
+	fx.packBuf = packMarking(fx.packBuf[:0], fx.canonBuf)
 	return fx.internPacked(fx.packBuf, hashBytes(fx.packBuf))
 }
 
 // internPacked resolves a packed marking to its state index, assigning the
 // next index (and decoding the marking into the state table) on first sight.
-// A quotient class counts all its members against the budget and folds them
-// into the place maxima. It returns ok=false with the budget flag set when
-// the state cap is hit.
+// A class counts all its members against the budget and folds them into the
+// place maxima. It returns ok=false with the budget flag set when the state
+// cap is hit.
 func (fx *fastExplorer) internPacked(packed []byte, h uint64) (int, bool) {
 	if si, ok := fx.idx.lookup(packed, h); ok {
 		return si, true
 	}
 	mark := unpackMarking(packed, fx.nPlaces)
-	members := 1
-	if fx.sym != nil {
-		members = fx.sym.members(mark, fx.maxStates-fx.flatStates)
-	}
+	members := fx.sym.members(mark, fx.maxStates-fx.flatStates)
 	if fx.flatStates+members > fx.maxStates {
 		fx.overBudget = true
 		return 0, false
@@ -330,13 +323,7 @@ func (fx *fastExplorer) internPacked(packed []byte, h uint64) (int, bool) {
 	fx.flatStates += members
 	fx.states = append(fx.states, mark)
 	fx.transitions = append(fx.transitions, nil)
-	if fx.sym != nil {
-		fx.sym.foldMax(fx.observedMax, mark)
-	} else {
-		for pi, v := range mark {
-			fx.observedMax[pi] = max(fx.observedMax[pi], v)
-		}
-	}
+	fx.sym.foldMax(fx.observedMax, mark)
 	return si, true
 }
 
@@ -363,7 +350,13 @@ func (fx *fastExplorer) pinRate(a *san.Activity, rate float64) error {
 func (fx *fastExplorer) merge(res *chunkOut) error {
 	actCursor, edgeCursor, memberCursor := 0, 0, 0
 	for k, si := 0, res.lo; si < res.hi; k, si = k+1, si+1 {
-		for end := int(res.actEnd[k]); actCursor < end; actCursor++ {
+		actEnd := int(res.actEnd[k])
+		nEdges := 0
+		for _, act := range res.acts[actCursor:actEnd] {
+			nEdges += int(act.nEdges)
+		}
+		fx.transitions[si] = slices.Grow(fx.transitions[si], nEdges)
+		for ; actCursor < actEnd; actCursor++ {
 			act := &res.acts[actCursor]
 			tr := &fx.timedRefs[act.tIdx]
 			a := tr.a
@@ -393,9 +386,6 @@ func (fx *fastExplorer) merge(res *chunkOut) error {
 		if err := res.stopErr[k]; err != nil {
 			return err
 		}
-		if fx.sym == nil {
-			continue
-		}
 		for end := int(res.memberActEnd[k]); memberCursor < end; memberCursor++ {
 			ma := res.memberActs[memberCursor]
 			if err := fx.pinRate(fx.timedRefs[ma.tIdx].a, ma.rate); err != nil {
@@ -416,9 +406,9 @@ func validRate(rate float64) bool {
 // expander is one worker's expansion state: the chunk output under
 // construction plus reusable scratch (marking copies, case-probability
 // buffers, marking readers) so steady-state expansion allocates only on
-// interning misses and impulse-carrying edges. In a quotient it also holds
-// the member check's scratch, reused across members and classes, so the
-// check allocates nothing per member.
+// interning misses and impulse-carrying edges. It also holds the
+// canonicalization and member-check scratch, reused across members and
+// classes, so the check allocates nothing per member.
 type expander struct {
 	fx  *fastExplorer
 	res chunkOut
@@ -426,16 +416,16 @@ type expander struct {
 
 	inMark  []int
 	outMark []int
-	gw      guardedWriter
-	masses  []float64
 	probs   []float64
 
-	// Marking readers handed to model closures. Passing a pointer to a
-	// long-lived field, not a fresh slice conversion, keeps the interface
-	// conversion off the heap.
-	rd, rdIn, rdOut markingVec
+	// The markings handed to model closures: rd to enabling and rate
+	// closures, gw to the firing's. Passing a pointer to a long-lived field,
+	// not a fresh slice conversion, keeps the interface conversion off the
+	// heap.
+	rd markingVec
+	gw guardedWriter
 
-	// Quotient scratch.
+	// Canonicalization and member-check scratch.
 	canon      []int
 	symScratch symScratch
 	iter       memberIter
@@ -449,12 +439,8 @@ type expander struct {
 }
 
 func newExpander(fx *fastExplorer) *expander {
-	e := &expander{fx: fx}
+	e := &expander{fx: fx, symScratch: newSymScratch(fx.sym), memMark: make([]int, fx.nPlaces)}
 	e.out = &e.res
-	if fx.sym != nil {
-		e.symScratch = newSymScratch(fx.sym)
-		e.memMark = make([]int, fx.nPlaces)
-	}
 	return e
 }
 
@@ -470,14 +456,11 @@ func (c *chunkOut) reset(lo, hi int) {
 	c.memberActs = c.memberActs[:0]
 }
 
-// expandClass records state mark's expansion and, in a quotient, the member
-// check of its class.
+// expandClass records state mark's expansion and the member check of its
+// class.
 func (e *expander) expandClass(mark []int) {
 	actStart, edgeStart := len(e.res.acts), len(e.res.edges)
 	e.expandState(mark)
-	if e.fx.sym == nil {
-		return
-	}
 	ok := e.checkMembers(mark, actStart, edgeStart)
 	e.res.notLumpable = append(e.res.notLumpable, !ok)
 	e.res.memberActEnd = append(e.res.memberActEnd, int32(len(e.res.memberActs)))
@@ -488,7 +471,12 @@ func (e *expander) expandClass(mark []int) {
 // rate, impulse vector) and rep's reward rates, bit for bit. Member
 // activations are recorded for the merge's rate pinning. A representative
 // whose own expansion failed is left to the merge, which raises its error.
+// A class with no other member, such as every class of the flat chain,
+// passes.
 func (e *expander) checkMembers(rep []int, actStart, edgeStart int) bool {
+	if !e.iter.start(e.fx.sym, rep) {
+		return true
+	}
 	if e.res.stopErr[len(e.res.stopErr)-1] != nil {
 		return true
 	}
@@ -496,9 +484,6 @@ func (e *expander) checkMembers(rep []int, actStart, edgeStart int) bool {
 		if act.rateErr != "" || !validRate(act.rate) {
 			return true
 		}
-	}
-	if !e.iter.start(e.fx.sym, rep) {
-		return true
 	}
 	e.repKeys = appendEdgeKeys(e.repKeys[:0], &e.res, actStart, edgeStart)
 	var ok bool
@@ -618,6 +603,7 @@ func (e *expander) expandState(mark []int) {
 // instantaneous activities route through fireBranches and the vanishing
 // closure (their read-only helpers are safe under concurrent workers); the
 // instantaneous-free hot path fires on reusable scratch markings instead.
+// Both enumerate the cases from caseProbs.
 func (e *expander) fire(mark []int, tr *timedRef) (int32, error) {
 	a := tr.a
 	if len(e.fx.inst) > 0 {
@@ -639,92 +625,56 @@ func (e *expander) fire(mark []int, tr *timedRef) (int32, error) {
 		return n, nil
 	}
 
-	// Input side, shared by all cases: arcs then gate transforms on a
-	// scratch copy of the marking.
+	// Input side, shared by all cases, on a scratch copy of the marking.
 	e.inMark = append(e.inMark[:0], mark...)
 	e.gw = guardedWriter{mark: e.inMark}
-	for _, arc := range a.InputArcs() {
-		e.gw.Add(arc.Place, -arc.Mult)
+	if err := fireInput(a, &e.gw); err != nil {
+		return 0, err
 	}
-	for _, g := range a.InputGates() {
-		if g.Transform != nil {
-			if err := runGate(a, g.Name, g.Transform, &e.gw); err != nil {
-				return 0, err
-			}
-		}
-	}
-	if e.gw.err != nil {
-		return 0, fmt.Errorf("activity %q: %v", a.Name(), e.gw.err)
-	}
-
 	cases := a.Cases()
 	if len(cases) == 0 {
 		// No cases: the simulator applies no output side.
-		imp, err := e.impulses(tr, e.inMark)
+		imp, err := e.impulses(tr)
 		if err != nil {
 			return 0, err
 		}
 		e.pushEdge(e.inMark, 1, imp)
 		return 1, nil
 	}
-	if len(cases) == 1 {
-		return e.fireCase(a, tr, cases[0], 1)
-	}
-	if cap(e.masses) < len(cases) {
-		e.masses = make([]float64, len(cases))
+	if cap(e.probs) < len(cases) {
 		e.probs = make([]float64, len(cases))
 	}
-	e.rdIn = e.inMark
-	probs, err := caseProbsInto(a, &e.rdIn, e.masses[:len(cases)], e.probs[:len(cases)])
+	probs, err := caseProbs(a, &e.gw, e.probs[:len(cases)])
 	if err != nil {
 		return 0, err
 	}
 	var n int32
-	for ci := range cases {
-		if probs[ci] <= 0 {
+	for ci, p := range probs {
+		if p <= 0 {
 			continue
 		}
-		k, err := e.fireCase(a, tr, cases[ci], probs[ci])
+		e.outMark = append(e.outMark[:0], e.inMark...)
+		e.gw = guardedWriter{mark: e.outMark}
+		if err := fireOutput(a, &cases[ci], &e.gw); err != nil {
+			return 0, err
+		}
+		imp, err := e.impulses(tr)
 		if err != nil {
 			return 0, err
 		}
-		n += k
+		e.pushEdge(e.outMark, p, imp)
+		n++
 	}
 	return n, nil
 }
 
-// fireCase applies one probabilistic case's output side on scratch and
-// records the edge.
-func (e *expander) fireCase(a *san.Activity, tr *timedRef, c san.Case, p float64) (int32, error) {
-	e.outMark = append(e.outMark[:0], e.inMark...)
-	e.gw = guardedWriter{mark: e.outMark}
-	for _, arc := range c.OutputArcs {
-		e.gw.Add(arc.Place, arc.Mult)
-	}
-	for _, og := range c.OutputGates {
-		if og.Transform != nil {
-			if err := runGate(a, og.Name, og.Transform, &e.gw); err != nil {
-				return 0, err
-			}
-		}
-	}
-	if e.gw.err != nil {
-		return 0, fmt.Errorf("activity %q: %v", a.Name(), e.gw.err)
-	}
-	imp, err := e.impulses(tr, e.outMark)
-	if err != nil {
-		return 0, err
-	}
-	e.pushEdge(e.outMark, p, imp)
-	return 1, nil
-}
-
-// impulses evaluates tr.a's impulse rewards on the post-fire marking, or
-// returns nil when the activity has no bindings (a nil impulse vector and an
-// all-zero one contribute identically to every reward integral). During the
-// member check the vector is a view into the member's impulse arena; a view
-// taken before the arena grows keeps the old array, which still holds it.
-func (e *expander) impulses(tr *timedRef, mark []int) ([]float64, error) {
+// impulses evaluates tr.a's impulse rewards on the post-fire marking in
+// e.gw, or returns nil when the activity has no bindings (a nil impulse
+// vector and an all-zero one contribute identically to every reward
+// integral). During the member check the vector is a view into the member's
+// impulse arena; a view taken before the arena grows keeps the old array,
+// which still holds it.
+func (e *expander) impulses(tr *timedRef) ([]float64, error) {
 	if !tr.hasImp {
 		return nil, nil
 	}
@@ -737,24 +687,20 @@ func (e *expander) impulses(tr *timedRef, mark []int) ([]float64, error) {
 	} else {
 		imp = make([]float64, n)
 	}
-	e.rdOut = mark
-	if err := e.fx.explorer.addImpulses(tr.a, &e.rdOut, imp); err != nil {
+	if err := addImpulses(e.fx.cm, tr.a, &e.gw, imp); err != nil {
 		return nil, err
 	}
 	return imp, nil
 }
 
-// pushEdge packs the successor marking — in canonical form in a quotient —
-// into the output arena and records the proto edge.
+// pushEdge packs the successor marking, in canonical form, into the output
+// arena and records the proto edge.
 func (e *expander) pushEdge(mark []int, prob float64, imp []float64) {
-	if e.fx.sym != nil {
-		e.canon = append(e.canon[:0], mark...)
-		e.fx.sym.canon(e.canon, &e.symScratch)
-		mark = e.canon
-	}
+	e.canon = append(e.canon[:0], mark...)
+	e.fx.sym.canon(e.canon, &e.symScratch)
 	out := e.out
 	off := int32(len(out.arena))
-	out.arena = packMarking(out.arena, mark)
+	out.arena = packMarking(out.arena, e.canon)
 	packed := out.arena[off:]
 	out.edges = append(out.edges, protoEdge{
 		off: off, n: int32(len(packed)), hash: hashBytes(packed), prob: prob, imp: imp,

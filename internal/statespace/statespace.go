@@ -18,10 +18,11 @@
 // refusal or budget overrun on the way, reruns the flat exploration, and the
 // certificate records the collapsed groups (san.SymmetryEvidence).
 //
-// The package mirrors the simulator's firing semantics exactly (input arcs,
-// input-gate transforms, case selection mass normalization, sweep-ordered
-// instantaneous closure, post-fire impulse evaluation), so the generated
-// chain is the chain the simulator samples.
+// Exploration fires activities by san's completion rule (san/fire.go: input
+// arcs, input-gate transforms, case masses, the case's output arcs and
+// gates, post-fire impulses), the one the simulator applies, and closes every
+// firing under the simulator's sweep-ordered instantaneous closure, so the
+// generated chain is the chain the simulator samples.
 package statespace
 
 import (

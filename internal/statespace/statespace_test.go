@@ -234,6 +234,148 @@ func TestVanishingCaseBranching(t *testing.T) {
 	}
 }
 
+// TestIllFormedCaseMasses certifies the ill-formed case masses the
+// simulator's TestSelectCase* fixtures draw from, and checks that every edge
+// of the drawing activity carries its rate times CaseMasses over the total,
+// zero mass falling to the last case. Each fixture runs on both firing paths
+// of the explorer: the scratch path, and the branch path a model with
+// instantaneous activities takes.
+func TestIllFormedCaseMasses(t *testing.T) {
+	const rate = 0.5
+	nilProb := math.NaN() // marks a nil-probability case
+	fixtures := []struct {
+		name   string
+		pa, pb float64
+	}{
+		{"clamped negative", -0.5, nilProb},
+		{"over-unity explicit", 3, 1},
+		{"under-unity without nil case", 0.2, 0.3},
+		{"nil remainder", 0.3, nilProb},
+		{"zero total", 0, 0},
+	}
+	for _, fx := range fixtures {
+		for _, withInst := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/instantaneous=%v", fx.name, withInst), func(t *testing.T) {
+				m := san.NewModel("cases")
+				// live keeps its token: the probabilities read it, so
+				// Validate's zero-marking probe sees a well-formed 0.5 + 0.5.
+				live := m.AddPlace("live", 1)
+				clock := m.AddPlace("clock", 1)
+				a := m.AddPlace("a", 0)
+				b := m.AddPlace("b", 0)
+				prob := func(p float64) func(san.MarkingReader) float64 {
+					if math.IsNaN(p) {
+						return nil
+					}
+					return func(mr san.MarkingReader) float64 {
+						if mr.Tokens(live) > 0 {
+							return p
+						}
+						return 0.5
+					}
+				}
+				tick := m.AddTimedActivity("tick", mustExpRate(t, rate)).AddInputArc(clock, 1)
+				tick.AddCase(san.Case{Probability: prob(fx.pa), OutputArcs: []san.Arc{{Place: a, Mult: 1}}})
+				tick.AddCase(san.Case{Probability: prob(fx.pb), OutputArcs: []san.Arc{{Place: b, Mult: 1}}})
+				m.AddTimedActivity("reset_a", mustExpRate(t, 1)).AddInputArc(a, 1).AddOutputArc(clock, 1)
+				m.AddTimedActivity("reset_b", mustExpRate(t, 1)).AddInputArc(b, 1).AddOutputArc(clock, 1)
+				if withInst {
+					never := m.AddPlace("never", 0)
+					m.AddInstantaneousActivity("idle").AddInputArc(never, 1)
+				}
+				cm, err := san.Compile(m, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gen := mustCertify(t, statespace.Certify, cm, statespace.Options{})
+
+				post := vecReader(append([]int(nil), gen.States[0]...))
+				post[clock.Index()]--
+				masses := make([]float64, 2)
+				total := tick.CaseMasses(post, masses)
+				want := []float64{0, rate}
+				if total > 0 {
+					want = []float64{rate * masses[0] / total, rate * masses[1] / total}
+				}
+				got := make([]float64, 2)
+				for _, tr := range gen.Transitions[0] {
+					ci := 1
+					if gen.States[tr.To][a.Index()] == 1 {
+						ci = 0
+					}
+					if tr.Activity != "tick" || got[ci] != 0 {
+						t.Fatalf("unexpected edge %+v from the initial state", tr)
+					}
+					got[ci] = tr.Rate
+				}
+				for ci := range want {
+					if math.Abs(got[ci]-want[ci]) > 1e-15 {
+						t.Errorf("case %d: edge rate %v, want %v (masses %v, total %v)", ci, got[ci], want[ci], masses, total)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestRefusePanickingClosures: a panicking gate transform, case probability
+// or impulse reward refuses exploration with an error naming the activity
+// and the step, on both firing paths, instead of crashing.
+func TestRefusePanickingClosures(t *testing.T) {
+	boom := func() { panic("boom") }
+	steps := []struct {
+		want  string
+		setup func(act *san.Activity, out *san.Place) []san.RewardVariable
+	}{
+		{`activity "fire": input gate transform panicked: boom`, func(act *san.Activity, out *san.Place) []san.RewardVariable {
+			act.AddInputGate(&san.InputGate{Name: "ig", Transform: func(san.MarkingWriter) { boom() }})
+			act.AddOutputArc(out, 1)
+			return nil
+		}},
+		{`activity "fire": output gate transform panicked: boom`, func(act *san.Activity, out *san.Place) []san.RewardVariable {
+			act.AddOutputGate(&san.OutputGate{Name: "og", Transform: func(san.MarkingWriter) { boom() }})
+			return nil
+		}},
+		{`activity "fire": case probability panicked: boom`, func(act *san.Activity, out *san.Place) []san.RewardVariable {
+			// The nil case first keeps Validate's static probe off the other.
+			act.AddCase(san.Case{OutputArcs: []san.Arc{{Place: out, Mult: 2}}})
+			act.AddCase(san.Case{
+				Probability: func(san.MarkingReader) float64 { boom(); return 0 },
+				OutputArcs:  []san.Arc{{Place: out, Mult: 1}},
+			})
+			return nil
+		}},
+		{`activity "fire": impulse reward panicked: boom`, func(act *san.Activity, out *san.Place) []san.RewardVariable {
+			act.AddOutputArc(out, 1)
+			return []san.RewardVariable{{Name: "imp", Mode: san.Accumulated, Impulses: map[string]san.ImpulseFunc{
+				"fire": func(san.MarkingReader) float64 { boom(); return 0 },
+			}}}
+		}},
+	}
+	for _, step := range steps {
+		for _, withInst := range []bool{false, true} {
+			m := san.NewModel("panic")
+			in := m.AddPlace("in", 1)
+			out := m.AddPlace("out", 0)
+			act := m.AddTimedActivity("fire", mustExpRate(t, 1)).AddInputArc(in, 1)
+			rewards := step.setup(act, out)
+			if withInst {
+				never := m.AddPlace("never", 0)
+				m.AddInstantaneousActivity("idle").AddInputArc(never, 1)
+			}
+			cm, err := san.Compile(m, rewards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen, cert := statespace.Certify(cm, statespace.Options{})
+			if gen != nil {
+				t.Fatalf("%s (instantaneous=%v): certified", step.want, withInst)
+			}
+			requireRefusalPrefix(t, cert, san.RefusalExploration+": "+step.want)
+		}
+	}
+}
+
 // TestRefuseNonMemoryless: a uniform delay is refused with the structured
 // non-memoryless reason, never silently solved.
 func TestRefuseNonMemoryless(t *testing.T) {

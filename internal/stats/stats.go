@@ -1,14 +1,12 @@
 // Package stats provides the statistical machinery used to report simulation
 // results the way the paper does: running summaries, Student-t confidence
-// intervals at 95%, binomial intervals for rare-event estimators, and simple
-// regression utilities.
+// intervals at 95%, and binomial intervals for rare-event estimators.
 package stats
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ErrInsufficientData reports an estimator invoked with too few observations.
@@ -358,82 +356,4 @@ func betaContinuedFraction(a, b, x float64) float64 {
 		}
 	}
 	return h
-}
-
-// ---------------------------------------------------------------------------
-// Linear regression
-// ---------------------------------------------------------------------------
-
-// LinearFit is the result of an ordinary least squares fit y = Slope*x +
-// Intercept.
-type LinearFit struct {
-	Slope     float64
-	Intercept float64
-	R2        float64
-}
-
-// LinearRegression fits a straight line by ordinary least squares. It returns
-// ErrInsufficientData when fewer than two points are supplied or when all x
-// values are identical.
-func LinearRegression(x, y []float64) (LinearFit, error) {
-	if len(x) != len(y) {
-		return LinearFit{}, fmt.Errorf("stats: x and y lengths differ (%d vs %d)", len(x), len(y))
-	}
-	if len(x) < 2 {
-		return LinearFit{}, fmt.Errorf("%w: need >=2 points, have %d", ErrInsufficientData, len(x))
-	}
-	n := float64(len(x))
-	var sx, sy float64
-	for i := range x {
-		sx += x[i]
-		sy += y[i]
-	}
-	mx, my := sx/n, sy/n
-	var sxx, sxy, syy float64
-	for i := range x {
-		dx, dy := x[i]-mx, y[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return LinearFit{}, fmt.Errorf("%w: x values are all identical", ErrInsufficientData)
-	}
-	slope := sxy / sxx
-	fit := LinearFit{Slope: slope, Intercept: my - slope*mx}
-	if syy > 0 {
-		fit.R2 = (sxy * sxy) / (sxx * syy)
-	} else {
-		fit.R2 = 1
-	}
-	return fit, nil
-}
-
-// ---------------------------------------------------------------------------
-// Quantiles of raw samples
-// ---------------------------------------------------------------------------
-
-// Quantile returns the p-quantile of the sample using linear interpolation
-// between order statistics. The input slice is not modified.
-func Quantile(sample []float64, p float64) (float64, error) {
-	if len(sample) == 0 {
-		return 0, fmt.Errorf("%w: empty sample", ErrInsufficientData)
-	}
-	sorted := make([]float64, len(sample))
-	copy(sorted, sample)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0], nil
-	}
-	if p >= 1 {
-		return sorted[len(sorted)-1], nil
-	}
-	pos := p * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }

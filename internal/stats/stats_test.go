@@ -148,56 +148,6 @@ func TestRegularizedIncompleteBeta(t *testing.T) {
 	}
 }
 
-func TestLinearRegressionExact(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	y := []float64{3, 5, 7, 9, 11} // y = 2x + 1
-	fit, err := LinearRegression(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.Slope-2) > 1e-12 || math.Abs(fit.Intercept-1) > 1e-12 {
-		t.Errorf("fit = %+v, want slope 2 intercept 1", fit)
-	}
-	if math.Abs(fit.R2-1) > 1e-12 {
-		t.Errorf("R2 = %v, want 1", fit.R2)
-	}
-}
-
-func TestLinearRegressionErrors(t *testing.T) {
-	if _, err := LinearRegression([]float64{1}, []float64{1}); err == nil {
-		t.Error("regression with 1 point succeeded")
-	}
-	if _, err := LinearRegression([]float64{1, 2}, []float64{1}); err == nil {
-		t.Error("regression with mismatched lengths succeeded")
-	}
-	if _, err := LinearRegression([]float64{3, 3, 3}, []float64{1, 2, 3}); err == nil {
-		t.Error("regression with constant x succeeded")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	sample := []float64{5, 1, 3, 2, 4}
-	if q, err := Quantile(sample, 0.5); err != nil || q != 3 {
-		t.Errorf("median = %v (%v), want 3", q, err)
-	}
-	if q, _ := Quantile(sample, 0); q != 1 {
-		t.Errorf("q0 = %v, want 1", q)
-	}
-	if q, _ := Quantile(sample, 1); q != 5 {
-		t.Errorf("q1 = %v, want 5", q)
-	}
-	if q, _ := Quantile(sample, 0.25); q != 2 {
-		t.Errorf("q0.25 = %v, want 2", q)
-	}
-	if _, err := Quantile(nil, 0.5); err == nil {
-		t.Error("Quantile(nil) succeeded")
-	}
-	// Ensure input not modified.
-	if sample[0] != 5 {
-		t.Error("Quantile modified its input")
-	}
-}
-
 // Property: summary mean always lies within [min, max] and variance >= 0.
 func TestQuickSummaryInvariants(t *testing.T) {
 	f := func(xs []float64) bool {
