@@ -2,7 +2,7 @@ GO ?= go
 # BENCHTIME tunes the bench target (e.g. BENCHTIME=1x for a CI smoke pass).
 BENCHTIME ?= 1s
 
-.PHONY: all build lint test race vet bench bench-all benchmark identity cover examples clean
+.PHONY: all build lint test race vet bench bench-all benchmark identity identity-diff cover examples clean
 
 all: build vet lint test
 
@@ -70,6 +70,22 @@ identity:
 	.identity_build/abesim -experiment paper_full -quick -json > $(OUT)/paper_full.json
 	.identity_build/abesim -experiment rare_event_dataloss -quick -seed 1 -json > $(OUT)/rare_event_seed1.json
 	.identity_build/abesim -experiment rare_event_dataloss -quick -seed 7 -json > $(OUT)/rare_event_seed7.json
+
+# Byte identity against another commit in one command: exports BASE with
+# git archive into .identity_build/base, runs the identity target there with
+# this Makefile (so a BASE older than the target works too), runs it here,
+# and diffs the two report sets. Prints "byte-identical" or the differences,
+# and exits with the diff's status. The exported tree is removed once its
+# reports are written, so gofmt -l . never walks into it. About 30 s.
+identity-diff:
+	@test -n "$(BASE)" || { echo "usage: make identity-diff BASE=<rev>" >&2; exit 2; }
+	rm -rf .identity_build/base .identity_build/base-out .identity_build/head-out
+	mkdir -p .identity_build/base
+	git archive $(BASE) | tar -x -C .identity_build/base
+	$(MAKE) -C .identity_build/base -f $(CURDIR)/Makefile identity OUT=$(CURDIR)/.identity_build/base-out
+	rm -rf .identity_build/base
+	$(MAKE) identity OUT=$(CURDIR)/.identity_build/head-out
+	diff -r .identity_build/base-out .identity_build/head-out && echo byte-identical
 
 # Every benchmark in the repository (slow).
 bench-all:

@@ -27,18 +27,32 @@ const (
 	ReasonCrewCoupling = "crew coupling"
 )
 
-// DelayLumpability classifies one delay distribution of a replicated family
-// for exact strong lumping. It returns "" when the delay is memoryless
-// (exponential, or Weibull with shape exactly 1) and a reason string —
-// prefixed with ReasonAgedState or ReasonNonExponential — otherwise.
-func DelayLumpability(label string, d dist.Distribution) string {
+// MemorylessRate returns the rate of d and true when d is memoryless: an
+// exponential, or a Weibull with shape exactly 1, the exponential the
+// calibration layer produces. Every other delay, a shape-1 Gamma included,
+// is not memoryless as written.
+func MemorylessRate(d dist.Distribution) (float64, bool) {
 	switch v := d.(type) {
 	case dist.Exponential:
-		return ""
+		return v.Rate(), true
 	case dist.Weibull:
 		if v.Shape() == 1 {
-			return "" // shape-1 Weibull is the exponential
+			return 1 / v.Mean(), true
 		}
+	}
+	return 0, false
+}
+
+// DelayLumpability classifies one delay distribution of a replicated family
+// for exact strong lumping. It returns "" when the delay is memoryless
+// (MemorylessRate) and a reason string — prefixed with ReasonAgedState or
+// ReasonNonExponential — otherwise.
+func DelayLumpability(label string, d dist.Distribution) string {
+	if _, ok := MemorylessRate(d); ok {
+		return ""
+	}
+	switch d.(type) {
+	case dist.Weibull:
 		return fmt.Sprintf("%s: %s %s retains component age", ReasonAgedState, label, dist.Describe(d))
 	case dist.Deterministic:
 		return fmt.Sprintf("%s: %s %s is a timer, not memoryless", ReasonAgedState, label, dist.Describe(d))
@@ -174,118 +188,15 @@ type AnalysisReport struct {
 	Clean bool `json:"clean"`
 }
 
-// probeMarking is the instrumented marking Analyze executes gate and reward
-// closures against: it records every place read and written, tolerates
-// negative token counts (optionally clamping at zero so decrement-then-test
-// branches are reachable from a zero base), and never panics.
-type probeMarking struct {
-	tokens []int
-	clamp  bool
-	reads  []bool
-	writes []bool
-}
-
-func (pm *probeMarking) Tokens(p *Place) int {
-	if p == nil || p.index < 0 || p.index >= len(pm.tokens) {
-		return 0
-	}
-	pm.reads[p.index] = true
-	return pm.tokens[p.index]
-}
-
-func (pm *probeMarking) SetTokens(p *Place, n int) {
-	if p == nil || p.index < 0 || p.index >= len(pm.tokens) {
-		return
-	}
-	pm.writes[p.index] = true
-	pm.tokens[p.index] = n
-}
-
-func (pm *probeMarking) Add(p *Place, delta int) {
-	if p == nil || p.index < 0 || p.index >= len(pm.tokens) {
-		return
-	}
-	pm.writes[p.index] = true
-	pm.tokens[p.index] += delta
-	if pm.clamp && pm.tokens[p.index] < 0 {
-		pm.tokens[p.index] = 0
-	}
-}
-
-// probeSet aggregates read/write discovery across several probe executions.
-type probeSet struct {
-	n      int
-	reads  []bool
-	writes []bool
-	// opaque is set when a probed closure panicked: its effects are unknown,
-	// so every place must be treated as both read and written.
-	opaque bool
-}
-
-func newProbeSet(n int) *probeSet {
-	return &probeSet{n: n, reads: make([]bool, n), writes: make([]bool, n)}
-}
-
-// baseMarkings returns the synthetic markings closures are probed under:
-// all-zero, the initial marking, all-one, and all-two, each with and without
-// clamping. Diverse bases improve branch coverage of conditional gate logic
-// (e.g. "decrement, then act only when the count hits zero").
-func baseMarkings(initial []int) [][]int {
-	n := len(initial)
-	uniform := func(v int) []int {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = v
-		}
-		return out
-	}
-	return [][]int{uniform(0), append([]int(nil), initial...), uniform(1), uniform(2)}
-}
-
-// probe runs fn against each base marking (with and without clamping) and
-// folds the recorded reads and writes into ps. A panicking closure marks the
-// whole set opaque.
-func (ps *probeSet) probe(bases [][]int, fn func(pm *probeMarking)) {
-	for _, base := range bases {
-		for _, clamp := range []bool{false, true} {
-			pm := &probeMarking{
-				tokens: append([]int(nil), base...),
-				clamp:  clamp,
-				reads:  make([]bool, ps.n),
-				writes: make([]bool, ps.n),
-			}
-			if !runProbe(pm, fn) {
-				ps.opaque = true
-				return
-			}
-			for i := range pm.reads {
-				ps.reads[i] = ps.reads[i] || pm.reads[i]
-				ps.writes[i] = ps.writes[i] || pm.writes[i]
-			}
-		}
-	}
-}
-
-// runProbe executes fn(pm), converting panics into a false return so an
-// exotic closure degrades the analysis instead of crashing it.
-func runProbe(pm *probeMarking, fn func(pm *probeMarking)) (ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false
-		}
-	}()
-	fn(pm)
-	return true
-}
-
 // Analyze runs static structural analysis over a compiled model: vanishing
 // loops among instantaneous activities, statically-dead activities, places
 // written but never read, and the declared replicated-family lumpability
-// verdicts. It executes gate, reward, probability, and delay closures
-// against instrumented markings (never the simulator), so it is safe to call
-// on any compiled model; conditional writes hidden behind branches no probe
-// marking reaches can be missed, which is why tests analyze every shipped
-// configuration.
+// verdicts. It learns what gate, reward, probability, and delay closures
+// read and write by running them on the probe base family (probe.go), never
+// the simulator, so it is safe to call on any compiled model. A closure that
+// panics at some base makes every place count as read and written.
+// Conditional writes hidden behind branches no base reaches can be missed,
+// which is why tests analyze every shipped configuration.
 func Analyze(cm *CompiledModel) AnalysisReport {
 	model := cm.model
 	nPlaces := model.NumPlaces()
@@ -297,11 +208,7 @@ func Analyze(cm *CompiledModel) AnalysisReport {
 		Families:      model.Families(),
 	}
 
-	ps := newProbeSet(nPlaces)
-	bases := baseMarkings(cm.initial)
-	probeReader := func(fn func(r MarkingReader)) {
-		ps.probe(bases, func(pm *probeMarking) { fn(pm) })
-	}
+	var closures []GateFunc
 	written := make([]bool, nPlaces) // by output arcs or gate transforms
 	read := make([]bool, nPlaces)    // by any enabling condition, gate, reward, probability, or delay
 
@@ -313,18 +220,15 @@ func Analyze(cm *CompiledModel) AnalysisReport {
 			for _, p := range g.Reads {
 				read[p.index] = true
 			}
-			if g.Enabled != nil {
-				pred := g.Enabled
-				probeReader(func(r MarkingReader) { pred(r) })
+			if pred := g.Enabled; pred != nil {
+				closures = append(closures, func(w MarkingWriter) { pred(w) })
 			}
 			if g.Transform != nil {
-				tr := g.Transform
-				ps.probe(bases, func(pm *probeMarking) { tr(pm) })
+				closures = append(closures, g.Transform)
 			}
 		}
-		if a.kind == Timed && a.delay != nil {
-			delay := a.delay
-			probeReader(func(r MarkingReader) { delay(r) })
+		if delay := a.delay; a.kind == Timed && delay != nil {
+			closures = append(closures, func(w MarkingWriter) { delay(w) })
 		}
 		for _, c := range a.cases {
 			for _, arc := range c.OutputArcs {
@@ -332,34 +236,27 @@ func Analyze(cm *CompiledModel) AnalysisReport {
 			}
 			for _, og := range c.OutputGates {
 				if og != nil && og.Transform != nil {
-					tr := og.Transform
-					ps.probe(bases, func(pm *probeMarking) { tr(pm) })
+					closures = append(closures, og.Transform)
 				}
 			}
-			if c.Probability != nil {
-				prob := c.Probability
-				probeReader(func(r MarkingReader) { prob(r) })
+			if prob := c.Probability; prob != nil {
+				closures = append(closures, func(w MarkingWriter) { prob(w) })
 			}
 		}
 	}
 	for _, rv := range cm.rewards {
-		if rv.Rate != nil {
-			rate := rv.Rate
-			probeReader(func(r MarkingReader) { rate(r) })
+		if rate := rv.Rate; rate != nil {
+			closures = append(closures, func(w MarkingWriter) { rate(w) })
 		}
 		for _, name := range sortedKeys(rv.Impulses) {
 			fn := rv.Impulses[name]
-			probeReader(func(r MarkingReader) { fn(r) })
+			closures = append(closures, func(w MarkingWriter) { fn(w) })
 		}
 	}
+	fp := NewProbe(cm.initial).footprint(closures)
 	for i := 0; i < nPlaces; i++ {
-		if ps.opaque {
-			written[i] = true
-			read[i] = true
-			continue
-		}
-		written[i] = written[i] || ps.writes[i]
-		read[i] = read[i] || ps.reads[i]
+		written[i] = fp.opaque || written[i] || fp.writes[i]
+		read[i] = fp.opaque || read[i] || fp.reads[i]
 	}
 	// Declared external readers (rare-event importance functions, monitors)
 	// count as reads: the places they watch are kept state, not waste.
@@ -380,7 +277,7 @@ func Analyze(cm *CompiledModel) AnalysisReport {
 	})
 
 	rep.DeadActivities = deadActivities(model, written)
-	rep.VanishingLoops = vanishingLoops(cm, ps)
+	rep.VanishingLoops = vanishingLoops(cm, fp.writes)
 	for _, p := range model.places {
 		if written[p.index] && !read[p.index] {
 			rep.UnreadPlaces = append(rep.UnreadPlaces, p.name)
@@ -417,7 +314,7 @@ func deadActivities(model *Model, written []bool) []DeadActivity {
 // instant: activities with no enabling inputs, activities whose own case
 // outputs keep them enabled, and token cycles through several instantaneous
 // activities.
-func vanishingLoops(cm *CompiledModel, ps *probeSet) []VanishingLoop {
+func vanishingLoops(cm *CompiledModel, gateWrites []bool) []VanishingLoop {
 	var out []VanishingLoop
 	for _, a := range cm.instantaneous {
 		hasPredicate := false
@@ -442,7 +339,7 @@ func vanishingLoops(cm *CompiledModel, ps *probeSet) []VanishingLoop {
 			})
 		}
 	}
-	out = append(out, instantaneousCycles(cm, ps)...)
+	out = append(out, instantaneousCycles(cm, gateWrites)...)
 	sort.Slice(out, func(i, j int) bool {
 		return strings.Join(out[i].Activities, ",") < strings.Join(out[j].Activities, ",")
 	})
@@ -484,8 +381,9 @@ func selfSustaining(a *Activity) (some, all bool) {
 
 // instantaneousCycles finds strongly connected components of two or more
 // instantaneous activities in the token-flow graph (an edge a -> b when
-// firing a can add tokens to an input place of b).
-func instantaneousCycles(cm *CompiledModel, ps *probeSet) []VanishingLoop {
+// firing a can add tokens to an input place of b). gateWrites is the union
+// of the places the model's closures write at some probe base.
+func instantaneousCycles(cm *CompiledModel, gateWrites []bool) []VanishingLoop {
 	inst := cm.instantaneous
 	if len(inst) < 2 {
 		return nil
@@ -506,7 +404,7 @@ func instantaneousCycles(cm *CompiledModel, ps *probeSet) []VanishingLoop {
 				if og != nil && og.Transform != nil {
 					// Gate writes were discovered by probing; attribute the
 					// union to every gate-bearing activity (conservative).
-					for pi, w := range ps.writes {
+					for pi, w := range gateWrites {
 						if w {
 							outputs[i][pi] = true
 						}

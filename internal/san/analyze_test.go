@@ -3,6 +3,7 @@ package san
 import (
 	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -212,6 +213,71 @@ func TestAnalyzeUnreadPlace(t *testing.T) {
 	}
 	if rep2 := Analyze(cm2); len(rep2.UnreadPlaces) != 0 {
 		t.Fatalf("reward read not discovered, unread: %v", rep2.UnreadPlaces)
+	}
+}
+
+// TestAnalyzeFindsWriteBehindDecrement: a gate that decrements p and writes
+// q only when p reaches 0 writes q at the all-one base, so the activity
+// consuming q is not reported dead.
+func TestAnalyzeFindsWriteBehindDecrement(t *testing.T) {
+	m := NewModel("countdown")
+	p := m.AddPlace("p", 3)
+	q := m.AddPlace("q", 0)
+	m.AddTimedActivity("countdown", mustExp(t, 1)).
+		AddInputGate(&InputGate{Name: "armed", Reads: []*Place{p}, Enabled: func(r MarkingReader) bool { return r.Tokens(p) > 0 }}).
+		AddOutputGate(&OutputGate{Name: "tick", Transform: func(w MarkingWriter) {
+			w.Add(p, -1)
+			if w.Tokens(p) == 0 {
+				w.SetTokens(q, 1)
+			}
+		}})
+	m.AddTimedActivity("alarm", mustExp(t, 1)).AddInputArc(q, 1)
+	cm, err := Compile(m, nil)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	if rep := Analyze(cm); !rep.Clean || len(rep.DeadActivities) != 0 {
+		t.Fatalf("the write to q behind the decrement was missed: %+v", rep)
+	}
+}
+
+// TestProbePanicMakesPassesOpaque: a gate transform that panics at one probe
+// base (up = 3, only at M0+2) hides what it reads and writes, so Analyze
+// treats every place as read and written and reports neither the unread
+// counter nor the dead activity, and ExpandPhases cannot prove a chain's
+// enabling stable.
+func TestProbePanicMakesPassesOpaque(t *testing.T) {
+	m := NewModel("partial-panic")
+	up := m.AddPlace("up", 1)
+	down := m.AddPlace("down", 0)
+	counter := m.AddPlace("counter", 0)
+	trigger := m.AddPlace("trigger", 0)
+	pending := m.AddPlace("pending", 1)
+	m.AddTimedActivity("fail", mustExp(t, 100)).AddInputArc(up, 1).
+		AddOutputArc(down, 1).AddOutputArc(counter, 1)
+	m.AddTimedActivity("repair", mustExp(t, 10)).AddInputArc(down, 1).
+		AddOutputGate(&OutputGate{Name: "restore", Transform: func(w MarkingWriter) {
+			if w.Tokens(up) == 3 {
+				panic("up never holds 3 tokens")
+			}
+			w.Add(up, 1)
+		}})
+	m.AddTimedActivity("never", mustExp(t, 1)).AddInputArc(trigger, 1)
+	m.AddTimedActivity("slow", mustErlang(t, 3, 0.5)).AddInputArc(pending, 1)
+	cm, err := Compile(m, nil)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	if rep := Analyze(cm); len(rep.UnreadPlaces) != 0 || len(rep.DeadActivities) != 0 {
+		t.Errorf("an unanalyzable transform left findings: unread %v, dead %+v", rep.UnreadPlaces, rep.DeadActivities)
+	}
+	_, rep, err := ExpandPhases(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{`non-expandable: activity "slow": a gate transform is unanalyzable, so enabling stability cannot be proven`}
+	if len(rep.Expanded) != 0 || !slices.Equal(rep.Refusals, want) {
+		t.Errorf("expanded %q, refusals %q; want no expansion and %q", rep.Expanded, rep.Refusals, want)
 	}
 }
 

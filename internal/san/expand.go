@@ -120,14 +120,10 @@ func PhaseExpandable(d dist.Distribution) (int, bool) {
 // phaseRates flattens d into its exact exponential stage rates, in the order
 // the stages elapse.
 func phaseRates(d dist.Distribution) ([]float64, bool) {
+	if rate, ok := MemorylessRate(d); ok {
+		return []float64{rate}, true
+	}
 	switch v := d.(type) {
-	case dist.Exponential:
-		return []float64{v.Rate()}, true
-	case dist.Weibull:
-		if v.Shape() == 1 {
-			return []float64{1 / v.Mean()}, true
-		}
-		return nil, false
 	case dist.Gamma:
 		k := math.Round(v.Shape())
 		if k < 1 || math.Abs(v.Shape()-k) > integerShapeTol {
@@ -168,15 +164,16 @@ func (sm staticMarking) Tokens(p *Place) int {
 // rewrite needs: no other activity consumes from, and no gate transform
 // writes, any of the rewritten activity's input places. The facts are those
 // of the model as it stood when the pass began, before any rewrite added
-// places, activities or gates. The gate transforms are probed (executed
-// against synthetic markings with panic recovery, exactly like Analyze) only
-// when the first chain asks, because the probe is the pass's dominant cost
-// and most non-memoryless delays never reach a multi-stage chain.
+// places, activities or gates. The gate transforms' writes come from the
+// closure probe (probe.go), run only when the first chain asks, because the
+// probe is the pass's dominant cost and most non-memoryless delays never
+// reach a multi-stage chain. A transform that panics at some base leaves its
+// writes unknown, and every chain is then refused.
 type chainStability struct {
 	consumers  []int      // input-arc consumers per place
-	initial    []int      // initial marking, the probes' base
+	initial    []int      // initial marking, the probe's base
 	transforms []GateFunc // every input- and output-gate transform
-	probes     *probeSet  // nil until a chain first needs the proof
+	gates      *footprint // nil until a chain first needs the proof
 }
 
 func newChainStability(m *Model) *chainStability {
@@ -207,21 +204,17 @@ func (s *chainStability) refusal(a *Activity) string {
 	if len(a.inputArcs) == 0 {
 		return ""
 	}
-	if s.probes == nil {
-		s.probes = newProbeSet(len(s.initial))
-		bases := baseMarkings(s.initial)
-		for _, fn := range s.transforms {
-			s.probes.probe(bases, func(pm *probeMarking) { fn(pm) })
-		}
+	if s.gates == nil {
+		s.gates = NewProbe(s.initial).footprint(s.transforms)
 	}
-	if s.probes.opaque {
+	if s.gates.opaque {
 		return "a gate transform is unanalyzable, so enabling stability cannot be proven"
 	}
 	for _, arc := range a.inputArcs {
 		if s.consumers[arc.Place.index] > 1 {
 			return fmt.Sprintf("input place %q has other consumers, so enabling stability cannot be proven", arc.Place.name)
 		}
-		if s.probes.writes[arc.Place.index] {
+		if s.gates.writes[arc.Place.index] {
 			return fmt.Sprintf("input place %q is written by a gate transform, so enabling stability cannot be proven", arc.Place.name)
 		}
 	}
@@ -321,12 +314,13 @@ func ExpandPhases(m *Model) (*Model, *ExpansionReport, error) {
 // delayLumpabilityAt classifies a marking-dependent delay at a fixed
 // marking, converting evaluation panics into a non-memoryless verdict.
 func delayLumpabilityAt(a *Activity, marking []int) (reason string) {
-	defer func() {
-		if recover() != nil {
-			reason = fmt.Sprintf("%s: delay evaluation panicked at the initial marking", ReasonNonExponential)
-		}
-	}()
-	return DelayLumpability("delay at the initial marking", a.DelayAt(staticMarking(marking)))
+	ok := guard(func() {
+		reason = DelayLumpability("delay at the initial marking", a.DelayAt(staticMarking(marking)))
+	})
+	if !ok {
+		reason = fmt.Sprintf("%s: delay evaluation panicked at the initial marking", ReasonNonExponential)
+	}
+	return reason
 }
 
 // expandActivity performs the chain rewrite for one activity: fresh phase

@@ -22,16 +22,14 @@ import (
 //
 // Closures (gate predicates and transforms, marking-dependent delays, case
 // probabilities, reward functions) have no inspectable structure, so they are
-// fingerprinted behaviorally: each closure is executed against an
-// instrumented marking to discover the places it reads, then evaluated on a
-// deterministic family of probe markings — the analyzer's base markings plus
-// single-place perturbations of every place the closure reads — and the
-// observed outputs are hashed. The probe family is fixed, so the fingerprint
-// never depends on execution details (scheduling, parallelism, prior calls),
-// only on model content. Closures that differ only on markings outside the
-// probe family can alias; the family covers the token counts (0, initial, 1,
-// 2, and per-read-place bumps) that the repository's gate and reward logic
-// branches on.
+// fingerprinted behaviorally on the closure probe (probe.go): each closure is
+// run at every probe base (all-zero, initial, initial+1, initial+2, all-one,
+// all-two) and then at single-place bumps of the initial marking for every
+// place it reads, and the observed outputs are hashed, with a fixed marker
+// where it panics. The probe family is fixed, so the fingerprint never
+// depends on execution details (scheduling, parallelism, prior calls), only
+// on model content. Closures that differ only on markings outside the probe
+// family can alias.
 
 // Fingerprint returns the canonical content hash of the compiled model as a
 // hex string. It is deterministic across processes (no map iteration order,
@@ -39,9 +37,8 @@ import (
 // activity, arc, gate, delay spec, case probability, impulse, reward, or the
 // initial marking changes.
 func (cm *CompiledModel) Fingerprint() string {
-	w := &fpWriter{h: sha256.New()}
+	w := &fpWriter{h: sha256.New(), probe: NewProbe(cm.initial)}
 	model := cm.model
-	probes := fingerprintProbes(cm.initial)
 
 	w.str("places")
 	w.num(model.NumPlaces())
@@ -75,8 +72,8 @@ func (cm *CompiledModel) Fingerprint() string {
 			w.str("enabled")
 			if g.Enabled != nil {
 				pred := g.Enabled
-				w.probeFloat(probes, func(pm *probeMarking) float64 {
-					if pred(pm) {
+				w.probeFloat(func(r MarkingReader) float64 {
+					if pred(r) {
 						return 1
 					}
 					return 0
@@ -84,18 +81,17 @@ func (cm *CompiledModel) Fingerprint() string {
 			}
 			w.str("transform")
 			if g.Transform != nil {
-				w.probeTransform(probes, g.Transform)
+				w.probeTransform(g.Transform)
 			}
 		}
 		w.str("delay")
-		w.delaySpec(a, probes)
+		w.delaySpec(a)
 		w.str("cases")
 		w.num(len(a.cases))
 		for _, c := range a.cases {
 			w.str("prob")
 			if c.Probability != nil {
-				prob := c.Probability
-				w.probeFloat(probes, func(pm *probeMarking) float64 { return prob(pm) })
+				w.probeFloat(c.Probability)
 			}
 			w.str("output-arcs")
 			for _, arc := range c.OutputArcs {
@@ -110,7 +106,7 @@ func (cm *CompiledModel) Fingerprint() string {
 				}
 				w.str(og.Name)
 				if og.Transform != nil {
-					w.probeTransform(probes, og.Transform)
+					w.probeTransform(og.Transform)
 				}
 			}
 		}
@@ -123,14 +119,12 @@ func (cm *CompiledModel) Fingerprint() string {
 		w.num(int(rv.Mode))
 		w.str("rate")
 		if rv.Rate != nil {
-			rate := rv.Rate
-			w.probeFloat(probes, func(pm *probeMarking) float64 { return rate(pm) })
+			w.probeFloat(rv.Rate)
 		}
 		w.str("impulses")
 		for _, actName := range sortedKeys(rv.Impulses) {
 			w.str(actName)
-			fn := rv.Impulses[actName]
-			w.probeFloat(probes, func(pm *probeMarking) float64 { return fn(pm) })
+			w.probeFloat(rv.Impulses[actName])
 		}
 	}
 
@@ -138,10 +132,11 @@ func (cm *CompiledModel) Fingerprint() string {
 }
 
 // fpWriter hashes length-prefixed tokens so distinct token sequences can
-// never collide by concatenation.
+// never collide by concatenation, and runs closures on its probe.
 type fpWriter struct {
-	h   hash.Hash
-	buf [10]byte
+	h     hash.Hash
+	buf   [10]byte
+	probe *Probe
 }
 
 // write feeds bytes to the digest. hash.Hash.Write is documented to never
@@ -177,112 +172,45 @@ func (w *fpWriter) bool(b bool) {
 	}
 }
 
-// fingerprintProbes builds the deterministic probe markings closures are
-// evaluated against: the analyzer's base markings (all-zero, initial, all-one,
-// all-two) plus, for read-set sensitivity, per-place bumps of the initial
-// marking. The per-place bumps are applied lazily per closure — only to the
-// places the closure actually reads — so fingerprinting stays linear in model
-// size even for models with thousands of places.
-type fpProbes struct {
-	bases   [][]int
-	initial []int
+// observe hashes fn's behavior over the probe family: after every run, hash
+// writes what the run produced, or the marker "panic" stands in for it.
+func (w *fpWriter) observe(fn GateFunc, hash func()) {
+	w.probe.observe(fn, func(ok bool) {
+		if !ok {
+			w.str("panic")
+			return
+		}
+		hash()
+	})
 }
 
-func fingerprintProbes(initial []int) *fpProbes {
-	return &fpProbes{bases: baseMarkings(initial), initial: initial}
-}
-
-// run evaluates fn on every base marking, discovers the closure's read set,
-// and then re-evaluates it on per-read-place perturbations of the initial
-// marking. record receives every observation in a deterministic order; a
-// panicking evaluation records a fixed marker instead.
-func (p *fpProbes) run(eval func(pm *probeMarking) (float64, bool), record func(v float64, panicked bool)) {
-	n := len(p.initial)
-	reads := make([]bool, n)
-	evalAt := func(tokens []int) {
-		pm := &probeMarking{tokens: tokens, reads: make([]bool, n), writes: make([]bool, n)}
-		v, ok := eval(pm)
-		record(v, !ok)
-		for i, r := range pm.reads {
-			reads[i] = reads[i] || r
-		}
-	}
-	for _, base := range p.bases {
-		evalAt(append([]int(nil), base...))
-	}
-	// Per-read-place sensitivity: bump each place the closure read, one at a
-	// time, in place-index order.
-	for pi := 0; pi < n; pi++ {
-		if !reads[pi] {
-			continue
-		}
-		for _, bump := range []int{1, 3} {
-			tokens := append([]int(nil), p.initial...)
-			tokens[pi] += bump
-			evalAt(tokens)
-		}
-	}
-}
-
-// probeFloat hashes the observed outputs of a float-valued closure over the
-// probe family.
-func (w *fpWriter) probeFloat(probes *fpProbes, fn func(pm *probeMarking) float64) {
-	probes.run(
-		func(pm *probeMarking) (v float64, ok bool) {
-			defer func() {
-				if recover() != nil {
-					ok = false
-				}
-			}()
-			return fn(pm), true
-		},
-		func(v float64, panicked bool) {
-			if panicked {
-				w.str("panic")
-				return
-			}
-			w.float(v)
-		},
-	)
+// probeFloat hashes the outputs of a float-valued closure over the probe
+// family.
+func (w *fpWriter) probeFloat(fn func(MarkingReader) float64) {
+	var v float64
+	w.observe(func(m MarkingWriter) { v = fn(m) }, func() { w.float(v) })
 }
 
 // probeTransform hashes the marking deltas a gate transform produces over the
 // probe family: the set of written places and their resulting token counts.
-func (w *fpWriter) probeTransform(probes *fpProbes, fn GateFunc) {
-	probes.run(
-		func(pm *probeMarking) (v float64, ok bool) {
-			defer func() {
-				if recover() != nil {
-					ok = false
-				}
-			}()
-			fn(pm)
-			// Fold the post-transform marking of written places into one
-			// deterministic observation stream via the writer callback; the
-			// scalar return is unused for transforms.
-			for pi, written := range pm.writes {
-				if written {
-					w.num(pi)
-					w.num(pm.tokens[pi])
-				}
+func (w *fpWriter) probeTransform(fn GateFunc) {
+	pr := w.probe
+	w.observe(fn, func() {
+		for pi, written := range pr.writes {
+			if written {
+				w.num(pi)
+				w.num(pr.tokens[pi])
 			}
-			return 0, true
-		},
-		func(v float64, panicked bool) {
-			if panicked {
-				w.str("panic")
-				return
-			}
-			w.str("|")
-		},
-	)
+		}
+		w.str("|")
+	})
 }
 
 // delaySpec hashes a timed activity's delay specification. A fixed delay
 // (AddTimedActivity) hashes its distribution spec directly; a
 // marking-dependent delay (AddTimedActivityFunc) is probed like any other
 // closure, hashing the distribution spec observed at every probe marking.
-func (w *fpWriter) delaySpec(a *Activity, probes *fpProbes) {
+func (w *fpWriter) delaySpec(a *Activity) {
 	if a.kind != Timed {
 		return
 	}
@@ -297,24 +225,11 @@ func (w *fpWriter) delaySpec(a *Activity, probes *fpProbes) {
 	}
 	w.str("func")
 	delay := a.delay
-	probes.run(
-		func(pm *probeMarking) (v float64, ok bool) {
-			defer func() {
-				if recover() != nil {
-					ok = false
-				}
-			}()
-			w.str(distSpec(delay(pm)))
-			return 0, true
-		},
-		func(v float64, panicked bool) {
-			if panicked {
-				w.str("panic")
-				return
-			}
-			w.str("|")
-		},
-	)
+	var spec string
+	w.observe(func(m MarkingWriter) { spec = distSpec(delay(m)) }, func() {
+		w.str(spec)
+		w.str("|")
+	})
 }
 
 // distSpec renders a distribution's canonical spec string: the family name

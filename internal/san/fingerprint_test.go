@@ -74,7 +74,7 @@ func TestFingerprintStable(t *testing.T) {
 	if a != b {
 		t.Fatalf("fingerprint not reproducible: %s vs %s", a, b)
 	}
-	const golden = "3f036ed8234f9eb3d587b961202ee0fbb8ba940c6934c8fddf804e3cb18cfcbc"
+	const golden = "ca03f1837830b84cec1a6b035ebb565d87cc19e5d6d36481d84f2dc13959940a"
 	if a != golden {
 		t.Fatalf("fingerprint drifted from golden:\n got %s\nwant %s\n(an intentional serialization change must update the golden)", a, golden)
 	}

@@ -400,15 +400,17 @@ func (m *Model) Validate() error {
 			}
 		}
 		if len(a.cases) > 1 {
-			// When every probability is marking-independent we can check the sum.
+			// When every probability is marking-independent we can check the
+			// sum. A nil probability, or one that panics at the zero marking
+			// (say, by indexing with a place's tokens), makes the activity
+			// marking-dependent, and the check is skipped.
 			sum := 0.0
 			allStatic := true
 			for _, c := range a.cases {
-				if c.Probability == nil {
+				if c.Probability == nil || !guard(func() { sum += c.Probability(zeroMarking{}) }) {
 					allStatic = false
 					break
 				}
-				sum += c.Probability(zeroMarking{})
 			}
 			if allStatic && math.Abs(sum-1) > 1e-9 {
 				return fmt.Errorf("%w: activity %q probabilities sum to %v", ErrBadCase, a.name, sum)
@@ -419,7 +421,8 @@ func (m *Model) Validate() error {
 }
 
 // zeroMarking is a MarkingReader that reports zero tokens everywhere; it is
-// used only to probe marking-independent case probabilities in Validate.
+// used only to probe marking-independent case probabilities in Validate,
+// where it allocates nothing, unlike a place-sized Probe.
 type zeroMarking struct{}
 
 // Tokens implements MarkingReader.

@@ -156,6 +156,36 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateProbabilityPanickingAtZeroMarking: a case probability that
+// indexes a table with a place's tokens panics at the all-zero marking, which
+// no firing reaches. Validate treats the activity as marking-dependent and
+// skips its static case-sum check, so the model compiles and simulates.
+func TestValidateProbabilityPanickingAtZeroMarking(t *testing.T) {
+	m := NewModel("weighted-route")
+	in := m.AddPlace("in", 1)
+	weight := m.AddPlace("weight", 2)
+	left := m.AddPlace("left", 0)
+	right := m.AddPlace("right", 0)
+	share := []float64{1, 0.25} // share of the left case at weight 1 and 2
+	m.AddTimedActivity("route", mustExp(t, 1)).AddInputArc(in, 1).
+		AddCase(Case{
+			Probability: func(r MarkingReader) float64 { return share[r.Tokens(weight)-1] },
+			OutputArcs:  []Arc{{Place: left, Mult: 1}},
+		}).
+		AddCase(Case{
+			Probability: func(r MarkingReader) float64 { return 1 - share[r.Tokens(weight)-1] },
+			OutputArcs:  []Arc{{Place: right, Mult: 1}},
+		})
+	sim := mustSimulator(t, m, []RewardVariable{TokenTimeAverage("left", left)}, rng.NewStream(1, "route"))
+	res, err := sim.Run(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Events != 1 {
+		t.Errorf("%d completions, want route's one", res.Events)
+	}
+}
+
 // mustSimulator compiles m against rewards and returns a simulator over the
 // compiled model drawing from stream.
 func mustSimulator(t *testing.T, m *Model, rewards []RewardVariable, stream *rng.Stream) *Simulator {

@@ -17,11 +17,14 @@ import (
 // holds without exploring a single state.
 //
 // Columns of C are (activity, case) pairs. Arc effects are exact; gate
-// transforms are probed at several base markings — a gate whose token delta
-// is the same at every base contributes that constant delta, while a
-// marking-dependent gate pins the places it touches out of the invariant
-// space (their coefficients are forced to zero), keeping every reported
-// invariant sound for the arc-visible part of the net.
+// transforms are classified by san's closure probe over its base family
+// (san.Probe.GateEffect) — a gate whose token delta is the same at every
+// base contributes that constant delta, while a marking-dependent gate, or
+// one that panics at some bases, pins the places it touches out of the
+// invariant space (their coefficients are forced to zero), keeping every
+// reported invariant sound for the arc-visible part of the net. A gate that
+// panics at every base leaves its touched places unknown, and invariants are
+// skipped altogether.
 
 // incidenceColumn is one (activity, case) column of the incidence matrix.
 type incidenceColumn struct {
@@ -37,12 +40,10 @@ type pInvariant struct {
 }
 
 // invariantResult carries the invariant computation outcome into the
-// certificate assembly.
+// certificate assembly. It is empty when invariants were skipped.
 type invariantResult struct {
 	pInvariants []pInvariant
 	tInvariants int
-	skipped     bool   // budgets exceeded or gates unprobeable
-	skipReason  string // why, for logging in refusals if needed
 }
 
 // boundFor returns the tightest invariant bound for place index pi, with its
@@ -103,22 +104,20 @@ func renderInvariant(inv pInvariant, cm *san.CompiledModel) string {
 }
 
 // computeInvariants builds the incidence matrix and runs Farkas both ways.
-// Budget overruns and unprobeable gates downgrade to an empty result instead
-// of failing: invariants are evidence and refusal-classification aids, not a
-// solver precondition (exploration supplies the exhaustive bounds).
+// Budget overruns (places, columns, P-tableau rows) and a gate transform
+// that panics at every probe base skip invariants, returning an empty
+// result instead of failing: invariants are evidence and
+// refusal-classification aids, not a solver precondition (exploration
+// supplies the exhaustive bounds).
 func computeInvariants(cm *san.CompiledModel) invariantResult {
 	model := cm.Model()
 	nPlaces := model.NumPlaces()
 	if nPlaces > maxInvariantPlaces {
-		return invariantResult{skipped: true, skipReason: fmt.Sprintf("%d places exceed the %d-place invariant budget", nPlaces, maxInvariantPlaces)}
+		return invariantResult{}
 	}
-
 	cols, pinned, ok := incidenceMatrix(cm)
-	if !ok {
-		return invariantResult{skipped: true, skipReason: "a gate transform could not be probed"}
-	}
-	if len(cols) > maxInvariantColumns {
-		return invariantResult{skipped: true, skipReason: fmt.Sprintf("%d columns exceed the %d-column invariant budget", len(cols), maxInvariantColumns)}
+	if !ok || len(cols) > maxInvariantColumns {
+		return invariantResult{}
 	}
 
 	res := invariantResult{}
@@ -143,7 +142,7 @@ func computeInvariants(cm *san.CompiledModel) invariantResult {
 	}
 	pvs, ok := farkas(prows, maxFarkasRows)
 	if !ok {
-		return invariantResult{skipped: true, skipReason: "P-invariant tableau exceeded the row budget"}
+		return invariantResult{}
 	}
 	for _, y := range pvs {
 		var c0 int64
@@ -183,14 +182,28 @@ func incidenceMatrix(cm *san.CompiledModel) (cols []incidenceColumn, pinned []bo
 	model := cm.Model()
 	nPlaces := model.NumPlaces()
 	pinned = make([]bool, nPlaces)
-	bases := probeBases(cm.InitialMarking())
+	probe := san.NewProbe(cm.InitialMarking())
 
-	pin := func(touched []bool) {
-		for pi, t := range touched {
-			if t {
-				pinned[pi] = true
+	// gate adds transform f's constant token delta to eff, or pins the
+	// places f touches when its delta varies by marking, and reports which
+	// (exact). A transform that panics at some bases is marking-dependent in
+	// a way probing cannot pin down, so it counts as varying. known is false
+	// when f panicked at every base.
+	gate := func(f san.GateFunc, eff []int64) (exact, known bool) {
+		e := probe.GateEffect(f)
+		switch {
+		case e.PanickedAll:
+			return false, false
+		case !e.Constant || e.PanickedSome:
+			for pi, t := range e.Touched {
+				pinned[pi] = pinned[pi] || t
 			}
+			return false, true
 		}
+		for pi, d := range e.Delta {
+			eff[pi] += int64(d)
+		}
+		return true, true
 	}
 
 	for _, a := range model.Activities() {
@@ -204,25 +217,16 @@ func incidenceMatrix(cm *san.CompiledModel) (cols []incidenceColumn, pinned []bo
 			if g.Transform == nil {
 				continue
 			}
-			delta, touched, constant, probed := probeGate(g.Transform, bases, nPlaces)
-			if !probed {
+			exact, known := gate(g.Transform, base)
+			if !known {
 				return nil, nil, false
 			}
-			if !constant {
-				pin(touched)
-				baseExact = false
-				continue
-			}
-			for pi := range delta {
-				base[pi] += delta[pi]
-			}
+			baseExact = baseExact && exact
 		}
 
 		cases := a.Cases()
 		if len(cases) == 0 {
-			col := incidenceColumn{effect: append([]int64(nil), base...), exact: baseExact}
-			cols = append(cols, col)
-			continue
+			cols = append(cols, incidenceColumn{effect: base, exact: baseExact})
 		}
 		for _, c := range cases {
 			eff := append([]int64(nil), base...)
@@ -234,118 +238,16 @@ func incidenceMatrix(cm *san.CompiledModel) (cols []incidenceColumn, pinned []bo
 				if og.Transform == nil {
 					continue
 				}
-				delta, touched, constant, probed := probeGate(og.Transform, bases, nPlaces)
-				if !probed {
+				ex, known := gate(og.Transform, eff)
+				if !known {
 					return nil, nil, false
 				}
-				if !constant {
-					pin(touched)
-					exact = false
-					continue
-				}
-				for pi := range delta {
-					eff[pi] += delta[pi]
-				}
+				exact = exact && ex
 			}
 			cols = append(cols, incidenceColumn{effect: eff, exact: exact})
 		}
 	}
 	return cols, pinned, true
-}
-
-// probeBases returns the markings gate transforms are probed at: enough
-// spread (empty, initial, shifted, saturated) to expose marking-dependent
-// deltas on the gates this repository builds.
-func probeBases(initial []int) [][]int {
-	n := len(initial)
-	mk := func(f func(i int) int) []int {
-		m := make([]int, n)
-		for i := range m {
-			v := f(i)
-			if v < 0 {
-				v = 0
-			}
-			m[i] = v
-		}
-		return m
-	}
-	return [][]int{
-		mk(func(int) int { return 0 }),
-		mk(func(i int) int { return initial[i] }),
-		mk(func(i int) int { return initial[i] + 1 }),
-		mk(func(i int) int { return initial[i] + 2 }),
-		mk(func(int) int { return 1 }),
-		mk(func(int) int { return 2 }),
-	}
-}
-
-// probeWriter records the token deltas and touched places of a gate
-// transform run against a scratch marking.
-type probeWriter struct {
-	cur     []int
-	touched []bool
-}
-
-func (w *probeWriter) Tokens(p *san.Place) int { return w.cur[p.Index()] }
-
-func (w *probeWriter) SetTokens(p *san.Place, n int) {
-	w.cur[p.Index()] = n
-	w.touched[p.Index()] = true
-}
-
-func (w *probeWriter) Add(p *san.Place, delta int) { w.SetTokens(p, w.Tokens(p)+delta) }
-
-// probeGate runs the transform at every base and classifies its effect.
-// probed is false when the transform panicked at every base (its touched set
-// is then unknown and no pinning would be sound).
-func probeGate(f san.GateFunc, bases [][]int, nPlaces int) (delta []int64, touched []bool, constant, probed bool) {
-	touched = make([]bool, nPlaces)
-	constant = true
-	ran := 0
-	for _, base := range bases {
-		w := &probeWriter{cur: append([]int(nil), base...), touched: make([]bool, nPlaces)}
-		if !runGateProbe(f, w) {
-			continue
-		}
-		ran++
-		d := make([]int64, nPlaces)
-		for pi := range d {
-			d[pi] = int64(w.cur[pi] - base[pi])
-			if w.touched[pi] {
-				touched[pi] = true
-			}
-		}
-		if delta == nil {
-			delta = d
-			continue
-		}
-		for pi := range d {
-			if d[pi] != delta[pi] {
-				constant = false
-			}
-		}
-	}
-	if ran == 0 {
-		return nil, nil, false, false
-	}
-	if ran < len(bases) {
-		// A transform that panics at some bases is marking-dependent in a
-		// way probing cannot pin down; treat it as non-constant.
-		constant = false
-	}
-	return delta, touched, constant, true
-}
-
-// runGateProbe runs the transform, absorbing panics (gates may assume model
-// invariants that synthetic probe markings violate).
-func runGateProbe(f san.GateFunc, w *probeWriter) (ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false
-		}
-	}()
-	f(w)
-	return true
 }
 
 // farkasRow is one row of the Farkas tableau: the remaining effect part d

@@ -236,8 +236,8 @@ func placeBounds(cm *san.CompiledModel, inv invariantResult, observedMax []int) 
 		pb := san.PlaceBound{Place: p.Name(), Bound: observedMax[pi], Proof: san.ProofExploration}
 		if b, ev, ok := inv.boundFor(pi, cm); ok && b >= observedMax[pi] {
 			// An invariant bound below the observed maximum would mean the
-			// probed gate deltas were not the real ones; the exploration
-			// proof is then the trustworthy one.
+			// gate deltas the closure probe found were not the real ones;
+			// the exploration proof is then the trustworthy one.
 			pb.Bound = b
 			pb.Proof = san.ProofPInvariant
 			pb.Invariant = ev
@@ -253,9 +253,8 @@ type markingVec []int
 func (v markingVec) Tokens(p *san.Place) int { return v[p.Index()] }
 
 // activityRate classifies a timed activity's delay distribution at marking m
-// as exponential and returns its rate, or an error naming why the delay is
-// not memoryless. Weibull with shape 1 is the exponential in disguise the
-// calibration layer produces.
+// by san.MemorylessRate and returns its rate, or an error naming why the
+// delay is not memoryless.
 func activityRate(a *san.Activity, m san.MarkingReader) (rate float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -263,13 +262,11 @@ func activityRate(a *san.Activity, m san.MarkingReader) (rate float64, err error
 		}
 	}()
 	d := a.DelayAt(m)
+	if rate, ok := san.MemorylessRate(d); ok {
+		return rate, nil
+	}
 	switch dd := d.(type) {
-	case dist.Exponential:
-		return dd.Rate(), nil
 	case dist.Weibull:
-		if dd.Shape() == 1 {
-			return 1 / dd.Mean(), nil
-		}
 		return 0, fmt.Errorf("activity %q: Weibull delay with shape %g", a.Name(), dd.Shape())
 	case nil:
 		return 0, fmt.Errorf("activity %q: nil delay", a.Name())
