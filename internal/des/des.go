@@ -10,6 +10,14 @@
 // rescheduling of an id that is already pending, takes the next sequence
 // number. Ties in time therefore fire in the order they were (re)scheduled.
 //
+// Run fires with the "hold" operation of event-set studies: the firing
+// completion keeps its root slot until fire returns, and Pending already
+// reports it gone. The first id that is not pending and is scheduled during
+// fire takes that slot with one sift-down from the root, so the usual
+// "complete, then schedule the next completion" costs one sift instead of
+// a pop and a push. Reset and ResumeAt must not be called from fire: Reset
+// clears the slot flag.
+//
 // Time is a float64 in hours, consistent with the rest of the repository.
 package des
 
@@ -48,6 +56,10 @@ type Engine struct {
 
 	heap []entry
 	pos  []int32 // heap index of each id's pending entry, -1 when none
+
+	// open reports that heap[0] still holds the completion Run is firing:
+	// it is no longer pending, and the next new id scheduled replaces it.
+	open bool
 }
 
 // NewEngine returns an engine for ids in [0, n) with the clock at 0.
@@ -82,6 +94,14 @@ func (e *Engine) Schedule(id int, t float64) error {
 		e.fix(int(i), en)
 		return nil
 	}
+	if e.open {
+		// en follows the firing completion in (time, sequence) order, as
+		// every pending entry does, so it may take the root slot and sift
+		// down from there.
+		e.open = false
+		e.down(0, en)
+		return nil
+	}
 	e.heap = append(e.heap, en)
 	e.up(len(e.heap)-1, en)
 	return nil
@@ -109,10 +129,14 @@ func (e *Engine) Pending(id int) (t float64, seq uint64, ok bool) {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Run executes completions in (time, sequence) order until the next one lies
-// beyond horizon, none is pending, or Stop is called. Each completion is
-// removed from the list before fire runs, so fire may schedule the same id
-// again. The clock is left at max(horizon, last completion time); completions
-// beyond the horizon stay pending. Run returns the number it executed.
+// beyond horizon, none is pending, or Stop is called. A completion stops
+// being pending before fire runs, so Pending reports it gone and fire may
+// schedule the same id again. Its entry keeps the root slot until fire
+// returns, for the first id fire schedules that is not pending, and is
+// removed then if no such id came. fire must not call Reset or ResumeAt,
+// since Reset clears the slot flag. The clock is left at max(horizon, last
+// completion time); completions beyond the horizon stay pending. Run returns
+// the number it executed.
 func (e *Engine) Run(horizon float64, fire func(id int, now float64)) uint64 {
 	if math.IsNaN(horizon) || horizon < e.now {
 		return 0
@@ -121,11 +145,16 @@ func (e *Engine) Run(horizon float64, fire func(id int, now float64)) uint64 {
 	executed := uint64(0)
 	for !e.stopped && len(e.heap) > 0 && e.heap[0].time <= horizon {
 		top := e.heap[0]
-		e.remove(0)
+		e.pos[top.id] = -1
+		e.open = true
 		e.now = top.time
 		e.fired++
 		executed++
 		fire(int(top.id), e.now)
+		if e.open {
+			e.open = false
+			e.remove(0)
+		}
 	}
 	if e.now < horizon {
 		e.now = horizon
@@ -159,6 +188,7 @@ func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0
 	e.stopped = false
+	e.open = false
 	e.fired = 0
 }
 

@@ -139,7 +139,8 @@ func TestCancelFromHandler(t *testing.T) {
 }
 
 // TestNestedScheduling re-schedules the firing id from its own completion:
-// Run removes the completion before calling fire, so this adds a new one.
+// the completion is no longer pending when fire runs, so this adds a new one,
+// which takes the firing completion's slot.
 func TestNestedScheduling(t *testing.T) {
 	e := NewEngine(1)
 	var times []float64
@@ -390,8 +391,12 @@ func (q *refQueue) ResumeAt(t float64, fired uint64) error {
 
 // drive runs one random script against q and returns everything observable:
 // each firing with its time, each call's result, and after every step the
-// clock, the fired counter and every id's pending entry. Times lie on a grid
-// of half hours, so completions tie often.
+// clock, the fired counter and every id's pending entry. Inside fire it also
+// logs the pending entries of the firing id and of one random id, and its
+// actions reach the engine's open root slot: filled by the firing id or by
+// another id that is not pending, a pending id rescheduled or canceled
+// while it is open, and Stop with it unfilled. Times lie on a grid of half
+// hours, so completions tie often.
 func drive(q queue, n int, seed uint64) []string {
 	r := rng.NewStream(seed, "des-differential")
 	var log []string
@@ -401,10 +406,16 @@ func drive(q queue, n int, seed uint64) []string {
 		err := q.Schedule(id, t)
 		logf("schedule %d %v: %v", id, t, err != nil)
 	}
+	pending := func(id int) {
+		t, seq, ok := q.Pending(id)
+		logf("in fire, pending %d: %v seq %d %v", id, t, seq, ok)
+	}
 	fire := func(id int, now float64) {
 		logf("fire %d at %v", id, now)
+		pending(id)
+		pending(r.Intn(n))
 		for k := r.Intn(3); k > 0; k-- {
-			switch r.Intn(6) {
+			switch r.Intn(7) {
 			case 0, 1:
 				schedule(id, now+grid(4)) // re-enable the firing activity
 			case 2:
@@ -416,6 +427,16 @@ func drive(q queue, n int, seed uint64) []string {
 			case 5:
 				if r.Intn(4) == 0 {
 					q.Stop()
+				}
+			case 6:
+				// Schedule the first id after the firing one that is
+				// not pending, if there is one.
+				for j := 1; j < n; j++ {
+					other := (id + j) % n
+					if _, _, ok := q.Pending(other); !ok {
+						schedule(other, now+grid(4))
+						break
+					}
 				}
 			}
 		}
@@ -467,6 +488,31 @@ func TestEngineMatchesReference(t *testing.T) {
 			}
 			t.Fatalf("seed %d: engine logged %d lines, reference %d", seed, len(got), len(want))
 		}
+	}
+}
+
+// BenchmarkHold measures the engine's cost per firing on the hold model of
+// event-set studies: 4,096 completions stay pending at exponential gaps, and
+// each firing schedules one new completion of its own id. One op is one
+// firing.
+func BenchmarkHold(b *testing.B) {
+	const n = 4096
+	r := rng.NewStream(1, "des-hold")
+	gap := func() float64 { return -math.Log(r.OpenFloat64()) * n }
+	e := NewEngine(n)
+	for id := range n {
+		if err := e.Schedule(id, gap()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	fire := func(id int, now float64) {
+		if err := e.Schedule(id, now+gap()); err != nil {
+			b.Fatal(err)
+		}
+		e.Stop()
+	}
+	for b.Loop() {
+		e.Run(math.Inf(1), fire)
 	}
 }
 

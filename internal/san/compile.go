@@ -49,6 +49,10 @@ type CompiledModel struct {
 	// vanishing-marking resolution step does not scan every activity when (as
 	// in the CFS models) there are none.
 	instantaneous []*Activity
+
+	// rateRewards lists the indexes of the rewards with a rate reward, in
+	// reward order; impulse-only rewards earn nothing between completions.
+	rateRewards []int
 }
 
 // Compile validates the model and reward variables and derives the
@@ -76,6 +80,11 @@ func Compile(model *Model, rewards []RewardVariable) (*CompiledModel, error) {
 	for _, a := range model.activities {
 		if a.kind == Instantaneous {
 			cm.instantaneous = append(cm.instantaneous, a)
+		}
+	}
+	for i, rv := range rewards {
+		if rv.Rate != nil {
+			cm.rateRewards = append(cm.rateRewards, i)
 		}
 	}
 	return cm, nil

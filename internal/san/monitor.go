@@ -158,6 +158,9 @@ func (s *Simulator) RunFrom(snap *Snapshot, mission float64, mon *Monitor, resam
 	}
 	st := s.startRun(mon)
 	copy(st.mark.tokens, snap.Tokens)
+	// Evaluating the rate rewards rebuilds their read places for this
+	// marking; their values are the snapshot's.
+	s.snapshotRates(st)
 	copy(st.rateAccum, snap.RateAccum)
 	copy(st.lastRate, snap.LastRate)
 	copy(st.impulses, snap.Impulses)

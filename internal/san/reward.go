@@ -35,7 +35,8 @@ func (m RewardMode) String() string {
 	}
 }
 
-// RateFunc maps a marking to a reward rate.
+// RateFunc maps a marking to a reward rate. It must be a function of the
+// tokens it reads (see RewardVariable.Rate).
 type RateFunc func(m MarkingReader) float64
 
 // ImpulseFunc maps the marking at an activity completion to an impulse
@@ -48,7 +49,10 @@ type RewardVariable struct {
 	Name string
 	// Mode selects the accumulation semantics.
 	Mode RewardMode
-	// Rate is the rate reward (may be nil for pure impulse rewards).
+	// Rate is the rate reward (may be nil for pure impulse rewards). It must
+	// be a function of the tokens it reads: the simulator re-evaluates it
+	// only after a completion changed a place its last evaluation read, so
+	// a rate that also depends on anything outside the marking goes stale.
 	Rate RateFunc
 	// Impulses maps activity names to impulse rewards earned each time that
 	// activity completes.

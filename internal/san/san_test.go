@@ -1070,40 +1070,129 @@ func monitoredFailRepair(t testing.TB) (*Model, []RewardVariable, ImportanceFunc
 	return m, rewards, imp
 }
 
+// readSwitchModel builds a model whose rate reward reads a place in some
+// markings only. A fast source toggles place B and a slow one toggles A.
+// Reward "switched" reads B only while A > 0; its twin "eager" first reads
+// every place, so that every marking change re-evaluates it, and then returns
+// the same value. calls counts the evaluations of each, in that order. Nine
+// rewards on B come first, so the two sit past the first byte of a place's
+// reader set. The importance function is A's token count.
+func readSwitchModel(t testing.TB, calls *[2]int) (*Model, []RewardVariable, ImportanceFunc) {
+	t.Helper()
+	m := NewModel("read-switch")
+	a := m.AddPlace("A", 0)
+	b := m.AddPlace("B", 0)
+	toggle := func(p *Place) *OutputGate {
+		return &OutputGate{Name: "toggle_" + p.Name(), Transform: func(w MarkingWriter) { w.SetTokens(p, 1-w.Tokens(p)) }}
+	}
+	m.AddTimedActivity("flip_a", mustExp(t, 20)).AddOutputGate(toggle(a))
+	m.AddTimedActivity("flip_b", mustExp(t, 0.5)).AddOutputGate(toggle(b))
+	rate := func(mr MarkingReader) float64 {
+		if mr.Tokens(a) > 0 {
+			return 0.25 + float64(mr.Tokens(b))/3
+		}
+		return 0.75
+	}
+	var rewards []RewardVariable
+	for i := range 9 {
+		rewards = append(rewards, TokenTimeAverage("b"+itoa(i), b))
+	}
+	rewards = append(rewards,
+		RewardVariable{Name: "switched", Mode: TimeAveraged, Rate: func(mr MarkingReader) float64 {
+			calls[0]++
+			return rate(mr)
+		}},
+		RewardVariable{Name: "eager", Mode: TimeAveraged, Rate: func(mr MarkingReader) float64 {
+			calls[1]++
+			for _, p := range m.Places() {
+				mr.Tokens(p)
+			}
+			return rate(mr)
+		}},
+	)
+	return m, rewards, func(mr MarkingReader) float64 { return float64(mr.Tokens(a)) }
+}
+
+// TestRateRewardReevaluatedOnlyWhenItsReadsChange runs the read-switch model
+// on 200 seeds: the reward that skips B while A is empty must equal, bit for
+// bit, its twin that every marking change re-evaluates, with strictly fewer
+// evaluations.
+func TestRateRewardReevaluatedOnlyWhenItsReadsChange(t *testing.T) {
+	var calls [2]int
+	m, rewards, _ := readSwitchModel(t, &calls)
+	sim := mustSimulator(t, m, rewards, rng.NewStream(1, "unused"))
+	for seed := uint64(1); seed <= 200; seed++ {
+		if err := sim.Reset(rng.NewStream(seed, "read-switch")); err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run(200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res.Rewards["switched"], res.Rewards["eager"]; got != want {
+			t.Fatalf("seed %d: switched = %v, eager = %v; want them bit-identical", seed, got, want)
+		}
+	}
+	if calls[0] >= calls[1] {
+		t.Errorf("switched was evaluated %d times, eager %d; want strictly fewer", calls[0], calls[1])
+	}
+}
+
 // TestSnapshotReplayBitIdentical verifies that a snapshot captures the
 // complete replication state: restoring it (with the original RNG state)
-// into a fresh simulator must replay the remainder of the trajectory
-// bit-for-bit, yielding the same rewards and event count as the
-// uninterrupted run.
+// into a fresh simulator, or into one that already ran another replication
+// and holds that run's record of what each rate reward read, must replay the
+// remainder of the trajectory bit-for-bit, yielding the same rewards and
+// event count as the uninterrupted run.
 func TestSnapshotReplayBitIdentical(t *testing.T) {
-	m, rewards, imp := monitoredFailRepair(t)
-	const mission = 400
+	var calls [2]int
+	for _, tc := range []struct {
+		name  string
+		build func(testing.TB) (*Model, []RewardVariable, ImportanceFunc)
+	}{
+		{"fail-repair", monitoredFailRepair},
+		{"read-switch", func(t testing.TB) (*Model, []RewardVariable, ImportanceFunc) { return readSwitchModel(t, &calls) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, rewards, imp := tc.build(t)
+			const mission = 400
 
-	var snap *Snapshot
-	sim1 := mustSimulator(t, m, rewards, rng.NewStream(33, "orig"))
-	full, err := sim1.RunMonitored(mission, &Monitor{
-		Importance: imp,
-		Threshold:  1,
-		OnCross:    func(_ float64, s *Snapshot) { snap = s },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap == nil {
-		t.Fatal("no crossing observed; pick a longer mission")
-	}
-	if snap.Time <= 0 || snap.Time >= mission {
-		t.Fatalf("crossing time %v outside (0, %v)", snap.Time, mission)
-	}
+			var snap *Snapshot
+			sim1 := mustSimulator(t, m, rewards, rng.NewStream(33, "orig"))
+			full, err := sim1.RunMonitored(mission, &Monitor{
+				Importance: imp,
+				Threshold:  1,
+				OnCross:    func(_ float64, s *Snapshot) { snap = s },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap == nil {
+				t.Fatal("no crossing observed; pick a longer mission")
+			}
+			if snap.Time <= 0 || snap.Time >= mission {
+				t.Fatalf("crossing time %v outside (0, %v)", snap.Time, mission)
+			}
 
-	// A different seed: RunFrom must restore the stream from the snapshot.
-	sim2 := mustSimulator(t, m, rewards, rng.NewStream(12345, "replay"))
-	replay, err := sim2.RunFrom(snap, mission, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(full, replay) {
-		t.Errorf("replayed result differs:\nfull   = %+v\nreplay = %+v", full, replay)
+			// A different seed: RunFrom must restore the stream from the
+			// snapshot. The used simulator's short run ends before the
+			// crossing, so its rewards last read the places they read below
+			// the threshold.
+			fresh := mustSimulator(t, m, rewards, rng.NewStream(12345, "replay"))
+			used := mustSimulator(t, m, rewards, rng.NewStream(54321, "other"))
+			if _, err := used.Run(0.01); err != nil {
+				t.Fatal(err)
+			}
+			for i, sim := range []*Simulator{fresh, used} {
+				replay, err := sim.RunFrom(snap, mission, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(full, replay) {
+					t.Errorf("%s simulator's replay differs:\nfull   = %+v\nreplay = %+v", [...]string{"fresh", "used"}[i], full, replay)
+				}
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 
 	"repro/internal/des"
@@ -58,6 +59,45 @@ func (m *marking) clearTouched() {
 		m.dirty[idx] = false
 	}
 	m.touched = m.touched[:0]
+}
+
+// rateReads is the MarkingReader the simulator evaluates rate rewards
+// through. It records which places each rate reward read at its last
+// evaluation, so that a completion re-evaluates only the rewards that read a
+// place it changed: a rate reward is a function of the tokens it reads, and
+// one whose read places all kept their tokens would take the same branches
+// and return the same value. Rate rewards are numbered by their position in
+// CompiledModel.rateRewards.
+type rateReads struct {
+	tokens []int
+	width  int       // bitset bytes per place, ⌈rate rewards/8⌉
+	readBy []uint8   // place p's readers: bit k%8 of byte p*width + k/8
+	reads  [][]int32 // places rate reward k read at its last evaluation
+	stale  []uint8   // rate rewards to re-evaluate, one bit each
+	k      int       // the rate reward being evaluated
+}
+
+// newRateReads sizes the bitsets in bytes rather than words: a model has a
+// handful of rate rewards and may have many thousands of places.
+func newRateReads(tokens []int, rates int) rateReads {
+	width := (rates + 7) / 8
+	return rateReads{
+		tokens: tokens,
+		width:  width,
+		readBy: make([]uint8, len(tokens)*width),
+		reads:  make([][]int32, rates),
+		stale:  make([]uint8, width),
+	}
+}
+
+// Tokens implements MarkingReader, recording that rate reward k read p.
+func (r *rateReads) Tokens(p *Place) int {
+	i, bit := p.index*r.width+r.k/8, uint8(1)<<(r.k%8)
+	if r.readBy[i]&bit == 0 {
+		r.readBy[i] |= bit
+		r.reads[r.k] = append(r.reads[r.k], int32(p.index))
+	}
+	return r.tokens[p.index]
 }
 
 // Result holds the reward values of a single replication.
@@ -135,9 +175,10 @@ type runState struct {
 
 	// Reward accumulation.
 	rateAccum []float64 // integral of rate reward so far
-	lastRate  []float64 // rate value since last marking change
+	lastRate  []float64 // rate value since the last change of a place it read
 	lastTime  float64
 	impulses  []float64
+	rates     rateReads // the places each rate reward's lastRate read
 
 	// err records a fatal model error (e.g. ErrUnstableModel) raised inside an
 	// event handler, where it cannot be returned directly; Run surfaces it.
@@ -150,12 +191,14 @@ type runState struct {
 }
 
 func newRunState(cm *CompiledModel) runState {
+	mark := newMarking(cm.initial)
 	return runState{
-		mark:      newMarking(cm.initial),
+		mark:      mark,
 		engine:    des.NewEngine(cm.model.NumActivities()),
 		rateAccum: make([]float64, len(cm.rewards)),
 		lastRate:  make([]float64, len(cm.rewards)),
 		impulses:  make([]float64, len(cm.rewards)),
+		rates:     newRateReads(mark.tokens, len(cm.rateRewards)),
 	}
 }
 
@@ -235,21 +278,51 @@ func (s *Simulator) RunMonitored(mission float64, mon *Monitor) (Result, error) 
 	return s.finishRun(st, mission), nil
 }
 
-// snapshotRates records the current reward rates so that the next
-// integration step uses the post-change values.
+// snapshotRates evaluates every rate reward at the current marking, so that
+// the next integration step uses these values, and records what each read.
 func (s *Simulator) snapshotRates(st *runState) {
-	for i, rv := range s.cm.rewards {
-		if rv.Rate != nil {
-			st.lastRate[i] = rv.Rate(st.mark)
+	for k := range s.cm.rateRewards {
+		s.evalRate(st, k)
+	}
+}
+
+// updateRates re-evaluates the rate rewards whose last evaluation read a
+// place the current completion changed. It must run before reconcile clears
+// the touched places.
+func (s *Simulator) updateRates(st *runState) {
+	r := &st.rates
+	for _, p := range st.mark.touched {
+		for w, b := range r.readBy[p*r.width : (p+1)*r.width] {
+			r.stale[w] |= b
 		}
 	}
+	for w, b := range r.stale {
+		r.stale[w] = 0
+		for ; b != 0; b &= b - 1 {
+			s.evalRate(st, w*8+bits.TrailingZeros8(b))
+		}
+	}
+}
+
+// evalRate evaluates rate reward k into its lastRate, replacing the places
+// its previous evaluation read by the ones this one reads.
+func (s *Simulator) evalRate(st *runState, k int) {
+	r := &st.rates
+	w, bit := k/8, uint8(1)<<(k%8)
+	for _, p := range r.reads[k] {
+		r.readBy[int(p)*r.width+w] &^= bit
+	}
+	r.reads[k] = r.reads[k][:0]
+	r.k = k
+	i := s.cm.rateRewards[k]
+	st.lastRate[i] = s.cm.rewards[i].Rate(r)
 }
 
 // integrateRates advances the rate-reward integrals from st.lastTime to now.
 func (s *Simulator) integrateRates(st *runState, now float64) {
 	dt := now - st.lastTime
 	if dt > 0 {
-		for i := range s.cm.rewards {
+		for _, i := range s.cm.rateRewards {
 			st.rateAccum[i] += st.lastRate[i] * dt
 		}
 		st.lastTime = now
@@ -312,7 +385,7 @@ func (s *Simulator) complete(st *runState, a *Activity, now float64) {
 		st.engine.Stop()
 		return
 	}
-	changed := len(st.mark.touched) > 0
+	s.updateRates(st)
 	s.currentGeneration++
 	gen := s.currentGeneration
 	s.reconcile(st, gen)
@@ -325,11 +398,6 @@ func (s *Simulator) complete(st *runState, a *Activity, now float64) {
 	if s.seenGeneration[a.index] != gen {
 		s.seenGeneration[a.index] = gen
 		s.refreshActivity(st, a)
-	}
-	// Reward rates are functions of the marking alone, so a completion that
-	// changed nothing (e.g. a pure impulse source) cannot have moved them.
-	if changed {
-		s.snapshotRates(st)
 	}
 	s.observe(st, now)
 }
