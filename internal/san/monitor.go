@@ -57,10 +57,11 @@ type Snapshot struct {
 	// parent trajectory. May be nil for hand-built snapshots, in which case
 	// activity index order is used.
 	ScheduledSeq []uint64
-	// RateAccum, LastRate, and Impulses are the reward accumulators, indexed
-	// like the simulator's reward variables.
+	// RateAccum and Impulses are the reward accumulators, indexed like the
+	// simulator's reward variables. The current rate of each rate reward is
+	// not stored: a rate reward is a function of the marking, so RunFrom
+	// re-evaluates it on Tokens.
 	RateAccum []float64
-	LastRate  []float64
 	Impulses  []float64
 	// RNG is the generator state of the simulator's stream.
 	RNG [4]uint64
@@ -77,7 +78,6 @@ func (sn *Snapshot) Clone() *Snapshot {
 	out.Scheduled = append([]float64(nil), sn.Scheduled...)
 	out.ScheduledSeq = append([]uint64(nil), sn.ScheduledSeq...)
 	out.RateAccum = append([]float64(nil), sn.RateAccum...)
-	out.LastRate = append([]float64(nil), sn.LastRate...)
 	out.Impulses = append([]float64(nil), sn.Impulses...)
 	return &out
 }
@@ -92,7 +92,6 @@ func (s *Simulator) snapshot(st *runState, now float64) *Snapshot {
 		Scheduled:    make([]float64, n),
 		ScheduledSeq: make([]uint64, n),
 		RateAccum:    append([]float64(nil), st.rateAccum...),
-		LastRate:     append([]float64(nil), st.lastRate...),
 		Impulses:     append([]float64(nil), st.impulses...),
 		RNG:          s.stream.State(),
 		Events:       st.engine.Fired(),
@@ -119,7 +118,7 @@ func (s *Simulator) validateSnapshot(snap *Snapshot, mission float64) error {
 	if len(snap.Scheduled) != s.cm.model.NumActivities() {
 		return fmt.Errorf("san: snapshot has %d activities, model has %d", len(snap.Scheduled), s.cm.model.NumActivities())
 	}
-	if len(snap.RateAccum) != len(s.cm.rewards) || len(snap.LastRate) != len(s.cm.rewards) || len(snap.Impulses) != len(s.cm.rewards) {
+	if len(snap.RateAccum) != len(s.cm.rewards) || len(snap.Impulses) != len(s.cm.rewards) {
 		return fmt.Errorf("san: snapshot reward accumulators do not match %d reward variables", len(s.cm.rewards))
 	}
 	if math.IsNaN(snap.Time) || snap.Time < 0 {
@@ -158,11 +157,10 @@ func (s *Simulator) RunFrom(snap *Snapshot, mission float64, mon *Monitor, resam
 	}
 	st := s.startRun(mon)
 	copy(st.mark.tokens, snap.Tokens)
-	// Evaluating the rate rewards rebuilds their read places for this
-	// marking; their values are the snapshot's.
+	// Evaluating the rate rewards on the restored marking gives the rates
+	// the parent trajectory held there and rebuilds the places each reads.
 	s.snapshotRates(st)
 	copy(st.rateAccum, snap.RateAccum)
-	copy(st.lastRate, snap.LastRate)
 	copy(st.impulses, snap.Impulses)
 	st.lastTime = snap.Time
 	if err := st.engine.ResumeAt(snap.Time, snap.Events); err != nil {

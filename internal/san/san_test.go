@@ -1207,7 +1207,6 @@ func TestRunFromValidation(t *testing.T) {
 		Tokens:    make([]int, m.NumPlaces()),
 		Scheduled: []float64{math.NaN(), math.NaN()},
 		RateAccum: make([]float64, 2),
-		LastRate:  make([]float64, 2),
 		Impulses:  make([]float64, 2),
 		RNG:       rng.NewStream(4, "s").State(),
 	}

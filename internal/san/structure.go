@@ -197,6 +197,10 @@ type Certificate struct {
 	// and their edges, and the evidence names the collapsed groups and the
 	// flat states checked.
 	Symmetry *SymmetryEvidence `json:"symmetry,omitempty"`
+	// Projections is set when the solver answers the rewards on more than
+	// one lumped chain: one entry per projection, in the order the solver
+	// runs them. Empty means every reward is solved on the whole chain.
+	Projections []ProjectionEvidence `json:"projections,omitempty"`
 	// PInvariants and TInvariants count the invariants found over the
 	// rationals (zero when the invariant tableau exceeded its budget).
 	PInvariants int `json:"p_invariants,omitempty"`
@@ -233,6 +237,26 @@ type SymmetryEvidence struct {
 	// every class: the flat chain's state count whenever the flat chain
 	// reaches every member.
 	FlatStates int `json:"flat_states"`
+}
+
+// ProjectionEvidence records one projection of the generated CTMC: the
+// chain lumped onto the places of one component, on which the solver
+// answered the component's rewards. A component holds the places its rate
+// rewards read, the places changed by the edges that earn its impulses, and
+// every place an edge changes together with one of those. The lumping was
+// checked state by state: every state gave its class representative's
+// multiset of (successor class, rate, impulses of these rewards), reward
+// rates and same-class impulse flux bit for bit, which is strong
+// lumpability.
+type ProjectionEvidence struct {
+	// Rewards names the rewards answered on this projection.
+	Rewards []string `json:"rewards"`
+	// Places is the number of places of the component.
+	Places int `json:"places"`
+	// States and Transitions are the size of the lumped chain: its classes
+	// and the cross-class edges of their representatives.
+	States      int `json:"states"`
+	Transitions int `json:"transitions"`
 }
 
 // Certified reports whether every solver precondition holds.

@@ -28,3 +28,9 @@ func Canonicalizer(cm *san.CompiledModel) func(mark []int) []int {
 		return out
 	}
 }
+
+// SolveTransientIdentity is SolveTransient on the identity projection alone:
+// every reward solved on the whole chain.
+func (g *Generator) SolveTransientIdentity(T float64) (map[string]float64, error) {
+	return g.solve(T, []projection{g.identity()})
+}

@@ -226,19 +226,24 @@ func (g *Generator) solveTransientBaseline(T float64) (map[string]float64, error
 		return nil, fmt.Errorf("%w: mission time %v", ErrSolve, T)
 	}
 	n := len(g.States)
+	id := g.identity()
+	res := make(map[string]float64, len(g.cm.Rewards()))
 	pi := make([]float64, n)      // π(T)
 	sojourn := make([]float64, n) // L(T)
 	for _, sp := range g.Initial {
 		pi[sp.State] += sp.Prob
 	}
 
-	lambda := g.maxExitRate()
+	lambda := g.maxExitRate(&id)
 	if lambda == 0 {
 		// No timed behavior: the chain sits in its initial distribution.
 		for s, p := range pi {
 			sojourn[s] = p * T
 		}
-		return g.evalRewards(pi, sojourn, T)
+		if err := g.evalRewards(&id, pi, sojourn, T, res); err != nil {
+			return nil, err
+		}
+		return res, nil
 	}
 	lt := lambda * T
 	if lt > maxUniformizationConstant {
@@ -317,5 +322,8 @@ func (g *Generator) solveTransientBaseline(T float64) (map[string]float64, error
 			break
 		}
 	}
-	return g.evalRewards(pi, sojourn, T)
+	if err := g.evalRewards(&id, pi, sojourn, T, res); err != nil {
+		return nil, err
+	}
+	return res, nil
 }

@@ -9,11 +9,12 @@ import (
 // This file is the first consumer of the generated CTMC: a uniformization
 // transient solver, generalizing the hand-built birth-death chain behind
 // rareevent.BirthDeathHitProbability to any certified model. SolveTransient
-// (solve_fast.go) runs the series; this file holds the uniformization rate
-// and folds the resulting distribution π(T) and sojourn vector L(T) into the
-// reward variables. Rate rewards integrate against L, impulse rewards
-// accumulate at rate Σ_edges rate·impulse while the source state is
-// occupied, exactly the quantities the simulator estimates.
+// (solve_fast.go) runs the series once per projection (project.go); this
+// file holds a projection's uniformization rate and folds its distribution
+// π(T) and sojourn vector L(T) over classes into its reward variables. Rate
+// rewards integrate against L, impulse rewards accumulate at rate
+// Σ_edges rate·impulse while the source class is occupied, exactly the
+// quantities the simulator estimates.
 
 // ErrSolve reports a numerical-solver failure (never a certificate refusal —
 // those happen before the solver runs).
@@ -23,13 +24,15 @@ var ErrSolve = fmt.Errorf("statespace: solve failed")
 // too many terms for the solver to beat simulation.
 const maxUniformizationConstant = 1e6
 
-// maxExitRate returns the largest total outgoing rate (self-loops excluded).
-func (g *Generator) maxExitRate() float64 {
+// maxExitRate returns the largest total cross-class rate out of p's
+// representatives: on the identity projection, the largest exit rate with
+// self-loops excluded.
+func (g *Generator) maxExitRate(p *projection) float64 {
 	maxExit := 0.0
-	for s := range g.Transitions {
+	for c, r := range p.reps {
 		exit := 0.0
-		for _, t := range g.Transitions[s] {
-			if t.To != s {
+		for _, t := range g.Transitions[r] {
+			if p.classOf[t.To] != int32(c) {
 				exit += t.Rate
 			}
 		}
@@ -40,35 +43,36 @@ func (g *Generator) maxExitRate() float64 {
 	return maxExit
 }
 
-// impulseFlux returns, per state, the impulse-reward accumulation rate of
-// reward ri while the state is occupied: Σ over outgoing edges (self-loops
-// included) of rate · impulse.
-func (g *Generator) impulseFlux(ri int) []float64 {
-	flux := make([]float64, len(g.States))
-	for s := range g.Transitions {
-		for _, t := range g.Transitions[s] {
+// impulseFlux returns, per class of p, the impulse-reward accumulation rate
+// of reward ri while the class is occupied: Σ over its representative's
+// outgoing edges (same-class edges and self-loops included) of rate ·
+// impulse.
+func (g *Generator) impulseFlux(p *projection, ri int) []float64 {
+	flux := make([]float64, len(p.reps))
+	for c, r := range p.reps {
+		for _, t := range g.Transitions[r] {
 			if ri < len(t.Impulses) {
-				flux[s] += t.Rate * t.Impulses[ri]
+				flux[c] += t.Rate * t.Impulses[ri]
 			}
 		}
 	}
 	return flux
 }
 
-// stateRates evaluates reward ri's rate function in every state, with panic
-// recovery.
-func (g *Generator) stateRates(ri int) ([]float64, error) {
+// stateRates evaluates reward ri's rate function on every class
+// representative of p, with panic recovery.
+func (g *Generator) stateRates(p *projection, ri int) ([]float64, error) {
 	rv := g.cm.Rewards()[ri]
-	rates := make([]float64, len(g.States))
+	rates := make([]float64, len(p.reps))
 	if rv.Rate == nil {
 		return rates, nil
 	}
-	for s, mark := range g.States {
-		r, err := evalRewardRate(rv, markingVec(mark))
+	for c, r := range p.reps {
+		v, err := evalRewardRate(rv, markingVec(g.States[r]))
 		if err != nil {
 			return nil, err
 		}
-		rates[s] = r
+		rates[c] = v
 	}
 	return rates, nil
 }
@@ -82,34 +86,35 @@ func evalRewardRate(rv san.RewardVariable, mark san.MarkingReader) (r float64, e
 	return rv.Rate(mark), nil
 }
 
-// evalRewards folds the transient distribution π(T) and sojourn vector L(T)
-// into the reward variables, following the simulator's semantics: a
-// time-averaged reward is (∫rate + impulses)/T, an accumulated reward is
-// ∫rate + impulses, an instant-of-time reward is the rate expectation under
-// π(T).
-func (g *Generator) evalRewards(pi, sojourn []float64, T float64) (map[string]float64, error) {
-	out := make(map[string]float64, len(g.cm.Rewards()))
-	for ri, rv := range g.cm.Rewards() {
-		rates, err := g.stateRates(ri)
+// evalRewards folds p's transient class distribution π(T) and sojourn
+// vector L(T) into p's reward variables, writing them into out, following
+// the simulator's semantics: a time-averaged reward is (∫rate +
+// impulses)/T, an accumulated reward is ∫rate + impulses, an
+// instant-of-time reward is the rate expectation under π(T).
+func (g *Generator) evalRewards(p *projection, pi, sojourn []float64, T float64, out map[string]float64) error {
+	rewards := g.cm.Rewards()
+	for _, ri := range p.rewards {
+		rv := rewards[ri]
+		rates, err := g.stateRates(p, ri)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		switch rv.Mode {
 		case san.InstantAtEnd:
 			total := 0.0
-			for s := range pi {
-				total += pi[s] * rates[s]
+			for c := range pi {
+				total += pi[c] * rates[c]
 			}
 			out[rv.Name] = total
 		default:
 			total := g.InitialImpulses[ri]
-			for s := range sojourn {
-				total += sojourn[s] * rates[s]
+			for c := range sojourn {
+				total += sojourn[c] * rates[c]
 			}
 			if len(rv.Impulses) > 0 {
-				flux := g.impulseFlux(ri)
-				for s := range sojourn {
-					total += sojourn[s] * flux[s]
+				flux := g.impulseFlux(p, ri)
+				for c := range sojourn {
+					total += sojourn[c] * flux[c]
 				}
 			}
 			if rv.Mode == san.TimeAveraged {
@@ -118,5 +123,5 @@ func (g *Generator) evalRewards(pi, sojourn []float64, T float64) (map[string]fl
 			out[rv.Name] = total
 		}
 	}
-	return out, nil
+	return nil
 }

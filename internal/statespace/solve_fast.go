@@ -16,10 +16,12 @@ import (
 // size is a constant, never derived from the worker count, so the
 // floating-point result is bit-identical at every parallelism, including 1.
 //
-// The gather layout stores P transposed: row t lists the source states s with
-// an edge s→t, so dst[t] = v[t]·stay[t] + Σ_s v[s]·P[s,t] is a single
+// The gather layout stores P transposed: row t lists the source classes s
+// with an edge s→t, so dst[t] = v[t]·stay[t] + Σ_s v[s]·P[s,t] is a single
 // accumulation the computing worker owns — no scatter conflicts, no atomics,
-// and each row's sum runs in a fixed (ascending-source) order.
+// and each row's sum runs in a fixed (ascending-source) order. The rows and
+// columns are one projection's classes (project.go); on the identity
+// projection they are the generator's states.
 
 // solveChunkRows is the fixed row-partition size of the parallel kernels.
 const solveChunkRows = 4096
@@ -44,43 +46,45 @@ type gatherCSR struct {
 	stay     []float64 // diagonal: 1 - exit_s/Λ
 }
 
-// buildGather assembles the transposed uniformized matrix at rate lambda.
-// Entries of destination row t are produced by scanning sources in ascending
-// state order, so the row's accumulation order is deterministic by
-// construction.
-func (g *Generator) buildGather(lambda float64) *gatherCSR {
-	n := len(g.States)
+// buildGather assembles p's transposed uniformized matrix at rate lambda,
+// straight from the representatives' cross-class edges. Entries of
+// destination row d are produced by scanning source classes in ascending
+// order, so the row's accumulation order is deterministic by construction.
+func (g *Generator) buildGather(p *projection, lambda float64) *gatherCSR {
+	n := len(p.reps)
 	m := &gatherCSR{rowStart: make([]int32, n+1), stay: make([]float64, n)}
 	counts := make([]int32, n)
-	for s := 0; s < n; s++ {
+	for c, r := range p.reps {
 		exit := 0.0
-		for _, t := range g.Transitions[s] {
-			if t.To == s {
+		for _, t := range g.Transitions[r] {
+			d := p.classOf[t.To]
+			if d == int32(c) {
 				continue
 			}
 			exit += t.Rate
-			counts[t.To]++
+			counts[d]++
 		}
-		m.stay[s] = 1 - exit/lambda
+		m.stay[c] = 1 - exit/lambda
 	}
 	total := int32(0)
-	for t := 0; t < n; t++ {
-		m.rowStart[t] = total
-		total += counts[t]
+	for d := 0; d < n; d++ {
+		m.rowStart[d] = total
+		total += counts[d]
 	}
 	m.rowStart[n] = total
 	m.srcIdx = make([]int32, total)
 	m.val = make([]float64, total)
 	pos := make([]int32, n)
 	copy(pos, m.rowStart[:n])
-	for s := 0; s < n; s++ {
-		for _, t := range g.Transitions[s] {
-			if t.To == s {
+	for c, r := range p.reps {
+		for _, t := range g.Transitions[r] {
+			d := p.classOf[t.To]
+			if d == int32(c) {
 				continue
 			}
-			k := pos[t.To]
-			pos[t.To] = k + 1
-			m.srcIdx[k] = int32(s)
+			k := pos[d]
+			pos[d] = k + 1
+			m.srcIdx[k] = int32(c)
 			m.val[k] = t.Rate / lambda
 		}
 	}
@@ -115,9 +119,9 @@ func (m *gatherCSR) stepRange(dst, v []float64, lo, hi int) {
 	}
 }
 
-// nChunksFor returns the number of fixed-size row chunks covering n rows.
-func nChunksFor(n int) int {
-	return (n + solveChunkRows - 1) / solveChunkRows
+// nChunks returns the number of chunks of the given size covering n items.
+func nChunks(n, size int) int {
+	return (n + size - 1) / size
 }
 
 // vecPool recycles iteration vectors across solves. Vectors are zero-filled
@@ -165,59 +169,84 @@ func fusedUpdate(next, v, pi, sojourn []float64, w, tl float64, lo, hi int) floa
 
 // SolveTransient computes every reward variable at mission time T by
 // uniformization and returns them keyed by reward name — the exact analogue
-// of one simulated replication's Result.Rewards, in expectation. With Λ an
-// upper bound on the total exit rate, P = I + Q/Λ is stochastic and
+// of one simulated replication's Result.Rewards, in expectation. It runs the
+// series below once per projection of the chain (project.go), each on its
+// own lumped chain, in the certificate's projection order; a chain with one
+// component, or one whose lumping failed the check, is solved whole.
+//
+// With Λ an upper bound on the total exit rate, P = I + Q/Λ is stochastic
+// and
 //
 //	π(T)  = Σ_n pois(n; ΛT) · v_n,            v_n = v_{n-1} P
 //	L_s(T) = ∫₀ᵀ π_s(t) dt = (1/Λ) Σ_n P(N > n) · v_n[s]
 //
 // (the second from ∫₀ᵀ pois(n; Λt) dt = P(N > n)/Λ with N ~ Poisson(ΛT)).
-// The series stops when its Poisson tail drops below 1e-12, or earlier on
-// steady-state detection: once v_n stops changing (the embedded chain
-// reached stationarity, L1 step below 1e-13), every remaining term
-// multiplies the same vector, so the rest of the series collapses to the
-// leftover probability mass (for π) and the leftover expected time (for L).
-// The identity Σ_m P(N > m)/Λ = E[N]/Λ = T gives that time in closed form.
-// Missions are typically many mixing times long (ΛT in the tens of
-// thousands for an 8760 h year), so the collapse turns O(ΛT) matrix–vector
-// products into O(Λ·t_mix).
+// The series stops at its Poisson tail test (the tail below 1e-12 once n
+// passes ΛT), at steady-state detection, or after int(ΛT + 12√(ΛT+1) + 50)
+// terms. The tail test cannot fire in practice: the log-space weights sum to
+// 1 − 4.1e-11 at best, above its tolerance, so a chain that does not mix
+// runs every term. Steady-state detection is the stop that fires: once v_n
+// stops changing (the embedded chain reached stationarity, L1 step below
+// 1e-13), every remaining term multiplies the same vector, so the rest of
+// the series collapses to the leftover probability mass (for π) and the
+// leftover expected time (for L). The identity Σ_m P(N > m)/Λ = E[N]/Λ = T
+// gives that time in closed form. The step is not a distance to π, so the
+// collapse carries no stated bound.
 //
 // The products run on the fused gather kernel with pooled vectors, and the
 // result is bit-identical at every parallelism.
 func (g *Generator) SolveTransient(T float64) (map[string]float64, error) {
+	return g.solve(T, g.projections)
+}
+
+// solve runs the series on each projection, writing each one's rewards into
+// one map.
+func (g *Generator) solve(T float64, projs []projection) (map[string]float64, error) {
 	if !(T > 0) || math.IsInf(T, 0) {
 		return nil, fmt.Errorf("%w: mission time %v", ErrSolve, T)
 	}
-	n := len(g.States)
+	out := make(map[string]float64, len(g.cm.Rewards()))
+	for i := range projs {
+		if err := g.solveProjection(&projs[i], T, out); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// solveProjection runs the uniformization series on p's lumped chain and
+// folds the result into p's rewards.
+func (g *Generator) solveProjection(p *projection, T float64, out map[string]float64) error {
+	n := len(p.reps)
 	par := g.workers()
 	pi := getVec(n)      // π(T)
 	sojourn := getVec(n) // L(T)
 	defer putVec(pi)
 	defer putVec(sojourn)
 	for _, sp := range g.Initial {
-		pi[sp.State] += sp.Prob
+		pi[p.classOf[sp.State]] += sp.Prob
 	}
 
-	lambda := g.maxExitRate()
+	lambda := g.maxExitRate(p)
 	if lambda == 0 {
 		// No timed behavior: the chain sits in its initial distribution.
-		for s, p := range pi {
-			sojourn[s] = p * T
+		for c, mass := range pi {
+			sojourn[c] = mass * T
 		}
-		return g.evalRewards(pi, sojourn, T)
+		return g.evalRewards(p, pi, sojourn, T, out)
 	}
 	lt := lambda * T
 	if lt > maxUniformizationConstant {
-		return nil, fmt.Errorf("%w: uniformization constant %v too large", ErrSolve, lt)
+		return fmt.Errorf("%w: uniformization constant %v too large", ErrSolve, lt)
 	}
 
-	P := g.buildGather(lambda)
+	P := g.buildGather(p, lambda)
 	v := getVec(n)
 	next := getVec(n)
 	defer putVec(v)
 	defer putVec(next)
 	for _, sp := range g.Initial {
-		v[sp.State] += sp.Prob
+		v[p.classOf[sp.State]] += sp.Prob
 	}
 
 	// Iteratively updated Poisson weights in log space (the leading weights
@@ -237,7 +266,7 @@ func (g *Generator) SolveTransient(T float64) (map[string]float64, error) {
 	const tol = 1e-12
 	const ssTol = 1e-13
 	maxIter := int(lt + 12*math.Sqrt(lt+1) + 50)
-	diffs := make([]float64, nChunksFor(n))
+	diffs := make([]float64, nChunks(n, solveChunkRows))
 	for it := 1; it <= maxIter; it++ {
 		logWeight += math.Log(lt) - math.Log(float64(it))
 		w = math.Exp(logWeight)
@@ -281,5 +310,5 @@ func (g *Generator) SolveTransient(T float64) (map[string]float64, error) {
 			break
 		}
 	}
-	return g.evalRewards(pi, sojourn, T)
+	return g.evalRewards(p, pi, sojourn, T, out)
 }

@@ -18,6 +18,16 @@
 // refusal or budget overrun on the way, reruns the flat exploration, and the
 // certificate records the collapsed groups (san.SymmetryEvidence).
 //
+// After exploration, the rewards are partitioned by the places they depend
+// on (the places one edge changes together, the places a rate reward reads,
+// the places changed by edges that earn an impulse), and when they fall
+// into several components the chain is lumped onto each component's places.
+// A lumping is admitted only after every state gave its class
+// representative's cross-class edges, reward rates and same-class impulse
+// flux bit for bit; SolveTransient then runs once per lumped chain, and any
+// mismatch solves every reward on the whole chain, the identity projection
+// (san.ProjectionEvidence).
+//
 // Exploration fires activities by san's completion rule (san/fire.go: input
 // arcs, input-gate transforms, case masses, the case's output arcs and
 // gates, post-fire impulses), the one the simulator applies, and closes every
@@ -109,6 +119,10 @@ type Generator struct {
 	// par is the certify Options' worker count for the parallel solver
 	// kernels (0 = GOMAXPROCS).
 	par int
+	// projections are the lumped chains SolveTransient runs, set by
+	// certification: one per component of the rewards, or the identity
+	// projection alone (project.go).
+	projections []projection
 }
 
 // NumTransitions returns the total edge count.
@@ -221,6 +235,10 @@ func certifyWith(cm *san.CompiledModel, opts Options, explore func(*san.Compiled
 	cert.Symmetry = exp.symmetry
 	cert.PlaceBounds = placeBounds(cm, inv, exp.observedMax)
 	gen.par = opts.Parallelism
+
+	// 5. Projections: each reward's component, lumped and checked.
+	gen.projections = gen.project()
+	cert.Projections = gen.evidence(gen.projections)
 	return gen, cert
 }
 
