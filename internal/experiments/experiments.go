@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/abe"
 	"repro/internal/checkpoint"
+	"repro/internal/fanout"
 	"repro/internal/loganalysis"
 	"repro/internal/loggen"
 	"repro/internal/raid"
@@ -535,20 +536,39 @@ func Figure4WeibullCrossCheckPoints(seed uint64) []sweep.Point {
 // off the figure's own points, whose Weibull-disk models must keep refusing
 // straight to simulation without paying a fitted exploration each — and is
 // merged after them.
+//
+// The two sweeps are independent, so they run side by side when
+// Parallelism allows (one after the other at Parallelism 1): the Weibull
+// pair's fitted certification and solve overlap the main sweep's
+// simulations. While both run, the call can use up to twice Parallelism
+// workers. Each sweep writes its own result, and they are merged in call
+// order, so the report is the same at every setting; the first error in
+// call order is returned.
 func Figure4Sweep(opts Options) (*sweep.Result, error) {
 	opts = opts.withDefaults()
 	points := append(Figure4Points(opts.Seed, Figure4ScaleFactors(opts.Quick)), Figure4CrossCheckPoints(opts.Seed)...)
 	points = append(points, Figure4ErlangCrossCheckPoints(opts.Seed)...)
-	res, err := sweep.Run(points, opts.sanOptions())
-	if err != nil {
-		return nil, err
-	}
-	fitOpts := opts.sanOptions()
+	sanOpts := opts.sanOptions()
+	fitOpts := sanOpts
 	fitOpts.PHFitTolerance = Figure4FitTolerance
-	fitRes, err := sweep.Run(Figure4WeibullCrossCheckPoints(opts.Seed), fitOpts)
-	if err != nil {
-		return nil, err
+	calls := []struct {
+		points []sweep.Point
+		opts   san.Options
+	}{
+		{points, sanOpts},
+		{Figure4WeibullCrossCheckPoints(opts.Seed), fitOpts},
 	}
+	results := make([]*sweep.Result, len(calls))
+	errs := make([]error, len(calls))
+	fanout.For(len(calls), sanOpts.WithDefaults().Parallelism, func(_, i int) {
+		results[i], errs[i] = sweep.Run(calls[i].points, calls[i].opts)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	res, fitRes := results[0], results[1]
 	res.Points = append(res.Points, fitRes.Points...)
 	res.TotalEvents += fitRes.TotalEvents
 	return res, nil

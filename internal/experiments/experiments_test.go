@@ -532,6 +532,28 @@ func TestPaperFullDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestFigure4SweepDeterministicAcrossParallelism pins the merge of the
+// figure4 sweeps: run one after the other (parallelism 1) or side by side,
+// they give the same report byte for byte.
+func TestFigure4SweepDeterministicAcrossParallelism(t *testing.T) {
+	var reports []string
+	for _, par := range []int{1, 2} {
+		opts := Options{Quick: true, Replications: 4, MissionHours: 2190, Seed: 5, Parallelism: par}
+		res, err := Figure4Sweep(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := res.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, j)
+	}
+	if reports[0] != reports[1] {
+		t.Error("figure4 sweep JSON differs between parallelism 1 and 2")
+	}
+}
+
 func TestExtensionCheckpoint(t *testing.T) {
 	table, err := ExtensionCheckpoint(quick())
 	if err != nil {

@@ -71,8 +71,9 @@ type ExpansionReport struct {
 	// original distribution, the phase count, and the stage rates. Callers
 	// append it to san.Certificate.Expansions.
 	Expanded []string `json:"expanded,omitempty"`
-	// Refusals holds one RefusalNonExpandable-prefixed reason per
-	// non-memoryless activity the pass had to leave in place.
+	// Refusals holds the RefusalNonExpandable-prefixed reasons for the
+	// non-memoryless activities the pass had to leave in place, one line
+	// per replicate pattern and reason (ActivityRefusals).
 	Refusals []string `json:"refusals,omitempty"`
 	// touched names every activity the pass created or mutated, for the
 	// Verify proof obligation.
@@ -115,6 +116,21 @@ func (r *ExpansionReport) Verify(m *Model) error {
 func PhaseExpandable(d dist.Distribution) (int, bool) {
 	rates, ok := phaseRates(d)
 	return len(rates), ok
+}
+
+// ExpansionCandidate returns the exact stage rates of a's delay, and true,
+// when a is a timed activity with a fixed delay that MemorylessRate rejects
+// and PhaseExpandable accepts. ExpandPhases rewrites only candidates (and
+// only those whose structure keeps the rewrite exact), so a model without a
+// candidate expands into an unchanged copy with no expansion evidence.
+func ExpansionCandidate(a *Activity) ([]float64, bool) {
+	if a.kind != Timed || a.fixedDelay == nil {
+		return nil, false
+	}
+	if _, ok := MemorylessRate(a.fixedDelay); ok {
+		return nil, false
+	}
+	return phaseRates(a.fixedDelay)
 }
 
 // phaseRates flattens d into its exact exponential stage rates, in the order
@@ -229,11 +245,13 @@ func (s *chainStability) refusal(a *Activity) string {
 // report carries the per-activity evidence to append to the solver
 // certificate.
 //
-// Every activity classifies via DelayLumpability first: memoryless delays
-// are untouched, and non-memoryless delays either expand exactly or produce
-// a RefusalNonExpandable reason naming the distribution or the structural
-// precondition that failed. The pass never changes the distribution of any
-// observable quantity — see the exactness argument at the top of this file.
+// Every activity classifies via ExpansionCandidate first: candidates either
+// expand exactly or produce a RefusalNonExpandable reason naming the
+// structural precondition that failed, memoryless delays are untouched, and
+// every other delay is refused with a reason naming its distribution. The
+// refusals are grouped by replicate pattern (ActivityRefusals). The pass
+// never changes the distribution of any observable quantity — see the
+// exactness argument at the top of this file.
 func ExpandPhases(m *Model) (*Model, *ExpansionReport, error) {
 	if err := m.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("san: expand phases: %w", err)
@@ -242,9 +260,9 @@ func ExpandPhases(m *Model) (*Model, *ExpansionReport, error) {
 	stable := newChainStability(m)
 	m = m.rewriteCopy()
 
+	refusals := NewActivityRefusals(m, RefusalNonExpandable)
 	refuse := func(a *Activity, format string, args ...any) {
-		report.Refusals = append(report.Refusals, fmt.Sprintf(
-			"%s: activity %q: %s", RefusalNonExpandable, a.name, fmt.Sprintf(format, args...)))
+		refusals.Add(a.name, fmt.Sprintf(format, args...))
 	}
 
 	// The range evaluates m.activities once, so the stage activities the
@@ -254,22 +272,20 @@ func ExpandPhases(m *Model) (*Model, *ExpansionReport, error) {
 			continue
 		}
 		d := a.fixedDelay
-		if d == nil {
-			// Marking-dependent delay (AddTimedActivityFunc): nothing static
-			// to expand. Memoryless-at-initial-marking delays (the lumped
-			// aggregate activities) are the certificate tier's business;
-			// anything else is refused here with the classification.
-			if reason := delayLumpabilityAt(a, m.InitialMarking()); reason != "" {
-				refuse(a, "marking-dependent delay is not statically expandable (%s)", reason)
-			}
-			continue
-		}
-		if DelayLumpability("delay", d) == "" {
-			continue // already memoryless
-		}
-		rates, ok := phaseRates(d)
+		rates, ok := ExpansionCandidate(a)
 		if !ok {
-			refuse(a, "%s has no exact finite phase-type form", dist.Describe(d))
+			if d == nil {
+				// Marking-dependent delay (AddTimedActivityFunc): nothing
+				// static to expand. Memoryless-at-initial-marking delays
+				// (the lumped aggregate activities) are the certificate
+				// tier's business; anything else is refused here with the
+				// classification.
+				if reason := delayLumpabilityAt(a, m.InitialMarking()); reason != "" {
+					refuse(a, "marking-dependent delay is not statically expandable (%s)", reason)
+				}
+			} else if _, memoryless := MemorylessRate(d); !memoryless {
+				refuse(a, "%s has no exact finite phase-type form", dist.Describe(d))
+			}
 			continue
 		}
 		if len(rates) > maxExpansionPhases {
@@ -305,6 +321,7 @@ func ExpandPhases(m *Model) (*Model, *ExpansionReport, error) {
 			report.touched = append(report.touched, phaseName(a.name, i))
 		}
 	}
+	report.Refusals = refusals.Lines()
 	if err := report.Verify(m); err != nil {
 		return nil, nil, err
 	}

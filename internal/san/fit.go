@@ -89,8 +89,9 @@ type FitReport struct {
 	// Fits holds one evidence record per fitted activity. Callers copy it
 	// into san.Certificate.Approximations.
 	Fits []FitEvidence `json:"fits,omitempty"`
-	// Refusals holds one RefusalNonFittable-prefixed reason per
-	// non-memoryless activity the pass could not fit within tolerance.
+	// Refusals holds the RefusalNonFittable-prefixed reasons for the
+	// non-memoryless activities the pass could not fit within tolerance,
+	// one line per replicate pattern and reason (ActivityRefusals).
 	Refusals []string `json:"refusals,omitempty"`
 	// touched names every timed activity the pass created or mutated, for
 	// the Verify proof obligation.
@@ -163,9 +164,9 @@ func FitPhases(m *Model, tol float64) (*Model, *FitReport, error) {
 	stable := newChainStability(m)
 	m = m.rewriteCopy()
 
+	refusals := NewActivityRefusals(m, RefusalNonFittable)
 	refuse := func(a *Activity, format string, args ...any) {
-		report.Refusals = append(report.Refusals, fmt.Sprintf(
-			"%s: activity %q: %s", RefusalNonFittable, a.name, fmt.Sprintf(format, args...)))
+		refusals.Add(a.name, fmt.Sprintf(format, args...))
 	}
 
 	// The range evaluates m.activities once, so the stage and selector
@@ -181,7 +182,7 @@ func FitPhases(m *Model, tol float64) (*Model, *FitReport, error) {
 			}
 			continue
 		}
-		if DelayLumpability("delay", d) == "" {
+		if _, ok := MemorylessRate(d); ok {
 			continue // already memoryless
 		}
 		if k, ok := PhaseExpandable(d); ok {
@@ -233,6 +234,7 @@ func FitPhases(m *Model, tol float64) (*Model, *FitReport, error) {
 			MomentsMatched: res.MomentsMatched,
 		})
 	}
+	report.Refusals = refusals.Lines()
 	if err := report.Verify(m); err != nil {
 		return nil, nil, err
 	}

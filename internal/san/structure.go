@@ -210,6 +210,9 @@ type Certificate struct {
 	PlaceBounds []PlaceBound `json:"place_bounds,omitempty"`
 	// Refusals lists the structured reasons the certificate was refused,
 	// each prefixed with one of the Refusal* constants. Empty iff Certified.
+	// Per-activity reasons are stated once per replicate pattern and
+	// reason (ActivityRefusals), in the order of each group's first
+	// activity, so a replicated model refuses in a few lines.
 	Refusals []string `json:"refusals,omitempty"`
 	// Expansions holds the phase-type expansion evidence when the certified
 	// model is the image of ExpandPhases: one string per rewritten activity,

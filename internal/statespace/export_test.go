@@ -1,6 +1,10 @@
 package statespace
 
-import "repro/internal/san"
+import (
+	"fmt"
+
+	"repro/internal/san"
+)
 
 // CertifyReference is Certify on the sequential reference explorer.
 func CertifyReference(cm *san.CompiledModel, opts Options) (*Generator, san.Certificate) {
@@ -33,4 +37,21 @@ func Canonicalizer(cm *san.CompiledModel) func(mark []int) []int {
 // every reward solved on the whole chain.
 func (g *Generator) SolveTransientIdentity(T float64) (map[string]float64, error) {
 	return g.solve(T, []projection{g.identity()})
+}
+
+// PerActivityRefusals returns the memoryless check's refusals one line per
+// refused timed activity, in model order: the lines Certify states once per
+// replicate group.
+func PerActivityRefusals(cm *san.CompiledModel) []string {
+	initial := markingVec(cm.InitialMarking())
+	var lines []string
+	for _, a := range cm.Model().Activities() {
+		if a.Kind() != san.Timed {
+			continue
+		}
+		if _, err := activityRate(a, initial); err != nil {
+			lines = append(lines, fmt.Sprintf("%s: %v", san.RefusalNonMemoryless, err))
+		}
+	}
+	return lines
 }

@@ -161,17 +161,19 @@ func certifyWith(cm *san.CompiledModel, opts Options, explore func(*san.Compiled
 	// 1. Memoryless pre-check at the initial marking. Per-state rates are
 	// re-derived during exploration; this catches structurally hopeless
 	// models (uniform repairs, Weibull wear-out) before any state is built.
-	initial := cm.InitialMarking()
-	cert.Memoryless = true
+	// The refusals are grouped by replicate pattern (san.ActivityRefusals).
+	initial := markingVec(cm.InitialMarking())
+	nonMemoryless := san.NewActivityRefusals(cm.Model(), san.RefusalNonMemoryless)
 	for _, a := range cm.Model().Activities() {
 		if a.Kind() != san.Timed {
 			continue
 		}
-		if _, err := activityRate(a, markingVec(initial)); err != nil {
-			cert.Memoryless = false
-			cert.Refusals = append(cert.Refusals, fmt.Sprintf("%s: %v", san.RefusalNonMemoryless, err))
+		if _, reason := delayRate(a, initial); reason != "" {
+			nonMemoryless.Add(a.Name(), reason)
 		}
 	}
+	cert.Refusals = nonMemoryless.Lines()
+	cert.Memoryless = len(cert.Refusals) == 0
 
 	// 2. Vanishing behavior: with no instantaneous activities elimination is
 	// trivially terminating; otherwise the instantaneous-loop analysis must
@@ -271,31 +273,41 @@ type markingVec []int
 func (v markingVec) Tokens(p *san.Place) int { return v[p.Index()] }
 
 // activityRate classifies a timed activity's delay distribution at marking m
-// by san.MemorylessRate and returns its rate, or an error naming why the
-// delay is not memoryless.
-func activityRate(a *san.Activity, m san.MarkingReader) (rate float64, err error) {
+// by san.MemorylessRate and returns its rate, or an error naming the
+// activity and why its delay is not memoryless.
+func activityRate(a *san.Activity, m san.MarkingReader) (float64, error) {
+	rate, reason := delayRate(a, m)
+	if reason != "" {
+		return 0, fmt.Errorf("activity %q: %s", a.Name(), reason)
+	}
+	return rate, nil
+}
+
+// delayRate is activityRate with the reason, which does not name the
+// activity, in place of the error: "" when the delay is memoryless.
+func delayRate(a *san.Activity, m san.MarkingReader) (rate float64, reason string) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("activity %q: delay evaluation panicked: %v", a.Name(), r)
+			rate, reason = 0, fmt.Sprintf("delay evaluation panicked: %v", r)
 		}
 	}()
 	d := a.DelayAt(m)
 	if rate, ok := san.MemorylessRate(d); ok {
-		return rate, nil
+		return rate, ""
 	}
 	switch dd := d.(type) {
 	case dist.Weibull:
-		return 0, fmt.Errorf("activity %q: Weibull delay with shape %g", a.Name(), dd.Shape())
+		return 0, fmt.Sprintf("Weibull delay with shape %g", dd.Shape())
 	case nil:
-		return 0, fmt.Errorf("activity %q: nil delay", a.Name())
+		return 0, "nil delay"
 	default:
 		// Name the remedy when one exists: a refusal over an exactly
 		// expandable delay points the reader (and the solver tier's retry)
 		// at san.ExpandPhases.
 		if k, ok := san.PhaseExpandable(d); ok {
-			return 0, fmt.Errorf("activity %q: %T delay (exactly expandable into %d exponential phases)", a.Name(), d, k)
+			return 0, fmt.Sprintf("%T delay (exactly expandable into %d exponential phases)", d, k)
 		}
-		return 0, fmt.Errorf("activity %q: %T delay", a.Name(), d)
+		return 0, fmt.Sprintf("%T delay", d)
 	}
 }
 
@@ -312,13 +324,16 @@ func sortedPlaceNames(cm *san.CompiledModel, idx []int) []string {
 
 // CertifyCascade is the sweep's certification cascade for one compiled
 // model. It runs Certify; when the certificate is refused as non-memoryless
+// and some timed activity is an expansion candidate (san.ExpansionCandidate)
 // it retries through CertifyExpanded, and when the standing certificate is
 // still refused as non-memoryless and fitTol > 0, through CertifyFitted.
 // Both retries rewrite copies of cm.Model(), so cm stays as compiled for a
 // simulation fallback. A retry's certificate replaces the standing one only
-// when its pass rewrote something; otherwise the earlier refusals stand.
-// The error return covers structural failures of the passes only — a
-// refused certificate is a result, not an error.
+// when its pass rewrote something; otherwise the earlier refusals stand. A
+// model without an expansion candidate is exactly one whose expansion
+// rewrites nothing, so skipping its retry drops only a certificate the
+// cascade would discard. The error return covers structural failures of the
+// passes only — a refused certificate is a result, not an error.
 func CertifyCascade(cm *san.CompiledModel, fitTol float64, opts Options) (*Generator, san.Certificate, error) {
 	gen, cert := Certify(cm, opts)
 	nonMemoryless := func() bool {
@@ -326,7 +341,11 @@ func CertifyCascade(cm *san.CompiledModel, fitTol float64, opts Options) (*Gener
 			return strings.HasPrefix(r, san.RefusalNonMemoryless)
 		})
 	}
-	if nonMemoryless() {
+	expandable := func(a *san.Activity) bool {
+		_, ok := san.ExpansionCandidate(a)
+		return ok
+	}
+	if nonMemoryless() && slices.ContainsFunc(cm.Model().Activities(), expandable) {
 		exGen, exCert, rep, err := CertifyExpanded(cm.Model(), cm.Rewards(), opts)
 		if err != nil {
 			return nil, san.Certificate{}, err

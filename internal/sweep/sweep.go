@@ -76,8 +76,10 @@ type Solver struct {
 	// MethodSimulation.
 	Method string
 	// Reasons explains a simulation choice: the certificate's structured
-	// refusals, a solver error, or the point's ForceSimulation override.
-	// Empty when the solver answered analytically.
+	// refusals (Certificate.Refusals itself, per-activity reasons stated
+	// once per replicate group), a solver error, or the point's
+	// ForceSimulation override. Empty when the solver answered
+	// analytically.
 	Reasons []string
 	// Certificate is the structural certificate when certification ran (it
 	// is skipped under ForceSimulation).
