@@ -23,10 +23,11 @@ test:
 
 # Race-check the shared fan-out (fanout.For, the only goroutine launch in
 # non-test code) and the packages that run work through it: the replication
-# runner, the parallel state-space explorer and solver kernels, the sharded
-# sweep engine, the snapshot/clone machinery of the rare-event engine, the
-# calibration pipeline feeding the sweep (paper_full), the discrete-event
-# core, the checkpoint/restore machinery, and the experiment drivers.
+# runner, the sharded sweep engine and the state-space tier its workers
+# certify and solve on (each call on its worker's goroutine), the
+# snapshot/clone machinery of the rare-event engine, the calibration
+# pipeline feeding the sweep (paper_full), the discrete-event core, the
+# checkpoint/restore machinery, and the experiment drivers.
 # The experiments package exceeds Go's default 10m test-binary deadline
 # under the race detector, so the timeout is set explicitly.
 race:

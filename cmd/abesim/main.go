@@ -58,7 +58,7 @@ func main() {
 		replications = flag.Int("replications", 0, "replications per design point (0 = default)")
 		mission      = flag.Float64("mission", 0, "mission time per replication in hours (0 = one year)")
 		seed         = flag.Uint64("seed", 0, "random seed (0 = default)")
-		parallelism  = flag.Int("parallelism", 0, "simulation worker goroutines (0 = GOMAXPROCS; results are bit-identical across settings)")
+		parallelism  = flag.Int("parallelism", 0, "worker goroutines per sweep or study; sweep points certify and solve on their worker (0 = GOMAXPROCS; results are bit-identical across settings)")
 		quick        = flag.Bool("quick", false, "fewer replications and sweep points")
 		jsonOut      = flag.Bool("json", false, "emit machine-readable JSON instead of rendered text")
 		analyze      = flag.Bool("analyze", false, "statically analyze the experiment's model configurations and include the result (text, or an \"analysis\" JSON section)")

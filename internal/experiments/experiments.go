@@ -31,8 +31,12 @@ type Options struct {
 	MissionHours float64
 	// Seed for reproducibility (default 1).
 	Seed uint64
-	// Parallelism is the number of worker goroutines for the simulation
-	// studies (0 = GOMAXPROCS). Results are bit-identical across settings.
+	// Parallelism is the number of worker goroutines (0 = GOMAXPROCS) for
+	// the simulation studies, the rare-event stages and each sweep's point
+	// fan-out. Certification and the analytic solve run on the sweep's
+	// workers and start none of their own, so at 1 an experiment runs on
+	// one goroutine; Figure4Sweep runs its two sweeps side by side, up to
+	// twice Parallelism workers. Results are bit-identical across settings.
 	Parallelism int
 	// Quick trades accuracy for speed (fewer replications, fewer sweep
 	// points); intended for benchmarks and CI.
@@ -754,10 +758,11 @@ func RareEventDataLoss(opts Options) (report.Table, error) {
 		}
 	}
 	split, err := rareevent.Run(model, importance, rareevent.Options{
-		Mission: opts.MissionHours,
-		Levels:  levels,
-		Effort:  effort,
-		Seed:    opts.Seed,
+		Mission:     opts.MissionHours,
+		Levels:      levels,
+		Effort:      effort,
+		Seed:        opts.Seed,
+		Parallelism: opts.Parallelism,
 		// Disk lifetimes are exponential (ShapeBeta 1), so re-drawing the
 		// pending failure times when a trajectory is cloned is exactly
 		// distribution-preserving and keeps the clones of one entry state
@@ -776,6 +781,7 @@ func RareEventDataLoss(opts Options) (report.Table, error) {
 		Level:       levels[len(levels)-1],
 		EventBudget: split.TotalEvents,
 		Seed:        opts.Seed,
+		Parallelism: opts.Parallelism,
 	})
 	if err != nil {
 		return report.Table{}, err

@@ -525,8 +525,10 @@ type Options struct {
 	// that the zero Options value is fully specified; pass any nonzero seed
 	// for a different reproducible study.
 	Seed uint64
-	// Parallelism is the number of worker goroutines. Zero means the default
-	// of GOMAXPROCS.
+	// Parallelism is the number of worker goroutines: the replications'
+	// workers, and a sweep's (sweep.Run), whose points certify and solve on
+	// the worker that holds them — the state-space tier starts no goroutine
+	// of its own. Zero means the default of GOMAXPROCS.
 	Parallelism int
 	// PHFitTolerance, when positive, opts a study into the approximate
 	// phase-type fitting solver tier: after exact expansion fails, the sweep

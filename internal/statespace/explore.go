@@ -37,40 +37,6 @@ type outcome struct {
 	imp  []float64
 }
 
-type explorer struct {
-	cm        *san.CompiledModel
-	inst      []*san.Activity
-	timed     []*san.Activity
-	nPlaces   int
-	nRewards  int
-	maxStates int
-
-	states      [][]int
-	transitions [][]Transition
-	observedMax []int
-	overBudget  bool
-}
-
-// newExplorer builds the semantic core: the timed/instantaneous activity
-// split that expansion and the vanishing closure walk.
-func newExplorer(cm *san.CompiledModel, opts Options) *explorer {
-	model := cm.Model()
-	ex := &explorer{
-		cm:          cm,
-		inst:        cm.Instantaneous(),
-		nPlaces:     model.NumPlaces(),
-		nRewards:    len(cm.Rewards()),
-		maxStates:   opts.MaxStates,
-		observedMax: make([]int, model.NumPlaces()),
-	}
-	for _, a := range model.Activities() {
-		if a.Kind() == san.Timed {
-			ex.timed = append(ex.timed, a)
-		}
-	}
-	return ex
-}
-
 // nonMemorylessError classifies a reachable-state memorylessness failure so
 // the certificate reports it as a refusal distinct from exploration errors.
 type nonMemorylessError string

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/abe"
@@ -64,7 +66,7 @@ type chainFixture struct {
 var chainFixtures = []chainFixture{
 	{"farm8", 256, "c4ad5665ce507fab4bd04e4f95bb3e4bc8a543d60056960d57949dd0b445d6a4",
 		256, "c4ad5665ce507fab4bd04e4f95bb3e4bc8a543d60056960d57949dd0b445d6a4",
-		func(t *testing.T) *san.CompiledModel { return buildComponentFarm(t, 8) }},
+		func(t *testing.T) *san.CompiledModel { return buildComponentFarm(t, 8, nil) }},
 	{"MiniExponential", 1728, "5f777292ec346cb53e124044b11771da34e378d95e338f5de7321b3c7e465457",
 		1728, "5f777292ec346cb53e124044b11771da34e378d95e338f5de7321b3c7e465457",
 		func(t *testing.T) *san.CompiledModel { return buildMini(t, abe.MiniExponential(), false, 0) }},
@@ -140,8 +142,7 @@ func sameChain(t *testing.T, got, want *statespace.Generator) {
 		}
 		for k := range we {
 			g, w := ge[k], we[k]
-			if g.From != w.From || g.To != w.To || g.Activity != w.Activity ||
-				math.Float64bits(g.Rate) != math.Float64bits(w.Rate) {
+			if g.To != w.To || math.Float64bits(g.Rate) != math.Float64bits(w.Rate) {
 				t.Fatalf("state %d edge %d: got %+v want %+v", si, k, g, w)
 			}
 			n := len(g.Impulses)
@@ -165,11 +166,9 @@ func sameChain(t *testing.T, got, want *statespace.Generator) {
 }
 
 // TestExploreFastMatchesBaseline checks the interned explorer against the
-// sequential reference explorer on the hypercube fixture and the three
-// shipped minis: identical state numbering, markings, initial distribution,
-// and edges — or, for a symmetric quotient, the reference chain lumped class
-// for class — at parallelism 1 and at a worker count far above the chunk
-// count.
+// reference explorer on the hypercube fixture and the three shipped minis:
+// identical state numbering, markings, initial distribution, and edges —
+// or, for a symmetric quotient, the reference chain lumped class for class.
 func TestExploreFastMatchesBaseline(t *testing.T) {
 	for _, fx := range chainFixtures {
 		t.Run(fx.name, func(t *testing.T) {
@@ -178,16 +177,14 @@ func TestExploreFastMatchesBaseline(t *testing.T) {
 			if len(ref.States) != fx.flatStates {
 				t.Fatalf("fixture: got %d flat states, want %d", len(ref.States), fx.flatStates)
 			}
-			for _, par := range []int{1, 8} {
-				fast := mustCertify(t, statespace.Certify, cm, statespace.Options{Parallelism: par})
-				if len(fast.States) != fx.states {
-					t.Fatalf("parallelism %d: got %d states, want %d", par, len(fast.States), fx.states)
-				}
-				if fx.states == fx.flatStates {
-					sameChain(t, fast, ref)
-				} else {
-					sameQuotient(t, cm, fast, ref)
-				}
+			fast := mustCertify(t, statespace.Certify, cm, statespace.Options{})
+			if len(fast.States) != fx.states {
+				t.Fatalf("got %d states, want %d", len(fast.States), fx.states)
+			}
+			if fx.states == fx.flatStates {
+				sameChain(t, fast, ref)
+			} else {
+				sameQuotient(t, cm, fast, ref)
 			}
 		})
 	}
@@ -198,13 +195,13 @@ func TestExploreFastMatchesBaseline(t *testing.T) {
 // route of the optimized explorer.
 func TestExploreFastMatchesBaselineVanishing(t *testing.T) {
 	ref := mustCertify(t, statespace.CertifyReference, buildVanishingRouter(t), statespace.Options{})
-	fast := mustCertify(t, statespace.Certify, buildVanishingRouter(t), statespace.Options{Parallelism: 4})
+	fast := mustCertify(t, statespace.Certify, buildVanishingRouter(t), statespace.Options{})
 	sameChain(t, fast, ref)
 }
 
 // TestExploreGoldenNumbering pins the state numbering of the hypercube
-// fixture and the three shipped minis to golden digests: the explorer's at
-// every parallelism, and the reference explorer's flat numbering. With
+// fixture and the three shipped minis to golden digests: the explorer's,
+// and the reference explorer's flat numbering. With
 // TestExploreFastMatchesBaseline holding the two explorers to each other,
 // neither can silently drift — the interned index must keep assigning
 // indices in the reference discovery order.
@@ -212,42 +209,15 @@ func TestExploreGoldenNumbering(t *testing.T) {
 	for _, fx := range chainFixtures {
 		t.Run(fx.name, func(t *testing.T) {
 			cm := fx.build(t)
-			for _, opts := range []statespace.Options{{Parallelism: 1}, {Parallelism: 8}} {
-				gen := mustCertify(t, statespace.Certify, cm, opts)
-				if got := numberingDigest(gen); got != fx.golden {
-					t.Fatalf("state numbering drifted (opts %+v):\n got %s\nwant %s", opts, got, fx.golden)
-				}
+			gen := mustCertify(t, statespace.Certify, cm, statespace.Options{})
+			if got := numberingDigest(gen); got != fx.golden {
+				t.Fatalf("state numbering drifted:\n got %s\nwant %s", got, fx.golden)
 			}
 			ref := mustCertify(t, statespace.CertifyReference, cm, statespace.Options{})
 			if got := numberingDigest(ref); got != fx.flatGolden {
 				t.Fatalf("flat reference numbering drifted:\n got %s\nwant %s", got, fx.flatGolden)
 			}
 		})
-	}
-}
-
-// TestSolveBitIdenticalAcrossParallelism runs explore + SolveTransient at
-// parallelism 1 and at several higher worker counts and asserts the reward
-// maps are bit-identical: the fixed-chunk kernels must make the worker count
-// unobservable in the floating-point result.
-func TestSolveBitIdenticalAcrossParallelism(t *testing.T) {
-	cm := buildComponentFarm(t, 8)
-	base := mustCertify(t, statespace.Certify, cm, statespace.Options{Parallelism: 1})
-	want, err := base.SolveTransient(5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range []int{2, 4, 16} {
-		gen := mustCertify(t, statespace.Certify, cm, statespace.Options{Parallelism: par})
-		got, err := gen.SolveTransient(5000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, w := range want {
-			if math.Float64bits(got[name]) != math.Float64bits(w) {
-				t.Errorf("parallelism %d: transient %q = %v, want bit-identical %v", par, name, got[name], w)
-			}
-		}
 	}
 }
 
@@ -263,7 +233,7 @@ func TestFastSolverMatchesBaselineNumerically(t *testing.T) {
 		t.Run(fx.name, func(t *testing.T) {
 			cm := fx.build(t)
 			ref := mustCertify(t, statespace.CertifyReference, cm, statespace.Options{})
-			fast := mustCertify(t, statespace.Certify, cm, statespace.Options{Parallelism: 4})
+			fast := mustCertify(t, statespace.Certify, cm, statespace.Options{})
 			want, err := ref.SolveTransientReference(8760)
 			if err != nil {
 				t.Fatal(err)
@@ -308,7 +278,7 @@ func TestExploreFastRefusalsMatchBaseline(t *testing.T) {
 		return cm
 	}
 	_, refCert := statespace.CertifyReference(build(), statespace.Options{})
-	_, fastCert := statespace.Certify(build(), statespace.Options{Parallelism: 4})
+	_, fastCert := statespace.Certify(build(), statespace.Options{})
 	if refCert.Certified() || fastCert.Certified() {
 		t.Fatal("fixture unexpectedly certified")
 	}
@@ -318,13 +288,44 @@ func TestExploreFastRefusalsMatchBaseline(t *testing.T) {
 
 	// Budget overrun: both paths must stop at the same budget with the same
 	// refusal.
-	cm := buildComponentFarm(t, 8)
+	cm := buildComponentFarm(t, 8, nil)
 	_, refCert = statespace.CertifyReference(cm, statespace.Options{MaxStates: 100})
-	_, fastCert = statespace.Certify(cm, statespace.Options{Parallelism: 4, MaxStates: 100})
+	_, fastCert = statespace.Certify(cm, statespace.Options{MaxStates: 100})
 	if refCert.Certified() || fastCert.Certified() {
 		t.Fatal("budget fixture unexpectedly certified")
 	}
 	if got, want := fastCert.Summary(), refCert.Summary(); got != want {
 		t.Fatalf("budget refusal differs:\nfast:     %s\nbaseline: %s", got, want)
+	}
+}
+
+// TestCertifyAndSolveStartNoGoroutines certifies and solves an 11-unit
+// farm, whose BFS levels are up to 462 states wide, at GOMAXPROCS of at
+// least 2, sampling runtime.NumGoroutine from the model's case
+// probabilities and rate reward. Certification and the solve run on the
+// caller's goroutine, so no sample may exceed the count taken before the
+// call: the sweep's point fan-out is the only pool.
+func TestCertifyAndSolveStartNoGoroutines(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	var peak atomic.Int64
+	cm := buildComponentFarm(t, 11, func() {
+		n := int64(runtime.NumGoroutine())
+		for cur := peak.Load(); n > cur && !peak.CompareAndSwap(cur, n); cur = peak.Load() {
+		}
+	})
+	before := int64(runtime.NumGoroutine())
+	peak.Store(0)
+	gen := mustCertify(t, statespace.Certify, cm, statespace.Options{})
+	explored := peak.Load()
+	if _, err := gen.SolveTransient(100); err != nil {
+		t.Fatal(err)
+	}
+	if explored == 0 {
+		t.Fatal("no closure sampled the goroutine count during exploration")
+	}
+	if got := peak.Load(); got > before {
+		t.Fatalf("%d goroutines while certifying and solving, %d before", got, before)
 	}
 }

@@ -11,10 +11,13 @@ import (
 // buildComponentFarm builds n independent two-state components with distinct
 // rates, a two-case failure branch (one case through an output gate), and
 // both rate and impulse rewards. Its state space is the full 2^n hypercube
-// with BFS levels up to C(n, n/2) states wide, so exploration at
-// parallelism > 1 exercises the chunked level-parallel path.
-func buildComponentFarm(t *testing.T, n int) *san.CompiledModel {
+// with BFS levels up to C(n, n/2) states wide. probe, when not nil, runs in
+// every case probability and rate reward evaluation.
+func buildComponentFarm(t *testing.T, n int, probe func()) *san.CompiledModel {
 	t.Helper()
+	if probe == nil {
+		probe = func() {}
+	}
 	m := san.NewModel("farm")
 	downs := make([]*san.Place, n)
 	for i := 0; i < n; i++ {
@@ -24,11 +27,11 @@ func buildComponentFarm(t *testing.T, n int) *san.CompiledModel {
 		fail := m.AddTimedActivity(name("fail", i), mustExpRate(t, 0.001*float64(i+1)))
 		fail.AddInputArc(up, 1)
 		fail.AddCase(san.Case{
-			Probability: func(mr san.MarkingReader) float64 { return 0.7 },
+			Probability: func(mr san.MarkingReader) float64 { probe(); return 0.7 },
 			OutputArcs:  []san.Arc{{Place: down, Mult: 1}},
 		})
 		fail.AddCase(san.Case{
-			Probability: func(mr san.MarkingReader) float64 { return 0.3 },
+			Probability: func(mr san.MarkingReader) float64 { probe(); return 0.3 },
 			OutputGates: []*san.OutputGate{{
 				Name:      name("drop", i),
 				Transform: func(mw san.MarkingWriter) { mw.SetTokens(down, 1) },
@@ -40,6 +43,7 @@ func buildComponentFarm(t *testing.T, n int) *san.CompiledModel {
 	}
 	cm, err := san.Compile(m, []san.RewardVariable{
 		san.UpFraction("all_up", func(mr san.MarkingReader) bool {
+			probe()
 			for _, d := range downs {
 				if mr.Tokens(d) > 0 {
 					return false

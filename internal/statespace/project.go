@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/fanout"
 	"repro/internal/san"
 )
 
@@ -246,14 +245,9 @@ func (g *Generator) lump(c component) projection {
 	return p
 }
 
-// lumpCheckChunk is the fixed number of states one check task compares
-// with their representatives.
-const lumpCheckChunk = 4096
-
 // lumpable runs the strong-lumpability check of p on every state. States
 // are visited class by class (a counting sort keeps each class's states
-// ascending, so its representative comes first), in fixed-size chunks on
-// the generator's workers; the verdict is the conjunction of the chunks'.
+// ascending, so its representative comes first).
 func (g *Generator) lumpable(p *projection) bool {
 	n, nC := len(p.classOf), len(p.reps)
 	next := make([]int32, nC+1) // per class: where its next state goes
@@ -268,21 +262,11 @@ func (g *Generator) lumpable(p *projection) bool {
 		order[next[c]] = int32(s)
 		next[c]++
 	}
-
-	par := g.workers()
-	ok := make([]bool, nChunks(n, lumpCheckChunk))
-	checkers := make([]*classChecker, min(par, len(ok)))
-	fanout.For(len(ok), par, func(w, k int) {
-		if checkers[w] == nil {
-			checkers[w] = newClassChecker(g, p)
-		}
-		ok[k] = checkers[w].check(order[k*lumpCheckChunk : min((k+1)*lumpCheckChunk, n)])
-	})
-	return !slices.Contains(ok, false)
+	return newClassChecker(g, p).check(order)
 }
 
-// classChecker is one worker's check state: the projection's rewards split
-// by kind, the representative's signature and the member's.
+// classChecker is the check's state: the projection's rewards split by
+// kind, the representative's signature and the member's.
 type classChecker struct {
 	g         *Generator
 	p         *projection
@@ -324,8 +308,8 @@ func newClassChecker(g *Generator, p *projection) *classChecker {
 	return ck
 }
 
-// check compares every state in members (a run of the class-sorted order)
-// with its class representative.
+// check compares every state in members (the class-sorted order) with its
+// class representative.
 func (ck *classChecker) check(members []int32) bool {
 	for _, s := range members {
 		c := ck.p.classOf[s]

@@ -272,28 +272,6 @@ func TestProjectionRewardReadingBothComponents(t *testing.T) {
 	sameBitsMap(t, got, want)
 }
 
-// TestProjectedSolveBitIdenticalAcrossParallelism pins the projections and
-// the projected answers of MiniExponential at every worker count.
-func TestProjectedSolveBitIdenticalAcrossParallelism(t *testing.T) {
-	cm := buildMini(t, abe.MiniExponential(), false, 0)
-	base, baseCert := statespace.Certify(cm, statespace.Options{Parallelism: 1})
-	want, err := base.SolveTransient(8760)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range []int{2, 4, 16} {
-		gen, cert := statespace.Certify(cm, statespace.Options{Parallelism: par})
-		if g, w := mustJSON(t, cert), mustJSON(t, baseCert); g != w {
-			t.Fatalf("parallelism %d: certificate differs:\n%s\n%s", par, g, w)
-		}
-		got, err := gen.SolveTransient(8760)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameBitsMap(t, got, want)
-	}
-}
-
 func sameBitsMap(t *testing.T, got, want map[string]float64) {
 	t.Helper()
 	if len(got) != len(want) {

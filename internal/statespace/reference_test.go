@@ -14,8 +14,9 @@ import (
 // scatter-form CSR matrix. export_test.go exposes them as CertifyReference
 // and Generator.SolveTransientReference.
 
-// refExplorer is the reference explorer's state over the shared semantic
-// core: the string-keyed state index and the first-seen rate map.
+// refExplorer is the reference explorer's state over the explorer's shared
+// semantic core (firing and vanishing closure): the string-keyed state index
+// and the first-seen rate map.
 type refExplorer struct {
 	*explorer
 	index map[string]int
@@ -30,7 +31,7 @@ type refExplorer struct {
 // index order, interning every successor as soon as it is produced.
 func exploreBaseline(cm *san.CompiledModel, opts Options) (*Generator, exploreResult) {
 	ex := &refExplorer{
-		explorer:  newExplorer(cm, opts),
+		explorer:  newExplorer(cm, opts, &symmetry{}),
 		index:     make(map[string]int),
 		firstRate: make(map[int]float64),
 	}
@@ -102,7 +103,8 @@ func (ex *refExplorer) intern(mark []int) (int, bool) {
 // expand generates the outgoing edges of tangible state si.
 func (ex *refExplorer) expand(si int) error {
 	mark := ex.states[si]
-	for _, a := range ex.timed {
+	for _, tr := range ex.timedRefs {
+		a := tr.a
 		enabled, err := activityEnabled(a, markingVec(mark))
 		if err != nil {
 			return err
@@ -140,9 +142,7 @@ func (ex *refExplorer) expand(si int) error {
 					return nil // budget flag set; caller stops
 				}
 				ex.transitions[si] = append(ex.transitions[si], Transition{
-					From: si, To: ti, Activity: a.Name(),
-					Rate:     rate * o.prob,
-					Impulses: o.imp,
+					To: ti, Rate: rate * o.prob, Impulses: o.imp,
 				})
 			}
 		}
@@ -185,9 +185,9 @@ func (m *csr) step(dst, v []float64) {
 }
 
 // buildCSR merges the generator's parallel edges into the uniformized matrix
-// at rate lambda. Off-diagonal mass comes from edges with From != To; the
-// exit rate likewise excludes self-loops (a self-loop edge leaves the
-// distribution unchanged).
+// at rate lambda. Off-diagonal mass comes from edges that leave their
+// state; the exit rate likewise excludes self-loops (a self-loop edge leaves
+// the distribution unchanged).
 func (g *Generator) buildCSR(lambda float64) *csr {
 	n := len(g.States)
 	m := &csr{rowStart: make([]int, n+1), stay: make([]float64, n)}

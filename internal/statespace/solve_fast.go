@@ -3,36 +3,24 @@ package statespace
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
-
-	"repro/internal/fanout"
 )
 
 // This file holds SolveTransient and its kernels: a gather-oriented
-// (transposed) sparse matrix–vector product partitioned into fixed-size row
-// chunks that any number of workers can execute, with every order-sensitive
-// reduction — per-chunk L1 partials — folded in chunk-index order. The chunk
-// size is a constant, never derived from the worker count, so the
-// floating-point result is bit-identical at every parallelism, including 1.
+// (transposed) sparse matrix–vector product, run on the caller's goroutine
+// over fixed-size row chunks. Each step folds the chunks in index order,
+// and the L1 step difference that decides the steady-state stop is the sum
+// of per-chunk partials in chunk order, so its bits — and therefore the
+// stopping step and π's bits — depend on the chunk size alone.
 //
 // The gather layout stores P transposed: row t lists the source classes s
 // with an edge s→t, so dst[t] = v[t]·stay[t] + Σ_s v[s]·P[s,t] is a single
-// accumulation the computing worker owns — no scatter conflicts, no atomics,
-// and each row's sum runs in a fixed (ascending-source) order. The rows and
+// accumulation that runs in a fixed (ascending-source) order. The rows and
 // columns are one projection's classes (project.go); on the identity
 // projection they are the generator's states.
 
-// solveChunkRows is the fixed row-partition size of the parallel kernels.
+// solveChunkRows is the fixed row-chunk size of the series' step.
 const solveChunkRows = 4096
-
-// workers resolves the generator's worker count.
-func (g *Generator) workers() int {
-	if g.par > 0 {
-		return g.par
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // gatherCSR is the uniformized matrix P = I + Q/Λ stored transposed for
 // gather-style products. Parallel edges between the same state pair stay
@@ -119,11 +107,6 @@ func (m *gatherCSR) stepRange(dst, v []float64, lo, hi int) {
 	}
 }
 
-// nChunks returns the number of chunks of the given size covering n items.
-func nChunks(n, size int) int {
-	return (n + size - 1) / size
-}
-
 // vecPool recycles iteration vectors across solves. Vectors are zero-filled
 // on the way out, so reuse cannot leak state between solves.
 var vecPool sync.Pool
@@ -193,8 +176,8 @@ func fusedUpdate(next, v, pi, sojourn []float64, w, tl float64, lo, hi int) floa
 // gives that time in closed form. The step is not a distance to π, so the
 // collapse carries no stated bound.
 //
-// The products run on the fused gather kernel with pooled vectors, and the
-// result is bit-identical at every parallelism.
+// The products run on the fused gather kernel with pooled vectors, on the
+// caller's goroutine.
 func (g *Generator) SolveTransient(T float64) (map[string]float64, error) {
 	return g.solve(T, g.projections)
 }
@@ -218,7 +201,6 @@ func (g *Generator) solve(T float64, projs []projection) (map[string]float64, er
 // folds the result into p's rewards.
 func (g *Generator) solveProjection(p *projection, T float64, out map[string]float64) error {
 	n := len(p.reps)
-	par := g.workers()
 	pi := getVec(n)      // π(T)
 	sojourn := getVec(n) // L(T)
 	defer putVec(pi)
@@ -266,7 +248,6 @@ func (g *Generator) solveProjection(p *projection, T float64, out map[string]flo
 	const tol = 1e-12
 	const ssTol = 1e-13
 	maxIter := int(lt + 12*math.Sqrt(lt+1) + 50)
-	diffs := make([]float64, nChunks(n, solveChunkRows))
 	for it := 1; it <= maxIter; it++ {
 		logWeight += math.Log(lt) - math.Log(float64(it))
 		w = math.Exp(logWeight)
@@ -276,21 +257,16 @@ func (g *Generator) solveProjection(p *projection, T float64, out map[string]flo
 			tail = 0
 		}
 		tl = tail / lambda
-		wTerm, tlTerm := w, tl
-		fanout.For(len(diffs), par, func(_, c int) {
-			lo := c * solveChunkRows
+		diff := 0.0
+		for lo := 0; lo < n; lo += solveChunkRows {
 			hi := min(lo+solveChunkRows, n)
 			P.stepRange(next, v, lo, hi)
-			diffs[c] = fusedUpdate(next, v, pi, sojourn, wTerm, tlTerm, lo, hi)
-		})
+			diff += fusedUpdate(next, v, pi, sojourn, w, tl, lo, hi)
+		}
 		usedTime += tl
 		v, next = next, v
 		if it > int(lt) && 1-accumulated < tol {
 			break
-		}
-		diff := 0.0
-		for _, d := range diffs {
-			diff += d
 		}
 		if diff < ssTol {
 			// Steady-state collapse: every remaining term multiplies the

@@ -33,6 +33,10 @@
 // gates, post-fire impulses), the one the simulator applies, and closes every
 // firing under the simulator's sweep-ordered instantaneous closure, so the
 // generated chain is the chain the simulator samples.
+//
+// Certification and the solve run on the caller's goroutine and start none
+// of their own: a sweep certifies its points on the workers of its point
+// fan-out, which is the only pool (docs/statespace.md, "Performance").
 package statespace
 
 import (
@@ -49,12 +53,6 @@ import (
 type Options struct {
 	// MaxStates caps the exhaustive exploration. Zero means DefaultMaxStates.
 	MaxStates int
-	// Parallelism is the worker count for the parallel exploration and
-	// solver kernels. Zero means GOMAXPROCS; one forces sequential
-	// execution. Results are bit-identical at every setting: the parallel
-	// kernels partition work into fixed-size chunks (independent of the
-	// worker count) and reduce per-chunk partials in chunk-index order.
-	Parallelism int
 }
 
 // Analysis budgets. The invariant caps bound the incidence tableau: a model
@@ -81,10 +79,9 @@ type StateProb struct {
 // separate so each carries its own impulse-reward vector; the solver merges
 // them when it builds the uniformized matrix.
 type Transition struct {
-	// From and To index Generator.States.
-	From, To int
-	// Activity is the timed activity whose firing produced the edge.
-	Activity string
+	// To indexes Generator.States: the edge's target. Its source is the
+	// state whose Generator.Transitions entry lists it.
+	To int
 	// Rate is the exponential rate of the edge: the activity's rate times
 	// the case probability times the probability of the vanishing path.
 	Rate float64
@@ -116,9 +113,6 @@ type Generator struct {
 	// (activity declaration, case, path) order.
 	Transitions [][]Transition
 
-	// par is the certify Options' worker count for the parallel solver
-	// kernels (0 = GOMAXPROCS).
-	par int
 	// projections are the lumped chains SolveTransient runs, set by
 	// certification: one per component of the rewards, or the identity
 	// projection alone (project.go).
@@ -133,10 +127,6 @@ func (g *Generator) NumTransitions() int {
 	}
 	return n
 }
-
-// Rewards returns the reward variables of the underlying compiled model, in
-// the order Transition.Impulses and InitialImpulses are indexed by.
-func (g *Generator) Rewards() []san.RewardVariable { return g.cm.Rewards() }
 
 // Certify runs the full structural pipeline on a compiled model: memoryless
 // pre-check, vanishing-loop analysis, invariant computation, and exhaustive
@@ -236,7 +226,6 @@ func certifyWith(cm *san.CompiledModel, opts Options, explore func(*san.Compiled
 	cert.Transitions = gen.NumTransitions()
 	cert.Symmetry = exp.symmetry
 	cert.PlaceBounds = placeBounds(cm, inv, exp.observedMax)
-	gen.par = opts.Parallelism
 
 	// 5. Projections: each reward's component, lumped and checked.
 	gen.projections = gen.project()

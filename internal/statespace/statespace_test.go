@@ -96,13 +96,13 @@ func TestGoldenBirthDeath(t *testing.T) {
 		}
 		gotFail, gotRepair := 0.0, 0.0
 		for _, tr := range gen.Transitions[s] {
-			switch tr.Activity {
-			case "pool/fail":
+			switch gen.States[tr.To][down.Index()] {
+			case k + 1:
 				gotFail += tr.Rate
-			case "pool/repair":
+			case k - 1:
 				gotRepair += tr.Rate
 			default:
-				t.Fatalf("unexpected activity %q", tr.Activity)
+				t.Fatalf("state down=%d: unexpected edge %+v", k, tr)
 			}
 		}
 		if gotFail != wantFail || gotRepair != wantRepair {
@@ -303,7 +303,9 @@ func TestIllFormedCaseMasses(t *testing.T) {
 					if gen.States[tr.To][a.Index()] == 1 {
 						ci = 0
 					}
-					if tr.Activity != "tick" || got[ci] != 0 {
+					// Only tick is enabled initially, and it takes the
+					// clock's token.
+					if gen.States[tr.To][clock.Index()] != 0 || got[ci] != 0 {
 						t.Fatalf("unexpected edge %+v from the initial state", tr)
 					}
 					got[ci] = tr.Rate

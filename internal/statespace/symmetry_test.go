@@ -285,7 +285,7 @@ func TestQuotientFallsBackOnAsymmetry(t *testing.T) {
 	for name, v := range variants {
 		t.Run(name, func(t *testing.T) {
 			cm := buildReplicatedFarm(t, 4, v)
-			fast, fastCert := statespace.Certify(cm, statespace.Options{Parallelism: 4})
+			fast, fastCert := statespace.Certify(cm, statespace.Options{})
 			ref, refCert := statespace.CertifyReference(cm, statespace.Options{})
 			if !fastCert.Certified() || fastCert.Symmetry != nil {
 				t.Fatalf("want the flat chain certified, got %s", fastCert.Summary())
@@ -360,31 +360,6 @@ func TestQuotientMiniWeibull(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameAnswers(t, got, flat, 1e-9)
-}
-
-// TestQuotientBitIdenticalAcrossParallelism pins the quotient's numbering,
-// edges and certificate at every worker count.
-func TestQuotientBitIdenticalAcrossParallelism(t *testing.T) {
-	builds := map[string]func(t *testing.T) *san.CompiledModel{
-		"farm8": func(t *testing.T) *san.CompiledModel { return buildReplicatedFarm(t, 8, farmVariant{}) },
-		"MiniWeibull": func(t *testing.T) *san.CompiledModel {
-			return buildMini(t, abe.MiniWeibull(), true, figure4FitTolerance)
-		},
-	}
-	for name, build := range builds {
-		t.Run(name, func(t *testing.T) {
-			cm := build(t)
-			base, baseCert := statespace.Certify(cm, statespace.Options{Parallelism: 1})
-			want, _ := json.Marshal(baseCert)
-			for _, par := range []int{2, 4, 16} {
-				gen, cert := statespace.Certify(cm, statespace.Options{Parallelism: par})
-				if got, _ := json.Marshal(cert); string(got) != string(want) {
-					t.Fatalf("parallelism %d: certificate differs", par)
-				}
-				sameChain(t, gen, base)
-			}
-		})
-	}
 }
 
 // TestQuotientBudgetIsFlat checks that a quotient over budget falls back to

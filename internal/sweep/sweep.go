@@ -171,7 +171,8 @@ func build(cfg abe.Config) (*san.CompiledModel, error) {
 
 // Run evaluates every point of the sweep under the given study options
 // (opts.Seed is the sweep-level master seed; opts.Parallelism sizes the
-// worker pool of the pre-pass and of the simulations). It returns per-point
+// worker pool of the pre-pass, whose workers certify and solve their points
+// on their own goroutines, and of the simulations). It returns per-point
 // measures in input order. Solver outcomes are deduplicated within the sweep
 // by configuration: points with equal abe.Config values certify and solve
 // once, and a hit is invisible in the results except for the per-point
