@@ -196,11 +196,9 @@ func (w *fpWriter) probeFloat(fn func(MarkingReader) float64) {
 func (w *fpWriter) probeTransform(fn GateFunc) {
 	pr := w.probe
 	w.observe(fn, func() {
-		for pi, written := range pr.writes {
-			if written {
-				w.num(pi)
-				w.num(pr.tokens[pi])
-			}
+		for _, pi := range pr.written() {
+			w.num(pi)
+			w.num(pr.at(pi))
 		}
 		w.str("|")
 	})

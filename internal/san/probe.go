@@ -1,5 +1,7 @@
 package san
 
+import "slices"
+
 // This file is the closure probe, the one place the structural passes run a
 // model's closures outside a firing: Analyze, the chain-stability proof of
 // ExpandPhases and FitPhases, Fingerprint, Validate's static case-sum check,
@@ -41,25 +43,38 @@ func probeFamily(m0 []int) [][]int {
 	return bases
 }
 
-// Probe is the recording marking closures run on: the token vector of the
-// current run and the places the run read and wrote, over the base family
-// of one initial marking. Token counts may go negative; the probe never
+// Probe is the recording marking closures run on: the current run's base
+// marking, the token counts the run wrote, and the places it read and
+// wrote, over the base family of one initial marking. A run reads untouched
+// places from its base, and resetting or folding a run visits only the
+// places it touched, so a run costs what the closure touches, not the
+// model's place count. Token counts may go negative; the probe never
 // clamps. A Probe is not safe for concurrent use.
 type Probe struct {
-	m0     []int
-	bases  [][]int
-	tokens []int
-	reads  []bool
-	writes []bool
-	seen   []bool // observe's places read at some run
+	m0      []int
+	bases   [][]int
+	base    []int   // the current run's base marking
+	tokens  []int   // the run's token counts, valid where it wrote
+	flags   []uint8 // per place: probeRead, probeWritten
+	touched []int   // the places the run read or wrote, in first-touch order
+	seen    []bool  // observe's places to bump: read at some run
+	pending []int   // those places, ascending
+	sorted  []int   // written's scratch
 }
+
+// The per-place records of a run.
+const (
+	probeRead uint8 = 1 << iota
+	probeWritten
+)
 
 // NewProbe returns a probe over the base family of initial marking m0.
 func NewProbe(m0 []int) *Probe {
 	n := len(m0)
+	bases := probeFamily(m0)
 	return &Probe{
-		m0: m0, bases: probeFamily(m0),
-		tokens: make([]int, n), reads: make([]bool, n), writes: make([]bool, n), seen: make([]bool, n),
+		m0: m0, bases: bases, base: bases[0],
+		tokens: make([]int, n), flags: make([]uint8, n), seen: make([]bool, n),
 	}
 }
 
@@ -67,19 +82,35 @@ func NewProbe(m0 []int) *Probe {
 // model reads as empty and writes are dropped.
 func (p *Probe) owns(pl *Place) bool { return pl != nil && pl.index >= 0 && pl.index < len(p.tokens) }
 
+// touch adds record f to place i.
+func (p *Probe) touch(i int, f uint8) {
+	if p.flags[i] == 0 {
+		p.touched = append(p.touched, i)
+	}
+	p.flags[i] |= f
+}
+
+// at returns place i's token count in the current run.
+func (p *Probe) at(i int) int {
+	if p.flags[i]&probeWritten != 0 {
+		return p.tokens[i]
+	}
+	return p.base[i]
+}
+
 // Tokens implements MarkingReader, recording the read.
 func (p *Probe) Tokens(pl *Place) int {
 	if !p.owns(pl) {
 		return 0
 	}
-	p.reads[pl.index] = true
-	return p.tokens[pl.index]
+	p.touch(pl.index, probeRead)
+	return p.at(pl.index)
 }
 
 // SetTokens implements MarkingWriter, recording the write.
 func (p *Probe) SetTokens(pl *Place, n int) {
 	if p.owns(pl) {
-		p.writes[pl.index] = true
+		p.touch(pl.index, probeWritten)
 		p.tokens[pl.index] = n
 	}
 }
@@ -88,16 +119,31 @@ func (p *Probe) SetTokens(pl *Place, n int) {
 // place that closures only ever increment stays unread for Analyze.
 func (p *Probe) Add(pl *Place, delta int) {
 	if p.owns(pl) {
-		p.writes[pl.index] = true
-		p.tokens[pl.index] += delta
+		n := p.at(pl.index) + delta
+		p.touch(pl.index, probeWritten)
+		p.tokens[pl.index] = n
 	}
 }
 
-// reset loads marking into the recording marking and clears its records.
-func (p *Probe) reset(marking []int) {
-	copy(p.tokens, marking)
-	clear(p.reads)
-	clear(p.writes)
+// reset starts a run on base, clearing the previous run's records.
+func (p *Probe) reset(base []int) {
+	for _, i := range p.touched {
+		p.flags[i] = 0
+	}
+	p.touched = p.touched[:0]
+	p.base = base
+}
+
+// written returns the places the run wrote, ascending.
+func (p *Probe) written() []int {
+	p.sorted = p.sorted[:0]
+	for _, i := range p.touched {
+		if p.flags[i]&probeWritten != 0 {
+			p.sorted = append(p.sorted, i)
+		}
+	}
+	slices.Sort(p.sorted)
+	return p.sorted
 }
 
 // call runs fn on the recording marking under guard.
@@ -122,9 +168,9 @@ func (p *Probe) footprint(closures []GateFunc) *footprint {
 				fp.opaque = true
 				break
 			}
-			for i := range fp.reads {
-				fp.reads[i] = fp.reads[i] || p.reads[i]
-				fp.writes[i] = fp.writes[i] || p.writes[i]
+			for _, i := range p.touched {
+				fp.reads[i] = fp.reads[i] || p.flags[i]&probeRead != 0
+				fp.writes[i] = fp.writes[i] || p.flags[i]&probeWritten != 0
 			}
 		}
 	}
@@ -134,28 +180,39 @@ func (p *Probe) footprint(closures []GateFunc) *footprint {
 // observe runs fn at every base, then at M0 with each place fn has read in
 // some run bumped by 1 and then by 3, in place-index order, and calls record
 // after every run with whether fn completed. record may inspect the run's
-// recording marking. The bumps expose read-set sensitivity while keeping
+// recording marking. A place first read during the bumps is bumped too when
+// its index is above the place being bumped, as an ascending scan over every
+// place would find it. The bumps expose read-set sensitivity while keeping
 // the runs linear in the places a closure reads.
 func (p *Probe) observe(fn GateFunc, record func(ok bool)) {
-	clear(p.seen)
-	note := func(ok bool) {
+	for _, i := range p.pending {
+		p.seen[i] = false
+	}
+	p.pending = p.pending[:0]
+	// note records a run and queues the places it read above after.
+	note := func(ok bool, after int) {
 		record(ok)
-		for i, r := range p.reads {
-			p.seen[i] = p.seen[i] || r
+		for _, i := range p.touched {
+			if p.flags[i]&probeRead == 0 || p.seen[i] || i <= after {
+				continue
+			}
+			p.seen[i] = true
+			k, _ := slices.BinarySearch(p.pending, i)
+			p.pending = slices.Insert(p.pending, k, i)
 		}
 	}
 	for _, base := range p.bases {
 		p.reset(base)
-		note(p.call(fn))
+		note(p.call(fn), -1)
 	}
-	for pi := range p.seen {
-		if !p.seen[pi] {
-			continue
-		}
+	m0 := p.bases[1] // the probe's own copy of M0, bumped in place
+	for j := 0; j < len(p.pending); j++ {
+		pi := p.pending[j]
 		for _, bump := range [...]int{1, 3} {
-			p.reset(p.m0)
-			p.tokens[pi] += bump
-			note(p.call(fn))
+			m0[pi] += bump
+			p.reset(m0)
+			note(p.call(fn), pi)
+			m0[pi] -= bump
 		}
 	}
 }
@@ -180,6 +237,7 @@ type GateEffect struct {
 // GateEffect runs the transform f at every base and classifies its effect.
 func (p *Probe) GateEffect(f GateFunc) GateEffect {
 	e := GateEffect{Touched: make([]bool, len(p.m0)), Constant: true}
+	var changed []int // the places of a nonzero Delta
 	for _, base := range p.bases {
 		p.reset(base)
 		if !p.call(f) {
@@ -190,13 +248,25 @@ func (p *Probe) GateEffect(f GateFunc) GateEffect {
 		if first {
 			e.Delta = make([]int, len(base))
 		}
-		for i, v := range p.tokens {
-			if d := v - base[i]; first {
+		// An unwritten place keeps its base count: its change is zero.
+		for _, i := range p.touched {
+			if p.flags[i]&probeWritten == 0 {
+				continue
+			}
+			e.Touched[i] = true
+			if d := p.tokens[i] - base[i]; first {
 				e.Delta[i] = d
+				if d != 0 {
+					changed = append(changed, i)
+				}
 			} else if d != e.Delta[i] {
 				e.Constant = false
 			}
-			e.Touched[i] = e.Touched[i] || p.writes[i]
+		}
+		for _, i := range changed {
+			if p.flags[i]&probeWritten == 0 {
+				e.Constant = false
+			}
 		}
 	}
 	if e.Delta == nil {

@@ -26,6 +26,7 @@ type exploreResult struct {
 	budgetExceeded bool
 	observedMax    []int                 // per-place maximum token count over all explored states
 	symmetry       *san.SymmetryEvidence // set when the generator is a symmetric quotient
+	changes        unionFind             // the places edges change together (explorer.noteChanges)
 }
 
 // outcome is one tangible result of a vanishing closure: the settled

@@ -17,12 +17,14 @@ import (
 //
 // States are expanded and committed one at a time, in index order. Expanding
 // a state only records proto activations and edges (packed successor
-// markings, probabilities, impulse vectors); the merge then performs
+// markings, probabilities, impulse vector ids); the merge then performs
 // everything order-sensitive — rate-consistency checks, state interning
-// (which assigns indices), transition assembly, budget accounting, and error
+// (which assigns indices), edge assembly, budget accounting, and error
 // selection — in exactly the sequence the reference BFS produces, so state
-// numbering, transition order, refusal text, and budget behavior are the
-// reference explorer's.
+// numbering, edge order, refusal text, and budget behavior are the
+// reference explorer's. A state's marking lives only in the packed index
+// and is decoded into scratch to be expanded, and the chain's edges go
+// straight into the generator's compact storage (chain.go).
 //
 // With exchangeable replicate groups (symmetry.go) the same engine explores
 // the symmetric quotient: every marking is interned in canonical form, so a
@@ -72,13 +74,12 @@ type memberAct struct {
 
 // protoEdge is one successor of an expansion: the packed canonical marking
 // (a view into the record's arena), its hash, the total branch probability
-// (case times vanishing path), and the impulse vector (nil when the firing
-// earns none — impulse-free edges accumulate +0.0 either way).
+// (case times vanishing path), and the interned impulse vector's id.
 type protoEdge struct {
 	off, n int32
+	imp    int32
 	hash   uint64
 	prob   float64
-	imp    []float64
 }
 
 // expansion is the record of one state's expansion: its activations and
@@ -106,7 +107,8 @@ func (x *expansion) reset() {
 // explorer generates one chain: the semantic core that fires activities and
 // closes vanishing markings (explore.go), the chain under construction, and
 // the expansion scratch, reused state to state so steady-state expansion
-// allocates only on interning misses and impulse-carrying edges.
+// allocates only when the index, the edge storage or the impulse table
+// grows.
 type explorer struct {
 	cm        *san.CompiledModel
 	inst      []*san.Activity
@@ -116,10 +118,16 @@ type explorer struct {
 	maxStates int
 
 	idx         *markIndex
-	states      [][]int
-	transitions [][]Transition
+	edges       edgeStore
+	imps        impulseTable
 	observedMax []int
 	overBudget  bool
+
+	// changes joins the places each committed edge changes together, and
+	// the rewards the edge earns an impulse of with them: the partition the
+	// projections start from (project.go). Nil with fewer than two rewards,
+	// where there is nothing to partition.
+	changes unionFind
 
 	// First-seen rate pin per activity index: a different rate in another
 	// state without reactivation breaks the CTMC (the clock is not
@@ -137,9 +145,12 @@ type explorer struct {
 	res, member expansion
 	out         *expansion
 
+	cur     []int // the marking of the state being expanded
+	fresh   []int // a newly interned marking
 	inMark  []int
 	outMark []int
 	probs   []float64
+	impBuf  []float64
 
 	// The markings handed to model closures: rd to enabling and rate
 	// closures, gw to the firing's. Passing a pointer to a long-lived field,
@@ -155,7 +166,6 @@ type explorer struct {
 	symScratch symScratch
 	iter       memberIter
 	memMark    []int
-	memberImp  []float64 // arena for the member's impulse vectors
 	repKeys    []edgeKey
 	memKeys    []edgeKey
 	repRates   []float64
@@ -180,19 +190,27 @@ func explore(cm *san.CompiledModel, opts Options) (*Generator, exploreResult) {
 
 func newExplorer(cm *san.CompiledModel, opts Options, sym *symmetry) *explorer {
 	model := cm.Model()
+	nP, nR := model.NumPlaces(), len(cm.Rewards())
 	ex := &explorer{
 		cm:          cm,
 		inst:        cm.Instantaneous(),
-		nPlaces:     model.NumPlaces(),
-		nRewards:    len(cm.Rewards()),
+		nPlaces:     nP,
+		nRewards:    nR,
 		maxStates:   opts.MaxStates,
 		idx:         newMarkIndex(),
-		observedMax: make([]int, model.NumPlaces()),
+		imps:        newImpulseTable(),
+		observedMax: make([]int, nP),
 		seenRate:    make([]bool, model.NumActivities()),
 		pinnedRate:  make([]float64, model.NumActivities()),
 		sym:         sym,
 		symScratch:  newSymScratch(sym),
-		memMark:     make([]int, model.NumPlaces()),
+		cur:         make([]int, nP),
+		fresh:       make([]int, nP),
+		memMark:     make([]int, nP),
+		impBuf:      make([]float64, nR),
+	}
+	if nR >= 2 {
+		ex.changes = newUnionFind(nP + nR)
 	}
 	ex.out = &ex.res
 	initial := markingVec(cm.InitialMarking())
@@ -252,12 +270,10 @@ func (ex *explorer) explore() (*Generator, exploreResult) {
 		return nil, res
 	}
 
-	gen.States = ex.states
-	gen.Transitions = ex.transitions
-	res.observedMax = ex.observedMax
+	ex.finish(gen, &res)
 	// A quotient whose classes are all singletons is the flat chain, state
 	// for state; it carries no symmetry evidence.
-	if ex.flatStates > len(ex.states) {
+	if ex.flatStates > len(gen.States) {
 		res.symmetry = &san.SymmetryEvidence{Groups: ex.sym.prefixes(), FlatStates: ex.flatStates}
 	}
 	return gen, res
@@ -267,8 +283,8 @@ func (ex *explorer) explore() (*Generator, exploreResult) {
 // index order, the states appended by each merge included, until every
 // state is committed, an error is raised, or the budget runs out.
 func (ex *explorer) run() error {
-	for si := 0; si < len(ex.states); si++ {
-		mark := ex.states[si]
+	for si := 0; si < ex.idx.len(); si++ {
+		mark := unpackMarking(ex.idx.packedOf(si), ex.cur)
 		ex.res.reset()
 		ex.expandState(mark)
 		ex.res.notLumpable = !ex.checkMembers(mark)
@@ -282,6 +298,47 @@ func (ex *explorer) run() error {
 	return nil
 }
 
+// finish hands the explored chain to gen: the packed markings, the edges
+// and the impulse vectors they name, and the exploration's place partition
+// to res.
+func (ex *explorer) finish(gen *Generator, res *exploreResult) {
+	ex.edges.finish()
+	gen.arena = ex.idx.arena
+	gen.States = ex.idx.views()
+	gen.blocks, gen.ends = ex.edges.blocks, ex.edges.ends
+	gen.impulses = ex.imps.vecs
+	res.observedMax = ex.observedMax
+	res.changes = ex.changes
+}
+
+// noteChanges joins the places the edge from→to changes, and the rewards
+// its impulse vector imp earns with the first of them; an edge that changes
+// no place joins nothing.
+func (ex *explorer) noteChanges(from, to []int, imp int32) {
+	if ex.changes == nil {
+		return
+	}
+	first := -1
+	for p := range from {
+		if from[p] == to[p] {
+			continue
+		}
+		if first < 0 {
+			first = p
+		} else {
+			ex.changes.union(first, p)
+		}
+	}
+	if first < 0 {
+		return
+	}
+	for ri, v := range ex.imps.vecs[imp] {
+		if v != 0 {
+			ex.changes.union(ex.nPlaces+ri, first)
+		}
+	}
+}
+
 // intern interns an unpacked marking (initial-closure path) in canonical
 // form.
 func (ex *explorer) intern(mark []int) (int, bool) {
@@ -292,15 +349,14 @@ func (ex *explorer) intern(mark []int) (int, bool) {
 }
 
 // internPacked resolves a packed marking to its state index, assigning the
-// next index (and decoding the marking into the state table) on first sight.
-// A class counts all its members against the budget and folds them into the
-// place maxima. It returns ok=false with the budget flag set when the state
-// cap is hit.
+// next index on first sight. A class counts all its members against the
+// budget and folds them into the place maxima. It returns ok=false with the
+// budget flag set when the state cap is hit.
 func (ex *explorer) internPacked(packed []byte, h uint64) (int, bool) {
 	if si, ok := ex.idx.lookup(packed, h); ok {
 		return si, true
 	}
-	mark := unpackMarking(packed, ex.nPlaces)
+	mark := unpackMarking(packed, ex.fresh)
 	members := ex.sym.members(mark, ex.maxStates-ex.flatStates)
 	if ex.flatStates+members > ex.maxStates {
 		ex.overBudget = true
@@ -308,8 +364,6 @@ func (ex *explorer) internPacked(packed []byte, h uint64) (int, bool) {
 	}
 	si := ex.idx.insert(packed, h)
 	ex.flatStates += members
-	ex.states = append(ex.states, mark)
-	ex.transitions = append(ex.transitions, nil)
 	ex.sym.foldMax(ex.observedMax, mark)
 	return si, true
 }
@@ -332,15 +386,10 @@ func (ex *explorer) pinRate(a *san.Activity, rate float64) error {
 
 // merge commits state si's expansion record: it replays the recorded
 // activations and edges, performing the order-sensitive work — rate pinning
-// and validity, interning, transition assembly, budget stops, and error
-// raising — in exactly the sequence the reference BFS would.
+// and validity, interning, edge assembly, budget stops, and error raising —
+// in exactly the sequence the reference BFS would.
 func (ex *explorer) merge(si int) error {
 	res := &ex.res
-	nEdges := 0
-	for _, act := range res.acts {
-		nEdges += int(act.nEdges)
-	}
-	ex.transitions[si] = slices.Grow(ex.transitions[si], nEdges)
 	edges := res.edges
 	for i := range res.acts {
 		act := &res.acts[i]
@@ -359,12 +408,11 @@ func (ex *explorer) merge(si int) error {
 			if !ok {
 				return nil // budget flag set; caller stops
 			}
-			ex.transitions[si] = append(ex.transitions[si], Transition{
-				To: ti, Rate: act.rate * pe.prob, Impulses: pe.imp,
-			})
+			ex.edges.add(edge{to: int32(ti), imp: pe.imp, rate: act.rate * pe.prob})
 		}
 		edges = edges[act.nEdges:]
 	}
+	ex.edges.endState()
 	if res.stopErr != nil {
 		return res.stopErr
 	}
@@ -385,7 +433,8 @@ func validRate(rate float64) bool {
 
 // checkMembers expands every member of representative rep's class other
 // than rep and reports whether each gave rep's multiset of (successor class,
-// rate, impulse vector) and rep's reward rates, bit for bit. Member
+// rate, impulse vector id) and rep's reward rates, bit for bit: ids are
+// interned by bits, so equal ids are equal vectors. Member
 // activations are recorded for the merge's rate pinning. A representative
 // whose own expansion failed is left to the merge, which raises its error.
 // A class with no other member, such as every class of the flat chain,
@@ -411,7 +460,6 @@ func (ex *explorer) checkMembers(rep []int) bool {
 	for ex.iter.next() {
 		ex.iter.fill(ex.memMark)
 		ex.member.reset()
-		ex.memberImp = ex.memberImp[:0]
 		ex.out = &ex.member
 		ex.expandState(ex.memMark)
 		if ex.member.stopErr != nil {
@@ -528,7 +576,7 @@ func (ex *explorer) fire(mark []int, tr *timedRef) (int32, error) {
 				return 0, err
 			}
 			for _, o := range outs {
-				ex.pushEdge(o.mark, o.prob, o.imp)
+				ex.pushEdge(mark, o.mark, o.prob, ex.imps.intern(o.imp))
 				n++
 			}
 		}
@@ -548,7 +596,7 @@ func (ex *explorer) fire(mark []int, tr *timedRef) (int32, error) {
 		if err != nil {
 			return 0, err
 		}
-		ex.pushEdge(ex.inMark, 1, imp)
+		ex.pushEdge(mark, ex.inMark, 1, imp)
 		return 1, nil
 	}
 	if cap(ex.probs) < len(cases) {
@@ -572,47 +620,40 @@ func (ex *explorer) fire(mark []int, tr *timedRef) (int32, error) {
 		if err != nil {
 			return 0, err
 		}
-		ex.pushEdge(ex.outMark, p, imp)
+		ex.pushEdge(mark, ex.outMark, p, imp)
 		n++
 	}
 	return n, nil
 }
 
 // impulses evaluates tr.a's impulse rewards on the post-fire marking in
-// ex.gw, or returns nil when the activity has no bindings (a nil impulse
-// vector and an all-zero one contribute identically to every reward
-// integral). During the member check the vector is a view into the member's
-// impulse arena; a view taken before the arena grows keeps the old array,
-// which still holds it.
-func (ex *explorer) impulses(tr *timedRef) ([]float64, error) {
+// ex.gw and returns the id of their vector, 0 when the activity has no
+// bindings.
+func (ex *explorer) impulses(tr *timedRef) (int32, error) {
 	if !tr.hasImp {
-		return nil, nil
+		return 0, nil
 	}
-	n := ex.nRewards
-	var imp []float64
-	if ex.out == &ex.member {
-		start := len(ex.memberImp)
-		ex.memberImp = append(ex.memberImp, make([]float64, n)...)
-		imp = ex.memberImp[start : start+n]
-	} else {
-		imp = make([]float64, n)
+	clear(ex.impBuf)
+	if err := addImpulses(ex.cm, tr.a, &ex.gw, ex.impBuf); err != nil {
+		return 0, err
 	}
-	if err := addImpulses(ex.cm, tr.a, &ex.gw, imp); err != nil {
-		return nil, err
-	}
-	return imp, nil
+	return ex.imps.intern(ex.impBuf), nil
 }
 
-// pushEdge packs the successor marking, in canonical form, into the output
-// arena and records the proto edge.
-func (ex *explorer) pushEdge(mark []int, prob float64, imp []float64) {
-	ex.canon = append(ex.canon[:0], mark...)
+// pushEdge packs the successor marking to, in canonical form, into the
+// output arena and records the proto edge; an edge of the state being
+// expanded, from, also notes the places it changes.
+func (ex *explorer) pushEdge(from, to []int, prob float64, imp int32) {
+	ex.canon = append(ex.canon[:0], to...)
 	ex.sym.canon(ex.canon, &ex.symScratch)
 	out := ex.out
+	if out == &ex.res {
+		ex.noteChanges(from, ex.canon, imp)
+	}
 	off := int32(len(out.arena))
 	out.arena = packMarking(out.arena, ex.canon)
 	packed := out.arena[off:]
 	out.edges = append(out.edges, protoEdge{
-		off: off, n: int32(len(packed)), hash: hashBytes(packed), prob: prob, imp: imp,
+		off: off, n: int32(len(packed)), imp: imp, hash: hashBytes(packed), prob: prob,
 	})
 }

@@ -47,50 +47,125 @@ func buildMini(t *testing.T, cfg abe.Config, expand bool, fitTol float64) *san.C
 }
 
 // chainFixture is one model the differential and golden tests explore, with
-// the tangible state count and the SHA-256 digest of the state numbering
-// (every token count in state order, as a little-endian uint64) of the chain
-// Certify generates and of the flat chain the reference explorer generates.
-// They differ only for a model Certify solves as a symmetric quotient.
+// the tangible state count and two SHA-256 digests of the chain Certify
+// generates and of the flat chain the reference explorer generates: the
+// state numbering (numberingDigest) and the edges (edgeDigest). The chains
+// differ only for a model Certify solves as a symmetric quotient.
 type chainFixture struct {
-	name       string
-	states     int
-	golden     string
-	flatStates int
-	flatGolden string
-	build      func(t *testing.T) *san.CompiledModel
+	name                 string
+	states               int
+	golden, edges        string
+	flatStates           int
+	flatGolden, flatEdge string
+	build                func(t *testing.T) *san.CompiledModel
 }
 
-// chainFixtures are the hypercube fixture and the three shipped minis in the
-// form the sweep solves them. MiniWeibull's three disks are exchangeable, so
-// Certify generates its symmetric quotient.
+// chainFixtures are the hypercube fixture, the three shipped minis in the
+// form the sweep solves them, and MiniExponential ×2, the largest chain the
+// sweep solves. MiniWeibull's three disks are exchangeable, so Certify
+// generates its symmetric quotient.
 var chainFixtures = []chainFixture{
 	{"farm8", 256, "c4ad5665ce507fab4bd04e4f95bb3e4bc8a543d60056960d57949dd0b445d6a4",
+		"d2d6ffeade00b7e230856162e12cc619f43789468177f79a055be926f47da1b2",
 		256, "c4ad5665ce507fab4bd04e4f95bb3e4bc8a543d60056960d57949dd0b445d6a4",
+		"d2d6ffeade00b7e230856162e12cc619f43789468177f79a055be926f47da1b2",
 		func(t *testing.T) *san.CompiledModel { return buildComponentFarm(t, 8, nil) }},
 	{"MiniExponential", 1728, "5f777292ec346cb53e124044b11771da34e378d95e338f5de7321b3c7e465457",
+		"4c65fac407d9a9adc2f7e45fb70c89f819ddbf2f09269cdd93cf507eb96447c6",
 		1728, "5f777292ec346cb53e124044b11771da34e378d95e338f5de7321b3c7e465457",
+		"4c65fac407d9a9adc2f7e45fb70c89f819ddbf2f09269cdd93cf507eb96447c6",
 		func(t *testing.T) *san.CompiledModel { return buildMini(t, abe.MiniExponential(), false, 0) }},
 	{"MiniErlang", 3456, "8a651d3490a0ecaf5e14b492cb89fa2423cede5b8dde64836ec75801e33d8440",
+		"d27d04b767d58d7a692087e4c3d683d933f54e4f26e9a066db6c5412950ef492",
 		3456, "8a651d3490a0ecaf5e14b492cb89fa2423cede5b8dde64836ec75801e33d8440",
+		"d27d04b767d58d7a692087e4c3d683d933f54e4f26e9a066db6c5412950ef492",
 		func(t *testing.T) *san.CompiledModel { return buildMini(t, abe.MiniErlang(), true, 0) }},
 	{"MiniWeibull", 8640, "9c683e21185bea010a11dc29e86c0b5296c0dad3d4c1dbbd49067ac4a82be85c",
+		"0d002943fc10a6bad6093398078d963b27ad1a899b0bc6f01590593b7e10ce58",
 		27648, "21bc99d85549b38af4c464aa58c082f2949c4fcc34de1c49877e045a2f6ec145",
+		"1b1cbec87a726ac1ec2ad1c7cce6acf3bbe1cbd93afacb6a4ffc465df9b48d3a",
 		func(t *testing.T) *san.CompiledModel {
 			return buildMini(t, abe.MiniWeibull(), true, figure4FitTolerance)
 		}},
+	{"MiniExponential x2", 30240, "e6374d9840210d3064096cf4b88a62f9458a84833984fa3979f2125beccee3de",
+		"db5c15bd510456f2f29488b369421ced7dae94cd9a854dfeda63c3bc9ff56ff1",
+		30240, "e6374d9840210d3064096cf4b88a62f9458a84833984fa3979f2125beccee3de",
+		"db5c15bd510456f2f29488b369421ced7dae94cd9a854dfeda63c3bc9ff56ff1",
+		func(t *testing.T) *san.CompiledModel { return buildMiniExponentialX2(t) }},
+}
+
+// buildMiniExponentialX2 compiles MiniExponential scaled by 2 (30,240
+// states, 385,056 edges), as the analytic sweep certifies it.
+func buildMiniExponentialX2(t *testing.T) *san.CompiledModel {
+	return buildMini(t, abe.MiniExponential().ScaledBy(2), false, 0)
 }
 
 // numberingDigest is the golden digest of a generator's state numbering.
 func numberingDigest(gen *statespace.Generator) string {
 	h := sha256.New()
 	var buf [8]byte
-	for _, mark := range gen.States {
+	for _, mark := range markings(gen) {
 		for _, v := range mark {
 			binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
 			h.Write(buf[:])
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// edgeDigest is the golden digest of a generator's edges: per state, its
+// edge count, then per edge its target, its rate bits and the bits of its
+// impulse for every reward (+0.0's when it earns none), each as a
+// little-endian uint64.
+func edgeDigest(gen *statespace.Generator, nRewards int) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for s := range gen.States {
+		edges := edgesOf(gen, s)
+		put(uint64(len(edges)))
+		for _, e := range edges {
+			put(uint64(e.to))
+			put(math.Float64bits(e.rate))
+			for ri := range nRewards {
+				var bits uint64
+				if ri < len(e.impulses) {
+					bits = math.Float64bits(e.impulses[ri])
+				}
+				put(bits)
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// markings decodes every state of gen.
+func markings(gen *statespace.Generator) [][]int {
+	out := make([][]int, len(gen.States))
+	for s := range out {
+		out[s] = gen.Marking(s, nil)
+	}
+	return out
+}
+
+// testEdge is one edge of a generator as the tests read it.
+type testEdge struct {
+	to       int
+	rate     float64
+	impulses []float64
+}
+
+// edgesOf returns state s's edges in order.
+func edgesOf(gen *statespace.Generator, s int) []testEdge {
+	out := make([]testEdge, gen.Degree(s))
+	for k := range out {
+		e := &out[k]
+		e.to, e.rate, e.impulses = gen.Edge(s, k)
+	}
+	return out
 }
 
 // mustCertify runs certify (statespace.Certify or the reference pipeline
@@ -106,16 +181,16 @@ func mustCertify(t *testing.T, certify func(*san.CompiledModel, statespace.Optio
 }
 
 // sameChain asserts two generators are the same CTMC, state for state and
-// bit for bit. Impulse vectors are compared semantically: the optimized
-// explorer emits nil for impulse-free edges where the reference emits an
-// all-zero vector, and the two contribute identically to every reward.
+// bit for bit. Impulse vectors are compared by their bits, a nil vector
+// reading as +0.0 everywhere.
 func sameChain(t *testing.T, got, want *statespace.Generator) {
 	t.Helper()
 	if len(got.States) != len(want.States) {
 		t.Fatalf("state count: got %d want %d", len(got.States), len(want.States))
 	}
+	var gm, wm []int
 	for si := range want.States {
-		gm, wm := got.States[si], want.States[si]
+		gm, wm = got.Marking(si, gm), want.Marking(si, wm)
 		for pi := range wm {
 			if gm[pi] != wm[pi] {
 				t.Fatalf("state %d marking differs at place %d: got %d want %d", si, pi, gm[pi], wm[pi])
@@ -135,27 +210,24 @@ func sameChain(t *testing.T, got, want *statespace.Generator) {
 			t.Fatalf("initial impulse %d: got %v want %v", ri, got.InitialImpulses[ri], want.InitialImpulses[ri])
 		}
 	}
-	for si := range want.Transitions {
-		ge, we := got.Transitions[si], want.Transitions[si]
+	for si := range want.States {
+		ge, we := edgesOf(got, si), edgesOf(want, si)
 		if len(ge) != len(we) {
 			t.Fatalf("state %d: got %d edges want %d", si, len(ge), len(we))
 		}
 		for k := range we {
 			g, w := ge[k], we[k]
-			if g.To != w.To || math.Float64bits(g.Rate) != math.Float64bits(w.Rate) {
+			if g.to != w.to || math.Float64bits(g.rate) != math.Float64bits(w.rate) {
 				t.Fatalf("state %d edge %d: got %+v want %+v", si, k, g, w)
 			}
-			n := len(g.Impulses)
-			if len(w.Impulses) > n {
-				n = len(w.Impulses)
-			}
+			n := max(len(g.impulses), len(w.impulses))
 			for ri := 0; ri < n; ri++ {
 				var gi, wi float64
-				if ri < len(g.Impulses) {
-					gi = g.Impulses[ri]
+				if ri < len(g.impulses) {
+					gi = g.impulses[ri]
 				}
-				if ri < len(w.Impulses) {
-					wi = w.Impulses[ri]
+				if ri < len(w.impulses) {
+					wi = w.impulses[ri]
 				}
 				if math.Float64bits(gi) != math.Float64bits(wi) {
 					t.Fatalf("state %d edge %d impulse %d: got %v want %v", si, k, ri, gi, wi)
@@ -190,6 +262,37 @@ func TestExploreFastMatchesBaseline(t *testing.T) {
 	}
 }
 
+// TestCompactGeneratorMemory bounds the memory of the largest chain the
+// analytic sweep solves, MiniExponential ×2 (385,056 edges): the certified
+// generator keeps at most 32 bytes per edge, counted from its slices'
+// capacities (a 16-byte edge record, the packed markings and the
+// projections' class maps), and CertifyCascade, as the sweep runs it,
+// allocates at most 26 MB in all.
+func TestCompactGeneratorMemory(t *testing.T) {
+	cm := buildMiniExponentialX2(t)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	gen, cert, err := statespace.CertifyCascade(cm, figure4FitTolerance, statespace.Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil || !cert.Certified() {
+		t.Fatalf("not certified: %v %s", err, cert.Summary())
+	}
+	edges := gen.NumTransitions()
+	if edges != 385056 {
+		t.Fatalf("got %d edges, want 385,056", edges)
+	}
+	kept := float64(gen.RetainedBytes()) / float64(edges)
+	allocated := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+	t.Logf("kept %.1f B per edge; CertifyCascade allocated %.1f MB", kept, allocated)
+	if kept > 32 {
+		t.Errorf("generator keeps %.1f B per edge, want at most 32", kept)
+	}
+	if allocated > 26 {
+		t.Errorf("CertifyCascade allocated %.1f MB, want at most 26", allocated)
+	}
+}
+
 // TestExploreFastMatchesBaselineVanishing repeats the differential check on
 // a model with instantaneous activities, covering the vanishing-elimination
 // route of the optimized explorer.
@@ -199,23 +302,31 @@ func TestExploreFastMatchesBaselineVanishing(t *testing.T) {
 	sameChain(t, fast, ref)
 }
 
-// TestExploreGoldenNumbering pins the state numbering of the hypercube
-// fixture and the three shipped minis to golden digests: the explorer's,
-// and the reference explorer's flat numbering. With
+// TestExploreGoldenNumbering pins the state numbering and the edges (target,
+// rate and impulse bits, in order) of every chain fixture to golden
+// digests: the explorer's, and the reference explorer's flat chain's. With
 // TestExploreFastMatchesBaseline holding the two explorers to each other,
 // neither can silently drift — the interned index must keep assigning
-// indices in the reference discovery order.
+// indices in the reference discovery order, and the edge storage must keep
+// every edge's bits in exploration order.
 func TestExploreGoldenNumbering(t *testing.T) {
 	for _, fx := range chainFixtures {
 		t.Run(fx.name, func(t *testing.T) {
 			cm := fx.build(t)
+			nR := len(cm.Rewards())
 			gen := mustCertify(t, statespace.Certify, cm, statespace.Options{})
 			if got := numberingDigest(gen); got != fx.golden {
 				t.Fatalf("state numbering drifted:\n got %s\nwant %s", got, fx.golden)
 			}
+			if got := edgeDigest(gen, nR); got != fx.edges {
+				t.Fatalf("edges drifted:\n got %s\nwant %s", got, fx.edges)
+			}
 			ref := mustCertify(t, statespace.CertifyReference, cm, statespace.Options{})
 			if got := numberingDigest(ref); got != fx.flatGolden {
 				t.Fatalf("flat reference numbering drifted:\n got %s\nwant %s", got, fx.flatGolden)
+			}
+			if got := edgeDigest(ref, nR); got != fx.flatEdge {
+				t.Fatalf("flat reference edges drifted:\n got %s\nwant %s", got, fx.flatEdge)
 			}
 		})
 	}
@@ -227,8 +338,8 @@ func TestExploreGoldenNumbering(t *testing.T) {
 // tolerance.
 func TestFastSolverMatchesBaselineNumerically(t *testing.T) {
 	for _, fx := range chainFixtures {
-		if fx.name == "MiniWeibull" {
-			continue // its reference solve takes seconds, too slow for tier-1
+		if fx.flatStates > 5000 {
+			continue // MiniWeibull and ×2: their reference solves take seconds, too slow for tier-1
 		}
 		t.Run(fx.name, func(t *testing.T) {
 			cm := fx.build(t)

@@ -2,6 +2,7 @@ package statespace
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/san"
 )
@@ -54,4 +55,26 @@ func PerActivityRefusals(cm *san.CompiledModel) []string {
 		}
 	}
 	return lines
+}
+
+// RetainedBytes counts the bytes g's slices hold, from their capacities:
+// the packed markings and their views, the edges, the impulse vectors, the
+// initial distribution and the projections. The compiled model it shares
+// with its caller is not counted.
+func (g *Generator) RetainedBytes() int {
+	const header = int(unsafe.Sizeof([]byte(nil)))
+	n := cap(g.States)*header + cap(g.arena) + cap(g.ends)*4 + cap(g.blocks)*header
+	for _, b := range g.blocks {
+		n += cap(b) * int(unsafe.Sizeof(edge{}))
+	}
+	n += cap(g.impulses) * header
+	for _, v := range g.impulses {
+		n += cap(v) * 8
+	}
+	n += cap(g.Initial)*int(unsafe.Sizeof(StateProb{})) + cap(g.InitialImpulses)*8
+	n += cap(g.projections) * int(unsafe.Sizeof(projection{}))
+	for _, p := range g.projections {
+		n += cap(p.rewards)*8 + cap(p.classOf)*4 + cap(p.reps)*4
+	}
+	return n
 }

@@ -10,7 +10,8 @@ import (
 // with collision-checked equality. Interning a marking costs one pack into a
 // reusable scratch buffer and one probe — no per-state string allocation, no
 // 8-bytes-per-place key — and the packed arena is the only long-lived
-// per-state storage.
+// per-state storage: the generator keeps it, and decodes a marking into
+// reused scratch wherever one is needed.
 //
 // State indices are assigned in insertion order, so the explorer's numbering
 // is exactly its BFS discovery order.
@@ -37,9 +38,9 @@ func packMarking(dst []byte, mark []int) []byte {
 	return dst
 }
 
-// unpackMarking decodes n token counts from a packed marking.
-func unpackMarking(packed []byte, n int) []int {
-	mark := make([]int, n)
+// unpackMarking decodes a packed marking into mark, one token count per
+// element, and returns it.
+func unpackMarking(packed []byte, mark []int) []int {
 	for i := range mark {
 		v, k := binary.Uvarint(packed)
 		mark[i] = int(v)
@@ -61,6 +62,22 @@ func hashBytes(b []byte) uint64 {
 		h *= fnvPrime64
 	}
 	return h
+}
+
+// len returns the number of interned markings.
+func (mi *markIndex) len() int { return len(mi.ends) }
+
+// views returns every interned marking as a view into the arena, in index
+// order. A view's capacity ends with it, so appending to one cannot reach
+// the next.
+func (mi *markIndex) views() [][]byte {
+	out := make([][]byte, len(mi.ends))
+	start := int32(0)
+	for si, end := range mi.ends {
+		out[si] = mi.arena[start:end:end]
+		start = end
+	}
+	return out
 }
 
 // packedOf returns state si's packed marking (a view into the arena).

@@ -14,18 +14,19 @@ import (
 // "Projected solve").
 //
 // The partition is a union-find over places and rewards, built from the
-// explored chain: the places one edge changes belong together, a rate
-// reward belongs with every place it reads (recorded while it is evaluated
-// on every state), and an impulse reward with every place an edge that
-// earns it changes. When the rewards fall into more than one component, the
-// chain is lumped onto each component's places: two states are in one class
-// when they agree on those places. A lumping is admitted only if every state
-// gives its class representative's sorted multiset of (successor class,
-// rate, impulses of the component's rewards), the same reward rates and the
-// same impulse flux over its same-class edges, bit for bit — strong
-// lumpability, checked on every state, so each reward's answer on its
-// lumped chain is its answer on the whole chain. Any mismatch keeps the
-// whole chain for every reward.
+// explored chain: the places one edge changes belong together, an impulse
+// reward belongs with every place an edge that earns it changes (both
+// joined during exploration, where an edge's two markings are decoded
+// anyway), and a rate reward with every place it reads (recorded while it
+// is evaluated on every state). When the rewards fall into more than one
+// component, the chain is lumped onto each component's places: two states
+// are in one class when they agree on those places. A lumping is admitted
+// only if every state gives its class representative's sorted multiset of
+// (successor class, rate, impulses of the component's rewards), the same
+// reward rates and the same impulse flux over its same-class edges, bit for
+// bit — strong lumpability, checked on every state, so each reward's answer
+// on its lumped chain is its answer on the whole chain. Any mismatch keeps
+// the whole chain for every reward.
 //
 // The solver runs every projection through one path: the identity
 // projection, one class per state, is the whole chain, and solving on it is
@@ -61,9 +62,10 @@ func (g *Generator) identity() projection {
 
 // project returns the projections the solver runs: one per component when
 // the rewards fall into several and every lumping passes the check,
-// otherwise the identity projection alone.
-func (g *Generator) project() []projection {
-	comps := g.components()
+// otherwise the identity projection alone. changes is the exploration's
+// partition of the places (exploreResult.changes).
+func (g *Generator) project(changes unionFind) []projection {
+	comps := g.components(changes)
 	if len(comps) < 2 {
 		return []projection{g.identity()}
 	}
@@ -92,8 +94,8 @@ func (g *Generator) evidence(projs []projection) []san.ProjectionEvidence {
 			ev.Rewards = append(ev.Rewards, rewards[ri].Name)
 		}
 		for c, r := range p.reps {
-			for _, t := range g.Transitions[r] {
-				if p.classOf[t.To] != int32(c) {
+			for _, e := range g.out(int(r)) {
+				if p.classOf[e.to] != int32(c) {
 					ev.Transitions++
 				}
 			}
@@ -111,54 +113,36 @@ type component struct {
 }
 
 // components partitions the rewards by the places they depend on, in the
-// order of each component's first reward. It returns nil when a rate reward
-// panics on some state: the solve then reports the panic on the whole
-// chain.
-func (g *Generator) components() []component {
+// order of each component's first reward, completing uf: the places (then
+// the rewards) the exploration joined by the edges' changes and impulses.
+// It returns nil when a rate reward panics on some state: the solve then
+// reports the panic on the whole chain.
+func (g *Generator) components(uf unionFind) []component {
 	nP := g.cm.Model().NumPlaces()
 	rewards := g.cm.Rewards()
 	if len(rewards) < 2 {
 		return nil
 	}
-	uf := newUnionFind(nP + len(rewards)) // places, then rewards
-	for s, ts := range g.Transitions {
-		from := g.States[s]
-		for _, t := range ts {
-			to := g.States[t.To]
-			first := -1
-			for p := range from {
-				if from[p] == to[p] {
-					continue
-				}
-				if first < 0 {
-					first = p
-				} else {
-					uf.union(first, p)
-				}
-			}
-			if first < 0 {
-				continue
-			}
-			for ri, v := range t.Impulses {
-				if v != 0 {
-					uf.union(nP+ri, first)
-				}
-			}
+	var rated []int         // the rewards with a rate
+	var recs []readRecorder // per rated reward: the places it read
+	for ri, rv := range rewards {
+		if rv.Rate != nil {
+			rated = append(rated, ri)
+			recs = append(recs, readRecorder{read: make([]bool, nP)})
 		}
 	}
-	rec := readRecorder{read: make([]bool, nP)}
-	for ri, rv := range rewards {
-		if rv.Rate == nil {
-			continue
-		}
-		clear(rec.read)
-		for _, mark := range g.States {
-			rec.mark = mark
-			if _, err := evalRewardRate(rv, &rec); err != nil {
+	var mark []int
+	for s := range g.States {
+		mark = g.Marking(s, mark)
+		for k, ri := range rated {
+			recs[k].mark = mark
+			if _, err := evalRewardRate(rewards[ri], &recs[k]); err != nil {
 				return nil
 			}
 		}
-		for p, read := range rec.read {
+	}
+	for k, ri := range rated {
+		for p, read := range recs[k].read {
 			if read {
 				uf.union(nP+ri, p)
 			}
@@ -229,7 +213,9 @@ func (g *Generator) lump(c component) projection {
 	p := projection{rewards: c.rewards, places: len(c.places), classOf: make([]int32, len(g.States))}
 	idx := newMarkIndex()
 	var buf []byte
-	for s, mark := range g.States {
+	var mark []int
+	for s := range g.States {
+		mark = g.Marking(s, mark)
 		buf = buf[:0]
 		for _, pl := range c.places {
 			buf = binary.AppendUvarint(buf, uint64(mark[pl]))
@@ -289,8 +275,8 @@ type stateSig struct {
 // classEdge is one cross-class edge as the check compares it.
 type classEdge struct {
 	class int32
+	imp   int32
 	rate  float64
-	imp   []float64
 }
 
 func newClassChecker(g *Generator, p *projection) *classChecker {
@@ -335,20 +321,22 @@ func (ck *classChecker) signature(sig *stateSig, s int32) bool {
 	sig.edges = sig.edges[:0]
 	sig.flux = slices.Grow(sig.flux[:0], len(ck.imps))[:len(ck.imps)]
 	clear(sig.flux)
-	for _, t := range ck.g.Transitions[s] {
-		if d := ck.p.classOf[t.To]; d != c {
-			sig.edges = append(sig.edges, classEdge{class: d, rate: t.Rate, imp: t.Impulses})
+	impulses := ck.g.impulses
+	for _, e := range ck.g.out(int(s)) {
+		if d := ck.p.classOf[e.to]; d != c {
+			sig.edges = append(sig.edges, classEdge{class: d, imp: e.imp, rate: e.rate})
+			continue
+		}
+		if e.imp == 0 {
 			continue
 		}
 		for k, ri := range ck.imps {
-			if ri < len(t.Impulses) {
-				sig.flux[k] += t.Rate * t.Impulses[ri]
-			}
+			sig.flux[k] += e.rate * impulses[e.imp][ri]
 		}
 	}
 	slices.SortFunc(sig.edges, ck.cmp)
 	sig.rates = sig.rates[:0]
-	ck.rd = ck.g.States[s]
+	ck.rd = ck.g.Marking(int(s), ck.rd)
 	rewards := ck.g.cm.Rewards()
 	for _, ri := range ck.rates {
 		r, err := evalRewardRate(rewards[ri], &ck.rd)
@@ -362,7 +350,8 @@ func (ck *classChecker) signature(sig *stateSig, s int32) bool {
 
 // cmpEdges orders cross-class edges by class, rate bits and the impulse bits
 // of the projection's rewards; it is zero exactly when those agree bit for
-// bit.
+// bit. It compares bits, not ids: an id names the whole vector, rewards
+// outside the projection included.
 func (ck *classChecker) cmpEdges(a, b classEdge) int {
 	if a.class != b.class {
 		return int(a.class - b.class)
@@ -370,10 +359,19 @@ func (ck *classChecker) cmpEdges(a, b classEdge) int {
 	if c := cmpUint64(math.Float64bits(a.rate), math.Float64bits(b.rate)); c != 0 {
 		return c
 	}
+	va, vb := ck.g.impulses[a.imp], ck.g.impulses[b.imp]
 	for _, ri := range ck.imps {
-		if c := cmpUint64(bitsAt(a.imp, ri), bitsAt(b.imp, ri)); c != 0 {
+		if c := cmpUint64(bitsAt(va, ri), bitsAt(vb, ri)); c != 0 {
 			return c
 		}
+	}
+	return 0
+}
+
+// bitsAt returns the bits of v[i], or +0.0's when v is nil.
+func bitsAt(v []float64, i int) uint64 {
+	if i < len(v) {
+		return math.Float64bits(v[i])
 	}
 	return 0
 }

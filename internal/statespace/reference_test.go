@@ -15,11 +15,13 @@ import (
 // and Generator.SolveTransientReference.
 
 // refExplorer is the reference explorer's state over the explorer's shared
-// semantic core (firing and vanishing closure): the string-keyed state index
-// and the first-seen rate map.
+// semantic core (firing and vanishing closure) and chain storage: the
+// string-keyed state index, the unpacked markings, and the first-seen rate
+// map.
 type refExplorer struct {
 	*explorer
 	index map[string]int
+	marks [][]int
 
 	// firstRate pins the rate an activity showed when first seen enabled; a
 	// different rate in another state without reactivation breaks the CTMC
@@ -57,7 +59,7 @@ func exploreBaseline(cm *san.CompiledModel, opts Options) (*Generator, exploreRe
 		}
 	}
 
-	for next := 0; next < len(ex.states); next++ {
+	for next := 0; next < len(ex.marks); next++ {
 		if err := ex.expand(next); err != nil {
 			if nm, isNM := err.(nonMemorylessError); isNM {
 				res.nonMemoryless = string(nm)
@@ -72,9 +74,7 @@ func exploreBaseline(cm *san.CompiledModel, opts Options) (*Generator, exploreRe
 		}
 	}
 
-	gen.States = ex.states
-	gen.Transitions = ex.transitions
-	res.observedMax = ex.observedMax
+	ex.finish(gen, &res)
 	return gen, res
 }
 
@@ -84,14 +84,15 @@ func (ex *refExplorer) intern(mark []int) (int, bool) {
 	if si, ok := ex.index[key]; ok {
 		return si, true
 	}
-	if len(ex.states) >= ex.maxStates {
+	if len(ex.marks) >= ex.maxStates {
 		ex.overBudget = true
 		return 0, false
 	}
-	si := len(ex.states)
+	si := len(ex.marks)
 	ex.index[key] = si
-	ex.states = append(ex.states, append([]int(nil), mark...))
-	ex.transitions = append(ex.transitions, nil)
+	ex.marks = append(ex.marks, append([]int(nil), mark...))
+	ex.packBuf = packMarking(ex.packBuf[:0], mark)
+	ex.idx.insert(ex.packBuf, hashBytes(ex.packBuf))
 	for pi, v := range mark {
 		if v > ex.observedMax[pi] {
 			ex.observedMax[pi] = v
@@ -102,7 +103,7 @@ func (ex *refExplorer) intern(mark []int) (int, bool) {
 
 // expand generates the outgoing edges of tangible state si.
 func (ex *refExplorer) expand(si int) error {
-	mark := ex.states[si]
+	mark := ex.marks[si]
 	for _, tr := range ex.timedRefs {
 		a := tr.a
 		enabled, err := activityEnabled(a, markingVec(mark))
@@ -141,12 +142,13 @@ func (ex *refExplorer) expand(si int) error {
 				if !ok {
 					return nil // budget flag set; caller stops
 				}
-				ex.transitions[si] = append(ex.transitions[si], Transition{
-					To: ti, Rate: rate * o.prob, Impulses: o.imp,
-				})
+				imp := ex.imps.intern(o.imp)
+				ex.noteChanges(mark, o.mark, imp)
+				ex.edges.add(edge{to: int32(ti), imp: imp, rate: rate * o.prob})
 			}
 		}
 	}
+	ex.edges.endState()
 	return nil
 }
 
@@ -197,18 +199,19 @@ func (g *Generator) buildCSR(lambda float64) *csr {
 		// destination order for deterministic accumulation.
 		offset := map[int]int{}
 		exit := 0.0
-		for _, t := range g.Transitions[s] {
-			if t.To == s {
+		for _, e := range g.out(s) {
+			to := int(e.to)
+			if to == s {
 				continue
 			}
-			exit += t.Rate
-			if k, ok := offset[t.To]; ok {
-				m.val[k] += t.Rate / lambda
+			exit += e.rate
+			if k, ok := offset[to]; ok {
+				m.val[k] += e.rate / lambda
 				continue
 			}
-			offset[t.To] = len(m.colIdx)
-			m.colIdx = append(m.colIdx, t.To)
-			m.val = append(m.val, t.Rate/lambda)
+			offset[to] = len(m.colIdx)
+			m.colIdx = append(m.colIdx, to)
+			m.val = append(m.val, e.rate/lambda)
 		}
 		m.stay[s] = 1 - exit/lambda
 	}
@@ -274,7 +277,10 @@ func (g *Generator) solveTransientBaseline(T float64) (map[string]float64, error
 	// form when the iteration stops early.
 	usedTime := (1 - accumulated) / lambda
 
-	const tol = 1e-12
+	// The series stops at the Poisson truncation point, or earlier at
+	// steady-state detection.
+	maxIter := int(lt + 12*math.Sqrt(lt+1) + 50)
+	trunc := max(poissonTruncation(lt, seriesTol, maxIter), 1)
 	// Steady-state detection: once v_n stops changing (the embedded chain
 	// reached stationarity within ssTol), every remaining Poisson term
 	// multiplies the same vector, so the rest of the series collapses to the
@@ -283,8 +289,7 @@ func (g *Generator) solveTransientBaseline(T float64) (map[string]float64, error
 	// thousands for an 8760 h year), so this turns O(ΛT) matrix-vector
 	// products into O(Λ·t_mix).
 	const ssTol = 1e-13
-	maxIter := int(lt + 12*math.Sqrt(lt+1) + 50)
-	for it := 1; it <= maxIter; it++ {
+	for it := 1; it <= trunc; it++ {
 		P.step(next, v)
 		v, next = next, v
 		logWeight += math.Log(lt) - math.Log(float64(it))
@@ -299,7 +304,7 @@ func (g *Generator) solveTransientBaseline(T float64) (map[string]float64, error
 			sojourn[s] += tail * v[s] / lambda
 		}
 		usedTime += tail / lambda
-		if it > int(lt) && 1-accumulated < tol {
+		if it == trunc {
 			break
 		}
 		diff := 0.0

@@ -31,9 +31,9 @@ func (g *Generator) maxExitRate(p *projection) float64 {
 	maxExit := 0.0
 	for c, r := range p.reps {
 		exit := 0.0
-		for _, t := range g.Transitions[r] {
-			if p.classOf[t.To] != int32(c) {
-				exit += t.Rate
+		for _, e := range g.out(int(r)) {
+			if p.classOf[e.to] != int32(c) {
+				exit += e.rate
 			}
 		}
 		if exit > maxExit {
@@ -50,9 +50,9 @@ func (g *Generator) maxExitRate(p *projection) float64 {
 func (g *Generator) impulseFlux(p *projection, ri int) []float64 {
 	flux := make([]float64, len(p.reps))
 	for c, r := range p.reps {
-		for _, t := range g.Transitions[r] {
-			if ri < len(t.Impulses) {
-				flux[c] += t.Rate * t.Impulses[ri]
+		for _, e := range g.out(int(r)) {
+			if e.imp != 0 {
+				flux[c] += e.rate * g.impulses[e.imp][ri]
 			}
 		}
 	}
@@ -67,8 +67,10 @@ func (g *Generator) stateRates(p *projection, ri int) ([]float64, error) {
 	if rv.Rate == nil {
 		return rates, nil
 	}
+	var mark markingVec
 	for c, r := range p.reps {
-		v, err := evalRewardRate(rv, markingVec(g.States[r]))
+		mark = g.Marking(int(r), mark)
+		v, err := evalRewardRate(rv, &mark)
 		if err != nil {
 			return nil, err
 		}

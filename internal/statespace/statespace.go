@@ -73,34 +73,18 @@ type StateProb struct {
 	Prob  float64
 }
 
-// Transition is one edge of the generated CTMC: a timed activity firing (one
-// probabilistic case, one vanishing-elimination path) from one tangible
-// state to another. Parallel edges between the same pair of states are kept
-// separate so each carries its own impulse-reward vector; the solver merges
-// them when it builds the uniformized matrix.
-type Transition struct {
-	// To indexes Generator.States: the edge's target. Its source is the
-	// state whose Generator.Transitions entry lists it.
-	To int
-	// Rate is the exponential rate of the edge: the activity's rate times
-	// the case probability times the probability of the vanishing path.
-	Rate float64
-	// Impulses holds, per reward variable (Generator.cm.Rewards() order),
-	// the impulse reward earned when the edge fires — the firing activity's
-	// impulses plus those of every instantaneous activity on the path.
-	Impulses []float64
-}
-
 // Generator is the exhaustively generated CTMC of a certified model: the
 // tangible reachable states in deterministic BFS order, the initial
 // distribution (after eliminating a vanishing initial marking), and the
-// outgoing transitions of every state.
+// outgoing edges of every state, stored compactly (chain.go;
+// docs/statespace.md, "The generated CTMC").
 type Generator struct {
 	cm *san.CompiledModel
-	// States holds the tangible markings in discovery (BFS) order, each a
-	// full marking vector in place-index order. States[0] is the first
-	// tangible state reached from the initial marking.
-	States [][]int
+	// States holds the tangible markings in discovery (BFS) order, each
+	// varint-packed in place-index order: read-only views into one arena,
+	// decoded by Marking. States[0] is the first tangible state reached
+	// from the initial marking.
+	States [][]byte
 	// Initial is the distribution over States at time zero. A tangible
 	// initial marking gives the single atom {0, 1}; a vanishing one may
 	// split across the outcomes of its instantaneous closure.
@@ -109,23 +93,20 @@ type Generator struct {
 	// variable) earned during the initial vanishing closure, before time
 	// starts.
 	InitialImpulses []float64
-	// Transitions[s] lists the outgoing edges of state s, in deterministic
-	// (activity declaration, case, path) order.
-	Transitions [][]Transition
+
+	// arena backs States. The edges of state s are out(s): a run of one
+	// of blocks, which hold 1<<edgeBlockShift consecutive states each, ending
+	// at ends[s]. impulses holds the distinct impulse vectors the edges
+	// name, impulses[0] the nil of every edge that earns none.
+	arena    []byte
+	blocks   [][]edge
+	ends     []int32
+	impulses [][]float64
 
 	// projections are the lumped chains SolveTransient runs, set by
 	// certification: one per component of the rewards, or the identity
 	// projection alone (project.go).
 	projections []projection
-}
-
-// NumTransitions returns the total edge count.
-func (g *Generator) NumTransitions() int {
-	n := 0
-	for _, ts := range g.Transitions {
-		n += len(ts)
-	}
-	return n
 }
 
 // Certify runs the full structural pipeline on a compiled model: memoryless
@@ -228,7 +209,7 @@ func certifyWith(cm *san.CompiledModel, opts Options, explore func(*san.Compiled
 	cert.PlaceBounds = placeBounds(cm, inv, exp.observedMax)
 
 	// 5. Projections: each reward's component, lumped and checked.
-	gen.projections = gen.project()
+	gen.projections = gen.project(exp.changes)
 	cert.Projections = gen.evidence(gen.projections)
 	return gen, cert
 }

@@ -85,7 +85,8 @@ func TestGoldenBirthDeath(t *testing.T) {
 	down := cm.Model().Place("pool/state/down")
 	perFail := mustExpRate(t, lambda).Rate()
 	perRepair := mustExpRate(t, mu).Rate()
-	for s, mark := range gen.States {
+	marks := markings(gen)
+	for s, mark := range marks {
 		k := mark[down.Index()]
 		wantFail, wantRepair := 0.0, 0.0
 		if k < n {
@@ -95,12 +96,12 @@ func TestGoldenBirthDeath(t *testing.T) {
 			wantRepair = mustExpRate(t, perRepair*float64(k)).Rate()
 		}
 		gotFail, gotRepair := 0.0, 0.0
-		for _, tr := range gen.Transitions[s] {
-			switch gen.States[tr.To][down.Index()] {
+		for _, tr := range edgesOf(gen, s) {
+			switch marks[tr.to][down.Index()] {
 			case k + 1:
-				gotFail += tr.Rate
+				gotFail += tr.rate
 			case k - 1:
-				gotRepair += tr.Rate
+				gotRepair += tr.rate
 			default:
 				t.Fatalf("state down=%d: unexpected edge %+v", k, tr)
 			}
@@ -289,7 +290,8 @@ func TestIllFormedCaseMasses(t *testing.T) {
 				}
 				gen := mustCertify(t, statespace.Certify, cm, statespace.Options{})
 
-				post := vecReader(append([]int(nil), gen.States[0]...))
+				marks := markings(gen)
+				post := vecReader(marks[0])
 				post[clock.Index()]--
 				masses := make([]float64, 2)
 				total := tick.CaseMasses(post, masses)
@@ -298,17 +300,17 @@ func TestIllFormedCaseMasses(t *testing.T) {
 					want = []float64{rate * masses[0] / total, rate * masses[1] / total}
 				}
 				got := make([]float64, 2)
-				for _, tr := range gen.Transitions[0] {
+				for _, tr := range edgesOf(gen, 0) {
 					ci := 1
-					if gen.States[tr.To][a.Index()] == 1 {
+					if marks[tr.to][a.Index()] == 1 {
 						ci = 0
 					}
 					// Only tick is enabled initially, and it takes the
 					// clock's token.
-					if gen.States[tr.To][clock.Index()] != 0 || got[ci] != 0 {
+					if marks[tr.to][clock.Index()] != 0 || got[ci] != 0 {
 						t.Fatalf("unexpected edge %+v from the initial state", tr)
 					}
-					got[ci] = tr.Rate
+					got[ci] = tr.rate
 				}
 				for ci := range want {
 					if math.Abs(got[ci]-want[ci]) > 1e-15 {

@@ -330,16 +330,16 @@ func nextPermutation(a []int) bool {
 
 // edgeKey is one edge of a member's expansion as the lumpability check
 // compares it: successor class (canonical packed marking and its hash),
-// rate, and impulse vector.
+// rate, and impulse vector id.
 type edgeKey struct {
 	h    uint64
 	b    []byte
 	rate float64
-	imp  []float64
+	imp  int32
 }
 
 // cmpEdgeKeys is a total order on edge keys that is zero exactly when both
-// are bit-identical (a nil impulse vector reads as +0.0 everywhere).
+// are bit-identical: impulse vector ids are interned by bits (chain.go).
 func cmpEdgeKeys(a, b *edgeKey) int {
 	if a.h != b.h {
 		return cmpUint64(a.h, b.h)
@@ -350,12 +350,7 @@ func cmpEdgeKeys(a, b *edgeKey) int {
 	if c := cmpUint64(math.Float64bits(a.rate), math.Float64bits(b.rate)); c != 0 {
 		return c
 	}
-	for i := 0; i < max(len(a.imp), len(b.imp)); i++ {
-		if c := cmpUint64(bitsAt(a.imp, i), bitsAt(b.imp, i)); c != 0 {
-			return c
-		}
-	}
-	return 0
+	return int(a.imp) - int(b.imp)
 }
 
 func cmpUint64(a, b uint64) int {
@@ -364,13 +359,6 @@ func cmpUint64(a, b uint64) int {
 		return -1
 	case a > b:
 		return 1
-	}
-	return 0
-}
-
-func bitsAt(v []float64, i int) uint64 {
-	if i < len(v) {
-		return math.Float64bits(v[i])
 	}
 	return 0
 }

@@ -121,8 +121,9 @@ func markKey(mark []int) string {
 func sameQuotient(t *testing.T, cm *san.CompiledModel, q, flat *statespace.Generator) {
 	t.Helper()
 	canon := statespace.Canonicalizer(cm)
+	qMarks, flatMarks := markings(q), markings(flat)
 	classOf := make(map[string]int, len(q.States))
-	for ci, rep := range q.States {
+	for ci, rep := range qMarks {
 		if !slices.Equal(canon(rep), rep) {
 			t.Fatalf("class %d: representative %v is not canonical", ci, rep)
 		}
@@ -130,7 +131,7 @@ func sameQuotient(t *testing.T, cm *san.CompiledModel, q, flat *statespace.Gener
 	}
 	flatClass := make([]int, len(flat.States))
 	covered := make([]bool, len(q.States))
-	for s, mark := range flat.States {
+	for s, mark := range flatMarks {
 		ci, ok := classOf[markKey(canon(mark))]
 		if !ok {
 			t.Fatalf("flat state %d %v: class missing from the quotient", s, mark)
@@ -140,23 +141,23 @@ func sameQuotient(t *testing.T, cm *san.CompiledModel, q, flat *statespace.Gener
 	}
 	for ci, ok := range covered {
 		if !ok {
-			t.Fatalf("class %d %v holds no flat state", ci, q.States[ci])
+			t.Fatalf("class %d %v holds no flat state", ci, qMarks[ci])
 		}
 	}
 
 	nRewards := len(cm.Rewards())
 	// edgeSet encodes each edge as (class, rate bits, impulse bits), a nil
 	// impulse vector as zeros, and sorts the encodings: a multiset.
-	edgeSet := func(ts []statespace.Transition, class func(int) int) []string {
+	edgeSet := func(ts []testEdge, class func(int) int) []string {
 		out := make([]string, 0, len(ts))
 		var b []byte
 		for _, tr := range ts {
-			b = binary.LittleEndian.AppendUint64(b[:0], uint64(class(tr.To)))
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(tr.Rate))
+			b = binary.LittleEndian.AppendUint64(b[:0], uint64(class(tr.to)))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(tr.rate))
 			for ri := 0; ri < nRewards; ri++ {
 				var bits uint64
-				if ri < len(tr.Impulses) {
-					bits = math.Float64bits(tr.Impulses[ri])
+				if ri < len(tr.impulses) {
+					bits = math.Float64bits(tr.impulses[ri])
 				}
 				b = binary.LittleEndian.AppendUint64(b, bits)
 			}
@@ -168,11 +169,11 @@ func sameQuotient(t *testing.T, cm *san.CompiledModel, q, flat *statespace.Gener
 	same := func(i int) int { return i }
 	quotientEdges := make([][]string, len(q.States))
 	for ci := range q.States {
-		quotientEdges[ci] = edgeSet(q.Transitions[ci], same)
+		quotientEdges[ci] = edgeSet(edgesOf(q, ci), same)
 	}
 	for s := range flat.States {
 		ci := flatClass[s]
-		got := edgeSet(flat.Transitions[s], func(to int) int { return flatClass[to] })
+		got := edgeSet(edgesOf(flat, s), func(to int) int { return flatClass[to] })
 		if !slices.Equal(got, quotientEdges[ci]) {
 			t.Fatalf("flat state %d (class %d): lumped edges\n%x\nwant\n%x", s, ci, got, quotientEdges[ci])
 		}
@@ -180,7 +181,7 @@ func sameQuotient(t *testing.T, cm *san.CompiledModel, q, flat *statespace.Gener
 			if rv.Rate == nil {
 				continue
 			}
-			if a, b := rv.Rate(vecReader(flat.States[s])), rv.Rate(vecReader(q.States[ci])); math.Float64bits(a) != math.Float64bits(b) {
+			if a, b := rv.Rate(vecReader(flatMarks[s])), rv.Rate(vecReader(qMarks[ci])); math.Float64bits(a) != math.Float64bits(b) {
 				t.Fatalf("flat state %d: reward %q rate %v, class %d rate %v", s, rv.Name, a, ci, b)
 			}
 		}
