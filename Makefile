@@ -2,7 +2,7 @@ GO ?= go
 # BENCHTIME tunes the bench target (e.g. BENCHTIME=1x for a CI smoke pass).
 BENCHTIME ?= 1s
 
-.PHONY: all build lint test race vet bench bench-all benchmark identity identity-diff cover examples clean
+.PHONY: all build lint test race vet bench bench-all benchmark identity identity-diff loc cover examples clean
 
 all: build vet lint test
 
@@ -87,6 +87,12 @@ identity-diff:
 	rm -rf .identity_build/base
 	$(MAKE) identity OUT=$(CURDIR)/.identity_build/head-out
 	diff -r .identity_build/base-out .identity_build/head-out && echo byte-identical
+
+# Line counts of the tracked Go files: non-test and test (*_test.go). A
+# deletion or refactor is measured by the non-test count.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | xargs cat | wc -l | sed 's/^/non-test Go lines: /'
+	@git ls-files '*_test.go' | xargs cat | wc -l | sed 's/^/test Go lines: /'
 
 # Every benchmark in the repository (slow).
 bench-all:

@@ -48,6 +48,15 @@ type edgeStore struct {
 // add appends an edge of the state being committed.
 func (es *edgeStore) add(e edge) { es.open = append(es.open, e) }
 
+// pending returns the edges added since the last committed state.
+func (es *edgeStore) pending() []edge {
+	lo := int32(0)
+	if n := len(es.ends); n&edgeBlockMask != 0 {
+		lo = es.ends[n-1]
+	}
+	return es.open[lo:]
+}
+
 // endState commits the state whose edges were added since the last call.
 func (es *edgeStore) endState() {
 	es.ends = append(es.ends, int32(len(es.open)))

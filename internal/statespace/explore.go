@@ -2,22 +2,24 @@ package statespace
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/san"
 )
 
-// This file holds the explorer's semantic core. A firing applies san's
-// completion rule (san/fire.go), the rule the simulator applies, to a guarded
-// copy of the marking: where the simulator draws one case, the explorer takes
-// every case of positive probability, at the probability the draw gives it,
-// and a panicking closure or a negative marking becomes an exploration error
-// instead of a crash. Vanishing markings (those enabling an instantaneous
-// activity) are eliminated on the fly: every timed firing is immediately
-// closed under the simulator's instantaneous sweep, so only tangible states
-// are interned and the emitted edges carry the path probability and
-// accumulated impulse rewards of the elimination. The generated CTMC is
-// therefore the chain the simulator samples, state for state and rate for
-// rate.
+// This file holds the explorer's semantic core. One firing routine, fire,
+// applies san's completion rule (san/fire.go), the rule the simulator
+// applies, to a guarded copy of the marking: where the simulator draws one
+// case, the explorer takes every case of positive probability, at the
+// probability the draw gives it, and a panicking closure or a negative
+// marking becomes an exploration error instead of a crash. Timed expansion,
+// the instantaneous closure and the reference explorer all fire through it.
+// Vanishing markings (those enabling an instantaneous activity) are
+// eliminated on the fly: every timed firing is immediately closed under the
+// simulator's instantaneous sweep, so only tangible states are interned and
+// the emitted edges carry the path probability and accumulated impulse
+// rewards of the elimination. The generated CTMC is therefore the chain the
+// simulator samples, state for state and rate for rate.
 
 // exploreResult carries the exploration outcome into certificate assembly.
 type exploreResult struct {
@@ -29,9 +31,10 @@ type exploreResult struct {
 	changes        unionFind             // the places edges change together (explorer.noteChanges)
 }
 
-// outcome is one tangible result of a vanishing closure: the settled
-// marking, the probability of the instantaneous-case path that led to it,
-// and the impulse rewards earned along the path.
+// outcome is one result of a firing or of a vanishing closure: the marking,
+// its probability (a case's, or that of the instantaneous-case path that led
+// to it), and the impulse rewards earned on the way, nil when none was
+// evaluated.
 type outcome struct {
 	mark []int
 	prob float64
@@ -44,46 +47,71 @@ type nonMemorylessError string
 
 func (e nonMemorylessError) Error() string { return string(e) }
 
-// fireBranches fires activity a in marking mark, returning one branch per
-// probabilistic case with positive probability. Each branch's marking has
-// the full firing applied (input side, then the case's output side) and its
-// impulse vector holds a's impulse rewards evaluated on the post-fire
-// marking, exactly as the simulator earns them.
-func (ex *explorer) fireBranches(mark []int, a *san.Activity) ([]outcome, error) {
-	in := &guardedWriter{mark: append([]int(nil), mark...)}
-	if err := fireInput(a, in); err != nil {
+// firing is the scratch one firing writes into: the post-input marking, one
+// marking and one impulse vector per case, the case probabilities, and the
+// outcomes that view them. The explorer reuses one for its timed firings;
+// the instantaneous closure takes a fresh one per firing, because its
+// outcomes outlive the next firing.
+type firing struct {
+	in, marks   []int
+	imps, probs []float64
+	outs        []outcome
+}
+
+// fire fires activity a in marking mark into f, returning one outcome per
+// case of positive probability: its marking has the input side and then the
+// case's output side applied, its probability is the one the simulator's
+// draw gives the case, and its impulse vector holds a's impulse rewards
+// evaluated on the post-fire marking, exactly as the simulator earns them,
+// or is nil when a earns none. An activity with no cases has one outcome, of
+// probability 1, with no output side applied, as in the simulator. The
+// outcomes view f's buffers and hold until f fires again.
+func (ex *explorer) fire(f *firing, mark []int, a *san.Activity) ([]outcome, error) {
+	f.in = append(f.in[:0], mark...)
+	ex.gw = guardedWriter{mark: f.in}
+	if err := fireInput(a, &ex.gw); err != nil {
 		return nil, err
 	}
 	cases := a.Cases()
-	if len(cases) == 0 {
-		// No cases: the simulator applies no output side.
-		imp := make([]float64, ex.nRewards)
-		if err := addImpulses(ex.cm, a, in, imp); err != nil {
-			return nil, err
-		}
-		return []outcome{{mark: in.mark, prob: 1, imp: imp}}, nil
-	}
-	probs, err := caseProbs(a, in, make([]float64, len(cases)))
+	n, nP, nR := max(len(cases), 1), len(mark), ex.nRewards
+	probs, err := caseProbs(a, &ex.gw, resize(f.probs, n))
 	if err != nil {
 		return nil, err
 	}
-	var branches []outcome
+	f.probs, f.marks = probs, resize(f.marks, n*nP)
+	earns := ex.cm.EarnsImpulses(a)
+	if earns {
+		f.imps = resize(f.imps, n*nR)
+	}
+	f.outs = f.outs[:0]
 	for ci, p := range probs {
 		if p <= 0 {
 			continue
 		}
-		w := &guardedWriter{mark: append([]int(nil), in.mark...)}
-		if err := fireOutput(a, &cases[ci], w); err != nil {
-			return nil, err
+		out := f.marks[ci*nP : (ci+1)*nP]
+		copy(out, f.in)
+		ex.gw = guardedWriter{mark: out}
+		if len(cases) > 0 {
+			if err := fireOutput(a, &cases[ci], &ex.gw); err != nil {
+				return nil, err
+			}
 		}
-		imp := make([]float64, ex.nRewards)
-		if err := addImpulses(ex.cm, a, w, imp); err != nil {
-			return nil, err
+		var imp []float64
+		if earns {
+			imp = f.imps[ci*nR : (ci+1)*nR]
+			clear(imp)
+			if err := addImpulses(ex.cm, a, &ex.gw, imp); err != nil {
+				return nil, err
+			}
 		}
-		branches = append(branches, outcome{mark: w.mark, prob: p, imp: imp})
+		f.outs = append(f.outs, outcome{mark: out, prob: p, imp: imp})
 	}
-	return branches, nil
+	return f.outs, nil
 }
+
+// resize returns buf with length n, reallocated only when its capacity is
+// short.
+func resize[T any](buf []T, n int) []T { return slices.Grow(buf[:0], n)[:n] }
 
 // The wrappers below apply one step of san's completion rule each, turning
 // a panicking model closure into an error that names the activity. Each
@@ -112,10 +140,11 @@ func fireOutput(a *san.Activity, c *san.Case, w *guardedWriter) (err error) {
 	return w.failure(a)
 }
 
-// caseProbs fills probs (length len(a.Cases()) >= 1) with the probability
-// the simulator's draw gives each case of a at post-input marking m:
-// CaseMasses over their total, with the residual of the draw range on the
-// last case. A lone case has probability 1 and its closure is not evaluated.
+// caseProbs fills probs (length max(len(a.Cases()), 1)) with the
+// probability the simulator's draw gives each case of a at post-input
+// marking m: CaseMasses over their total, with the residual of the draw
+// range on the last case. A lone case, or an activity with none, has
+// probability 1, and no closure is evaluated.
 func caseProbs(a *san.Activity, m san.MarkingReader, probs []float64) (_ []float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -158,20 +187,21 @@ func addImpulses(cm *san.CompiledModel, a *san.Activity, m san.MarkingReader, im
 	return nil
 }
 
-// closeVanishing eliminates vanishing markings starting from mark: it runs
-// the simulator's instantaneous sweep (model declaration order, scan
-// continuing past each firing, sweeps repeating while anything fired),
-// branching on probabilistic cases, until every path settles in a tangible
-// marking. prob and imp seed the path probability and impulse accumulator.
-func (ex *explorer) closeVanishing(mark []int, prob float64, imp []float64) ([]outcome, error) {
+// closeVanishing appends to outs the tangible outcomes of mark: it runs the
+// simulator's instantaneous sweep (model declaration order, scan continuing
+// past each firing, sweeps repeating while anything fired), branching on
+// probabilistic cases, until every path settles in a tangible marking. prob
+// and imp seed the path probability and impulse rewards (imp may be nil for
+// none yet). A model without instantaneous activities has nothing to close:
+// mark is its own outcome.
+func (ex *explorer) closeVanishing(outs []outcome, mark []int, prob float64, imp []float64) ([]outcome, error) {
 	if len(ex.inst) == 0 {
-		return []outcome{{mark: mark, prob: prob, imp: imp}}, nil
+		return append(outs, outcome{mark: mark, prob: prob, imp: imp}), nil
 	}
-	var out []outcome
-	if err := ex.sweep(mark, prob, imp, 0, false, 0, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	acc := make([]float64, ex.nRewards)
+	copy(acc, imp)
+	err := ex.sweep(mark, prob, acc, 0, false, 0, &outs)
+	return outs, err
 }
 
 // sweep is one pass over the instantaneous activities from index idx;
@@ -186,7 +216,7 @@ func (ex *explorer) sweep(mark []int, prob float64, imp []float64, idx int, fire
 		if !enabled {
 			continue
 		}
-		branches, err := ex.fireBranches(mark, a)
+		branches, err := ex.fire(new(firing), mark, a)
 		if err != nil {
 			return err
 		}

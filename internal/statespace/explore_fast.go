@@ -1,6 +1,7 @@
 package statespace
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -15,93 +16,42 @@ import (
 // sweep's point fan-out is the only worker pool (docs/statespace.md,
 // "Performance").
 //
-// States are expanded and committed one at a time, in index order. Expanding
-// a state only records proto activations and edges (packed successor
-// markings, probabilities, impulse vector ids); the merge then performs
-// everything order-sensitive — rate-consistency checks, state interning
-// (which assigns indices), edge assembly, budget accounting, and error
-// selection — in exactly the sequence the reference BFS produces, so state
-// numbering, edge order, refusal text, and budget behavior are the
-// reference explorer's. A state's marking lives only in the packed index
-// and is decoded into scratch to be expanded, and the chain's edges go
-// straight into the generator's compact storage (chain.go).
+// States are expanded one at a time, in index order, in one pass, as the
+// reference BFS expands them: each enabled timed activity is fired, and each
+// tangible successor is interned and its edge committed at once, so state
+// numbering, edge order, refusal text and budget behavior are the reference
+// explorer's. A state's marking lives only in the packed index and is
+// decoded into scratch to be expanded, and the chain's edges go straight
+// into the generator's compact storage (chain.go).
 //
 // With exchangeable replicate groups (symmetry.go) the same engine explores
 // the symmetric quotient: every marking is interned in canonical form, so a
-// state is a class and its marking the class representative. The explorer
-// expands the representative and then every other member of the class, and
-// records whether each member gave the same multiset of (successor class,
-// rate, impulse vector) and the same reward rates, bit for bit — the strong
-// lumpability condition, checked on every flat state. The record is what
-// makes this possible: members are compared with the representative before
-// any successor is interned. Members count against the state budget and
-// their markings fold into the place bounds. Any failure — a member that
-// differs, a refusal, a budget overrun — abandons the quotient, and explore
-// reruns the flat exploration. The flat exploration is the quotient with no
-// groups: a marking is its own canonical form and every class has one
-// member.
+// state is a class and its marking the class representative. Once the
+// representative's edges are committed, the explorer expands every other
+// member of the class and checks that each gave the representative's
+// multiset of edges (successor class, rate, impulse vector) and its reward
+// rates, bit for bit — the strong lumpability condition, checked on every
+// flat state. A member's successors are looked up in the index, never
+// interned: every class the representative reaches is interned by then, so a
+// member successor that is not an interned class fails the check. Members
+// count against the state budget and their markings fold into the place
+// bounds. Any failure — a member that differs, a refusal, a budget overrun —
+// abandons the quotient, and explore reruns the flat exploration. The flat
+// exploration is the quotient with no groups: a marking is its own canonical
+// form and every class has one member.
 
 // errNotLumpable abandons a quotient whose member check failed. It never
 // reaches a certificate: the flat rerun decides the model's fate.
 var errNotLumpable = errors.New("statespace: symmetric quotient is not lumpable")
 
 // timedRef caches per-activity facts the hot loop would otherwise re-derive
-// per state: whether the delay is marking-independent (its rate then
-// classifies once, here) and whether the activity carries impulse bindings.
+// per state: whether the delay is marking-independent, its rate then
+// classified once, here.
 type timedRef struct {
 	a       *san.Activity
-	hasImp  bool
 	fixed   bool    // marking-independent delay: rate classified once
-	rate    float64 // valid when fixed and rateErr == ""
-	rateErr string  // non-empty: classification failure, raised when first enabled
-}
-
-// protoAct is one enabled activity of an expansion: the merge re-checks
-// rate consistency and validity before committing its edges.
-type protoAct struct {
-	tIdx    int32 // index into explorer.timedRefs
-	nEdges  int32
-	rate    float64
-	rateErr string
-}
-
-// memberAct is one activation of a class member: the merge pins its rate
-// like a representative's.
-type memberAct struct {
-	tIdx int32
-	rate float64
-}
-
-// protoEdge is one successor of an expansion: the packed canonical marking
-// (a view into the record's arena), its hash, the total branch probability
-// (case times vanishing path), and the interned impulse vector's id.
-type protoEdge struct {
-	off, n int32
-	imp    int32
-	hash   uint64
-	prob   float64
-}
-
-// expansion is the record of one state's expansion: its activations and
-// their edges in firing order, the error that halted it, if any, and its
-// class's member check.
-type expansion struct {
-	acts    []protoAct
-	edges   []protoEdge
-	arena   []byte
-	stopErr error
-
-	memberActs  []memberAct
-	notLumpable bool
-}
-
-func (x *expansion) reset() {
-	x.acts = x.acts[:0]
-	x.edges = x.edges[:0]
-	x.arena = x.arena[:0]
-	x.stopErr = nil
-	x.memberActs = x.memberActs[:0]
-	x.notLumpable = false
+	rate    float64 // valid when fixed and rateErr is nil
+	rateErr error   // classification failure, raised when first enabled
 }
 
 // explorer generates one chain: the semantic core that fires activities and
@@ -140,17 +90,10 @@ type explorer struct {
 	sym        *symmetry
 	flatStates int
 
-	// res records the state being expanded and member one of its class's
-	// members during the check; out is the record expandState writes.
-	res, member expansion
-	out         *expansion
-
-	cur     []int // the marking of the state being expanded
-	fresh   []int // a newly interned marking
-	inMark  []int
-	outMark []int
-	probs   []float64
-	impBuf  []float64
+	cur   []int     // the marking of the state being expanded
+	fresh []int     // a newly interned marking
+	timed firing    // the timed firings' scratch
+	outs  []outcome // one firing outcome's tangible outcomes
 
 	// The markings handed to model closures: rd to enabling and rate
 	// closures, gw to the firing's. Passing a pointer to a long-lived field,
@@ -166,8 +109,8 @@ type explorer struct {
 	symScratch symScratch
 	iter       memberIter
 	memMark    []int
-	repKeys    []edgeKey
-	memKeys    []edgeKey
+	repEdges   []edge
+	memEdges   []edge
 	repRates   []float64
 	memRates   []float64
 }
@@ -207,25 +150,19 @@ func newExplorer(cm *san.CompiledModel, opts Options, sym *symmetry) *explorer {
 		cur:         make([]int, nP),
 		fresh:       make([]int, nP),
 		memMark:     make([]int, nP),
-		impBuf:      make([]float64, nR),
 	}
 	if nR >= 2 {
 		ex.changes = newUnionFind(nP + nR)
 	}
-	ex.out = &ex.res
 	initial := markingVec(cm.InitialMarking())
 	for _, a := range model.Activities() {
 		if a.Kind() != san.Timed {
 			continue
 		}
-		tr := timedRef{a: a, hasImp: cm.EarnsImpulses(a)}
+		tr := timedRef{a: a}
 		if a.FixedDelay() != nil {
 			tr.fixed = true
-			if r, err := activityRate(a, initial); err != nil {
-				tr.rateErr = err.Error()
-			} else {
-				tr.rate = r
-			}
+			tr.rate, tr.rateErr = activityRate(a, initial)
 		}
 		ex.timedRefs = append(ex.timedRefs, tr)
 	}
@@ -239,7 +176,7 @@ func (ex *explorer) explore() (*Generator, exploreResult) {
 	res := exploreResult{}
 
 	// Close the initial marking: it may itself be vanishing.
-	initOutcomes, err := ex.closeVanishing(ex.cm.InitialMarking(), 1, make([]float64, ex.nRewards))
+	initOutcomes, err := ex.closeVanishing(nil, ex.cm.InitialMarking(), 1, nil)
 	if err != nil {
 		res.err = err
 		return nil, res
@@ -279,21 +216,19 @@ func (ex *explorer) explore() (*Generator, exploreResult) {
 	return gen, res
 }
 
-// run expands each state, checks its class's members, and commits it, in
-// index order, the states appended by each merge included, until every
-// state is committed, an error is raised, or the budget runs out.
+// run expands each state in index order, the states its edges intern
+// included, and checks its class's members, until every state is committed,
+// an error is raised, or the budget runs out.
 func (ex *explorer) run() error {
 	for si := 0; si < ex.idx.len(); si++ {
 		mark := unpackMarking(ex.idx.packedOf(si), ex.cur)
-		ex.res.reset()
-		ex.expandState(mark)
-		ex.res.notLumpable = !ex.checkMembers(mark)
-		if err := ex.merge(si); err != nil {
+		if err := ex.expand(si, mark, false); err != nil || ex.overBudget {
 			return err
 		}
-		if ex.overBudget {
-			return nil
+		if !ex.checkMembers(si, mark) {
+			return errNotLumpable
 		}
+		ex.edges.endState()
 	}
 	return nil
 }
@@ -339,13 +274,20 @@ func (ex *explorer) noteChanges(from, to []int, imp int32) {
 	}
 }
 
-// intern interns an unpacked marking (initial-closure path) in canonical
-// form.
-func (ex *explorer) intern(mark []int) (int, bool) {
+// pack writes mark's canonical form into ex.canon and its packing into
+// ex.packBuf, and returns the packing's hash.
+func (ex *explorer) pack(mark []int) uint64 {
 	ex.canon = append(ex.canon[:0], mark...)
 	ex.sym.canon(ex.canon, &ex.symScratch)
 	ex.packBuf = packMarking(ex.packBuf[:0], ex.canon)
-	return ex.internPacked(ex.packBuf, hashBytes(ex.packBuf))
+	return hashBytes(ex.packBuf)
+}
+
+// intern interns an unpacked marking (initial-closure path) in canonical
+// form.
+func (ex *explorer) intern(mark []int) (int, bool) {
+	h := ex.pack(mark)
+	return ex.internPacked(ex.packBuf, h)
 }
 
 // internPacked resolves a packed marking to its state index, assigning the
@@ -384,95 +326,111 @@ func (ex *explorer) pinRate(a *san.Activity, rate float64) error {
 	return nil
 }
 
-// merge commits state si's expansion record: it replays the recorded
-// activations and edges, performing the order-sensitive work — rate pinning
-// and validity, interning, edge assembly, budget stops, and error raising —
-// in exactly the sequence the reference BFS would.
-func (ex *explorer) merge(si int) error {
-	res := &ex.res
-	edges := res.edges
-	for i := range res.acts {
-		act := &res.acts[i]
-		a := ex.timedRefs[act.tIdx].a
-		if act.rateErr != "" {
-			return nonMemorylessError(act.rateErr)
-		}
-		if err := ex.pinRate(a, act.rate); err != nil {
-			return err
-		}
-		if !validRate(act.rate) {
-			return fmt.Errorf("activity %q: rate %g at state %d", a.Name(), act.rate, si)
-		}
-		for _, pe := range edges[:act.nEdges] {
-			ti, ok := ex.internPacked(res.arena[pe.off:pe.off+pe.n], pe.hash)
-			if !ok {
-				return nil // budget flag set; caller stops
-			}
-			ex.edges.add(edge{to: int32(ti), imp: pe.imp, rate: act.rate * pe.prob})
-		}
-		edges = edges[act.nEdges:]
-	}
-	ex.edges.endState()
-	if res.stopErr != nil {
-		return res.stopErr
-	}
-	for _, ma := range res.memberActs {
-		if err := ex.pinRate(ex.timedRefs[ma.tIdx].a, ma.rate); err != nil {
-			return err
-		}
-	}
-	if res.notLumpable {
-		return errNotLumpable
-	}
-	return nil
-}
-
 func validRate(rate float64) bool {
 	return rate > 0 && !math.IsInf(rate, 0) && !math.IsNaN(rate)
 }
 
-// checkMembers expands every member of representative rep's class other
-// than rep and reports whether each gave rep's multiset of (successor class,
-// rate, impulse vector id) and rep's reward rates, bit for bit: ids are
-// interned by bits, so equal ids are equal vectors. Member
-// activations are recorded for the merge's rate pinning. A representative
-// whose own expansion failed is left to the merge, which raises its error.
-// A class with no other member, such as every class of the flat chain,
-// passes.
-func (ex *explorer) checkMembers(rep []int) bool {
+// expand fires every enabled timed activity of mark, in model order, and
+// hands each tangible successor to the edge step: those of state si are
+// interned and their edges committed, those of a member of its class
+// (member set) are collected for the check. It stops at the first error,
+// and returns nil with the budget flag set when the budget runs out.
+func (ex *explorer) expand(si int, mark []int, member bool) error {
+	ex.rd = mark
+	for ti := range ex.timedRefs {
+		tr := &ex.timedRefs[ti]
+		enabled, err := activityEnabled(tr.a, &ex.rd)
+		if err != nil {
+			return err
+		}
+		if !enabled {
+			continue
+		}
+		rate, err := tr.rate, tr.rateErr
+		if !tr.fixed {
+			rate, err = activityRate(tr.a, &ex.rd)
+		}
+		if err != nil {
+			return nonMemorylessError(err.Error())
+		}
+		if err := ex.pinRate(tr.a, rate); err != nil {
+			return err
+		}
+		if !validRate(rate) {
+			return fmt.Errorf("activity %q: rate %g at state %d", tr.a.Name(), rate, si)
+		}
+		fired, err := ex.fire(&ex.timed, mark, tr.a)
+		if err != nil {
+			return err
+		}
+		for _, f := range fired {
+			if ex.outs, err = ex.closeVanishing(ex.outs[:0], f.mark, f.prob, f.imp); err != nil {
+				return err
+			}
+			for _, o := range ex.outs {
+				if ex.step(mark, o.mark, rate*o.prob, o.imp, member) {
+					continue
+				}
+				if member {
+					return errNotLumpable
+				}
+				return nil // budget flag set; the caller stops
+			}
+		}
+	}
+	return nil
+}
+
+// step is the edge step for the successor to of marking from, reached at
+// rate and earning the impulses imp. It puts to in canonical form; then the
+// edge of a state being expanded is committed and its successor interned,
+// and that of a member is collected for the check and its successor only
+// looked up. It reports false when the budget runs out or a member's
+// successor is not an interned class.
+func (ex *explorer) step(from, to []int, rate float64, imp []float64, member bool) bool {
+	h := ex.pack(to)
+	id := ex.imps.intern(imp)
+	if member {
+		ti, ok := ex.idx.lookup(ex.packBuf, h)
+		if !ok {
+			return false
+		}
+		ex.memEdges = append(ex.memEdges, edge{to: int32(ti), imp: id, rate: rate})
+		return true
+	}
+	ti, ok := ex.internPacked(ex.packBuf, h)
+	if !ok {
+		return false
+	}
+	ex.noteChanges(from, ex.canon, id)
+	ex.edges.add(edge{to: int32(ti), imp: id, rate: rate})
+	return true
+}
+
+// checkMembers expands every member of class si other than its
+// representative rep, once rep's edges are added, and reports whether each
+// gave rep's multiset of edges — target, rate bits and impulse vector id,
+// ids being interned by bits, so equal ids are equal vectors — and rep's
+// reward rates, bit for bit. A class with no other member, such as every
+// class of the flat chain, passes.
+func (ex *explorer) checkMembers(si int, rep []int) bool {
 	if !ex.iter.start(ex.sym, rep) {
 		return true
 	}
-	if ex.res.stopErr != nil {
-		return true
-	}
-	for _, act := range ex.res.acts {
-		if act.rateErr != "" || !validRate(act.rate) {
-			return true
-		}
-	}
-	ex.repKeys = appendEdgeKeys(ex.repKeys[:0], &ex.res)
+	ex.repEdges = append(ex.repEdges[:0], ex.edges.pending()...)
+	slices.SortFunc(ex.repEdges, cmpEdges)
 	var ok bool
 	if ex.repRates, ok = ex.rewardRates(ex.repRates[:0], rep); !ok {
 		return false
 	}
-	defer func() { ex.out = &ex.res }()
 	for ex.iter.next() {
 		ex.iter.fill(ex.memMark)
-		ex.member.reset()
-		ex.out = &ex.member
-		ex.expandState(ex.memMark)
-		if ex.member.stopErr != nil {
+		ex.memEdges = ex.memEdges[:0]
+		if ex.expand(si, ex.memMark, true) != nil {
 			return false
 		}
-		for _, act := range ex.member.acts {
-			if act.rateErr != "" || !validRate(act.rate) {
-				return false
-			}
-			ex.res.memberActs = append(ex.res.memberActs, memberAct{tIdx: act.tIdx, rate: act.rate})
-		}
-		ex.memKeys = appendEdgeKeys(ex.memKeys[:0], &ex.member)
-		if !sameEdgeKeys(ex.repKeys, ex.memKeys) {
+		slices.SortFunc(ex.memEdges, cmpEdges)
+		if slices.CompareFunc(ex.repEdges, ex.memEdges, cmpEdges) != 0 {
 			return false
 		}
 		if ex.memRates, ok = ex.rewardRates(ex.memRates[:0], ex.memMark); !ok || !slices.EqualFunc(ex.repRates, ex.memRates, sameBits) {
@@ -482,20 +440,12 @@ func (ex *explorer) checkMembers(rep []int) bool {
 	return true
 }
 
-// appendEdgeKeys appends the sorted edge keys of the edges recorded in x.
-func appendEdgeKeys(keys []edgeKey, x *expansion) []edgeKey {
-	edges := x.edges
-	for _, act := range x.acts {
-		for _, pe := range edges[:act.nEdges] {
-			keys = append(keys, edgeKey{
-				h: pe.hash, b: x.arena[pe.off : pe.off+pe.n],
-				rate: act.rate * pe.prob, imp: pe.imp,
-			})
-		}
-		edges = edges[act.nEdges:]
-	}
-	sortEdgeKeys(keys)
-	return keys
+// cmpEdges orders edges by target, rate bits and impulse vector id; it is
+// zero exactly when they are bit-identical.
+func cmpEdges(a, b edge) int {
+	return cmp.Or(cmp.Compare(a.to, b.to),
+		cmp.Compare(math.Float64bits(a.rate), math.Float64bits(b.rate)),
+		cmp.Compare(a.imp, b.imp))
 }
 
 // rewardRates appends every rate reward's value at mark.
@@ -515,145 +465,3 @@ func (ex *explorer) rewardRates(dst []float64, mark []int) ([]float64, bool) {
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-
-// expandState records the proto activations and edges of one marking into
-// ex.out. An error that halts the expansion is recorded (stopErr) rather
-// than raised: the merge raises it after committing the edges before it.
-func (ex *explorer) expandState(mark []int) {
-	out := ex.out
-	ex.rd = mark
-	for ti := range ex.timedRefs {
-		tr := &ex.timedRefs[ti]
-		enabled, err := activityEnabled(tr.a, &ex.rd)
-		if err != nil {
-			out.stopErr = err
-			return
-		}
-		if !enabled {
-			continue
-		}
-		rate, rateErr := tr.rate, tr.rateErr
-		if !tr.fixed {
-			if r, err := activityRate(tr.a, &ex.rd); err != nil {
-				rate, rateErr = 0, err.Error()
-			} else {
-				rate, rateErr = r, ""
-			}
-		}
-		out.acts = append(out.acts, protoAct{tIdx: int32(ti), rate: rate, rateErr: rateErr})
-		if rateErr != "" {
-			return
-		}
-		if !validRate(rate) {
-			// Recorded with no edges: the merge stops at this activation
-			// with the invalid-rate error, before any firing.
-			return
-		}
-		nEdges, err := ex.fire(mark, tr)
-		if err != nil {
-			out.stopErr = err
-			return
-		}
-		out.acts[len(out.acts)-1].nEdges = nEdges
-	}
-}
-
-// fire records the successor edges of firing tr.a in mark. Models with
-// instantaneous activities route through fireBranches and the vanishing
-// closure; the instantaneous-free hot path fires on reusable scratch
-// markings instead. Both enumerate the cases from caseProbs.
-func (ex *explorer) fire(mark []int, tr *timedRef) (int32, error) {
-	a := tr.a
-	if len(ex.inst) > 0 {
-		branches, err := ex.fireBranches(mark, a)
-		if err != nil {
-			return 0, err
-		}
-		var n int32
-		for _, b := range branches {
-			outs, err := ex.closeVanishing(b.mark, b.prob, b.imp)
-			if err != nil {
-				return 0, err
-			}
-			for _, o := range outs {
-				ex.pushEdge(mark, o.mark, o.prob, ex.imps.intern(o.imp))
-				n++
-			}
-		}
-		return n, nil
-	}
-
-	// Input side, shared by all cases, on a scratch copy of the marking.
-	ex.inMark = append(ex.inMark[:0], mark...)
-	ex.gw = guardedWriter{mark: ex.inMark}
-	if err := fireInput(a, &ex.gw); err != nil {
-		return 0, err
-	}
-	cases := a.Cases()
-	if len(cases) == 0 {
-		// No cases: the simulator applies no output side.
-		imp, err := ex.impulses(tr)
-		if err != nil {
-			return 0, err
-		}
-		ex.pushEdge(mark, ex.inMark, 1, imp)
-		return 1, nil
-	}
-	if cap(ex.probs) < len(cases) {
-		ex.probs = make([]float64, len(cases))
-	}
-	probs, err := caseProbs(a, &ex.gw, ex.probs[:len(cases)])
-	if err != nil {
-		return 0, err
-	}
-	var n int32
-	for ci, p := range probs {
-		if p <= 0 {
-			continue
-		}
-		ex.outMark = append(ex.outMark[:0], ex.inMark...)
-		ex.gw = guardedWriter{mark: ex.outMark}
-		if err := fireOutput(a, &cases[ci], &ex.gw); err != nil {
-			return 0, err
-		}
-		imp, err := ex.impulses(tr)
-		if err != nil {
-			return 0, err
-		}
-		ex.pushEdge(mark, ex.outMark, p, imp)
-		n++
-	}
-	return n, nil
-}
-
-// impulses evaluates tr.a's impulse rewards on the post-fire marking in
-// ex.gw and returns the id of their vector, 0 when the activity has no
-// bindings.
-func (ex *explorer) impulses(tr *timedRef) (int32, error) {
-	if !tr.hasImp {
-		return 0, nil
-	}
-	clear(ex.impBuf)
-	if err := addImpulses(ex.cm, tr.a, &ex.gw, ex.impBuf); err != nil {
-		return 0, err
-	}
-	return ex.imps.intern(ex.impBuf), nil
-}
-
-// pushEdge packs the successor marking to, in canonical form, into the
-// output arena and records the proto edge; an edge of the state being
-// expanded, from, also notes the places it changes.
-func (ex *explorer) pushEdge(from, to []int, prob float64, imp int32) {
-	ex.canon = append(ex.canon[:0], to...)
-	ex.sym.canon(ex.canon, &ex.symScratch)
-	out := ex.out
-	if out == &ex.res {
-		ex.noteChanges(from, ex.canon, imp)
-	}
-	off := int32(len(out.arena))
-	out.arena = packMarking(out.arena, ex.canon)
-	packed := out.arena[off:]
-	out.edges = append(out.edges, protoEdge{
-		off: off, n: int32(len(packed)), imp: imp, hash: hashBytes(packed), prob: prob,
-	})
-}

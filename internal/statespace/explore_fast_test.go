@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -61,9 +62,11 @@ type chainFixture struct {
 }
 
 // chainFixtures are the hypercube fixture, the three shipped minis in the
-// form the sweep solves them, and MiniExponential ×2, the largest chain the
-// sweep solves. MiniWeibull's three disks are exchangeable, so Certify
-// generates its symmetric quotient.
+// form the sweep solves them, MiniExponential ×2, the largest chain the
+// sweep solves, and two models with instantaneous activities: the vanishing
+// router and the shared-crew farm. MiniWeibull's three disks and the
+// shared-crew farm's four components are exchangeable, so Certify generates
+// their symmetric quotients.
 var chainFixtures = []chainFixture{
 	{"farm8", 256, "c4ad5665ce507fab4bd04e4f95bb3e4bc8a543d60056960d57949dd0b445d6a4",
 		"d2d6ffeade00b7e230856162e12cc619f43789468177f79a055be926f47da1b2",
@@ -92,6 +95,16 @@ var chainFixtures = []chainFixture{
 		30240, "e6374d9840210d3064096cf4b88a62f9458a84833984fa3979f2125beccee3de",
 		"db5c15bd510456f2f29488b369421ced7dae94cd9a854dfeda63c3bc9ff56ff1",
 		func(t *testing.T) *san.CompiledModel { return buildMiniExponentialX2(t) }},
+	{"vanishing router", 6, "983606124ae2b4ee304e96ffc562a328445e77ceb889433636a3a5b53b1f6d4d",
+		"5e268207cbf2b3f65baba964556552eb751bf8aa260f6bfec6fdd94b1180ee44",
+		6, "983606124ae2b4ee304e96ffc562a328445e77ceb889433636a3a5b53b1f6d4d",
+		"5e268207cbf2b3f65baba964556552eb751bf8aa260f6bfec6fdd94b1180ee44",
+		buildVanishingRouter},
+	{"shared-crew farm", 5, "043022160d7442cfc3efc59f9a67d94d93fbf2c96cd071f4844891e1baecbf63",
+		"f3f4bab0b2df131dcb611a3ed93e3fa49091a8dfd11bc800154e1b7a7d13f748",
+		33, "3c1b7b50680336defa48576c1d6d378fc52d711164beb6de4266c9818358cb6e",
+		"d9d6e9a009950f5dc3209a471b5eec3cfa7aabcce68e962a3077e0077d77f953",
+		func(t *testing.T) *san.CompiledModel { return buildReplicatedFarm(t, 4, farmVariant{crews: 1}) }},
 }
 
 // buildMiniExponentialX2 compiles MiniExponential scaled by 2 (30,240
@@ -238,9 +251,10 @@ func sameChain(t *testing.T, got, want *statespace.Generator) {
 }
 
 // TestExploreFastMatchesBaseline checks the interned explorer against the
-// reference explorer on the hypercube fixture and the three shipped minis:
-// identical state numbering, markings, initial distribution, and edges —
-// or, for a symmetric quotient, the reference chain lumped class for class.
+// reference explorer on every chain fixture, the two with instantaneous
+// activities included: identical state numbering, markings, initial
+// distribution, and edges — or, for a symmetric quotient, the reference
+// chain lumped class for class.
 func TestExploreFastMatchesBaseline(t *testing.T) {
 	for _, fx := range chainFixtures {
 		t.Run(fx.name, func(t *testing.T) {
@@ -263,11 +277,12 @@ func TestExploreFastMatchesBaseline(t *testing.T) {
 }
 
 // TestCompactGeneratorMemory bounds the memory of the largest chain the
-// analytic sweep solves, MiniExponential ×2 (385,056 edges): the certified
-// generator keeps at most 32 bytes per edge, counted from its slices'
-// capacities (a 16-byte edge record, the packed markings and the
+// analytic sweep solves, MiniExponential ×2 (30,240 states, 385,056 edges):
+// the certified generator keeps at most 32 bytes per edge, counted from its
+// slices' capacities (a 16-byte edge record, the packed markings and the
 // projections' class maps), and CertifyCascade, as the sweep runs it,
-// allocates at most 26 MB in all.
+// allocates at most 26 MB in all, in at most 4,000 allocations, so neither
+// expanding a state nor firing an activity allocates.
 func TestCompactGeneratorMemory(t *testing.T) {
 	cm := buildMiniExponentialX2(t)
 	runtime.GC()
@@ -284,22 +299,17 @@ func TestCompactGeneratorMemory(t *testing.T) {
 	}
 	kept := float64(gen.RetainedBytes()) / float64(edges)
 	allocated := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
-	t.Logf("kept %.1f B per edge; CertifyCascade allocated %.1f MB", kept, allocated)
+	mallocs := after.Mallocs - before.Mallocs
+	t.Logf("kept %.1f B per edge; CertifyCascade allocated %.1f MB in %d allocations", kept, allocated, mallocs)
 	if kept > 32 {
 		t.Errorf("generator keeps %.1f B per edge, want at most 32", kept)
 	}
 	if allocated > 26 {
 		t.Errorf("CertifyCascade allocated %.1f MB, want at most 26", allocated)
 	}
-}
-
-// TestExploreFastMatchesBaselineVanishing repeats the differential check on
-// a model with instantaneous activities, covering the vanishing-elimination
-// route of the optimized explorer.
-func TestExploreFastMatchesBaselineVanishing(t *testing.T) {
-	ref := mustCertify(t, statespace.CertifyReference, buildVanishingRouter(t), statespace.Options{})
-	fast := mustCertify(t, statespace.Certify, buildVanishingRouter(t), statespace.Options{})
-	sameChain(t, fast, ref)
+	if mallocs > 4000 {
+		t.Errorf("CertifyCascade made %d allocations, want at most 4,000", mallocs)
+	}
 }
 
 // TestExploreGoldenNumbering pins the state numbering and the edges (target,
@@ -367,7 +377,10 @@ func TestFastSolverMatchesBaselineNumerically(t *testing.T) {
 
 // TestExploreFastRefusalsMatchBaseline checks that the optimized explorer
 // reproduces the reference explorer's refusals — text and classification —
-// for marking-dependent rates without reactivation and for budget overruns.
+// for marking-dependent rates without reactivation, for budget overruns,
+// and for a budget that runs out on one case's successor before a later
+// case's instantaneous closure fails: both explorers commit the first
+// case's edges before closing the second, so both refuse on the budget.
 func TestExploreFastRefusalsMatchBaseline(t *testing.T) {
 	build := func() *san.CompiledModel {
 		m := san.NewModel("nm")
@@ -407,6 +420,28 @@ func TestExploreFastRefusalsMatchBaseline(t *testing.T) {
 	}
 	if got, want := fastCert.Summary(), refCert.Summary(); got != want {
 		t.Fatalf("budget refusal differs:\nfast:     %s\nbaseline: %s", got, want)
+	}
+
+	m := san.NewModel("late-closure-error")
+	p := m.AddPlace("p", 1)
+	q := m.AddPlace("q", 0)
+	r := m.AddPlace("r", 0)
+	s := m.AddPlace("s", 0)
+	split := m.AddTimedActivity("split", mustExpRate(t, 1))
+	split.AddInputArc(p, 1)
+	split.AddCase(san.Case{Probability: func(san.MarkingReader) float64 { return 0.5 }, OutputArcs: []san.Arc{{Place: q, Mult: 1}}})
+	split.AddCase(san.Case{Probability: func(san.MarkingReader) float64 { return 0.5 }, OutputArcs: []san.Arc{{Place: r, Mult: 1}}})
+	m.AddInstantaneousActivity("drain").
+		AddInputArc(r, 1).
+		AddOutputGate(&san.OutputGate{Name: "overdraw", Transform: func(mw san.MarkingWriter) { mw.Add(s, -1) }})
+	cm, err := san.Compile(m, []san.RewardVariable{san.TokenTimeAverage("q", q)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, refCert = statespace.CertifyReference(cm, statespace.Options{MaxStates: 1})
+	_, fastCert = statespace.Certify(cm, statespace.Options{MaxStates: 1})
+	if got, want := fastCert.Summary(), refCert.Summary(); got != want || !strings.Contains(want, "exploration exceeded 1 states") {
+		t.Fatalf("late closure failure past the budget:\nfast:     %s\nbaseline: %s", got, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package statespace
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
 	"slices"
@@ -356,12 +357,12 @@ func (ck *classChecker) cmpEdges(a, b classEdge) int {
 	if a.class != b.class {
 		return int(a.class - b.class)
 	}
-	if c := cmpUint64(math.Float64bits(a.rate), math.Float64bits(b.rate)); c != 0 {
+	if c := cmp.Compare(math.Float64bits(a.rate), math.Float64bits(b.rate)); c != 0 {
 		return c
 	}
 	va, vb := ck.g.impulses[a.imp], ck.g.impulses[b.imp]
 	for _, ri := range ck.imps {
-		if c := cmpUint64(bitsAt(va, ri), bitsAt(vb, ri)); c != 0 {
+		if c := cmp.Compare(bitsAt(va, ri), bitsAt(vb, ri)); c != 0 {
 			return c
 		}
 	}

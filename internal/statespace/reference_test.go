@@ -41,7 +41,7 @@ func exploreBaseline(cm *san.CompiledModel, opts Options) (*Generator, exploreRe
 	res := exploreResult{}
 
 	// Close the initial marking: it may itself be vanishing.
-	initOutcomes, err := ex.closeVanishing(cm.InitialMarking(), 1, make([]float64, ex.nRewards))
+	initOutcomes, err := ex.closeVanishing(nil, cm.InitialMarking(), 1, nil)
 	if err != nil {
 		res.err = err
 		return nil, res
@@ -128,12 +128,12 @@ func (ex *refExplorer) expand(si int) error {
 		if rate <= 0 || math.IsInf(rate, 0) || math.IsNaN(rate) {
 			return fmt.Errorf("activity %q: rate %g at state %d", a.Name(), rate, si)
 		}
-		branches, err := ex.fireBranches(mark, a)
+		fired, err := ex.fire(&ex.timed, mark, a)
 		if err != nil {
 			return err
 		}
-		for _, b := range branches {
-			outs, err := ex.closeVanishing(b.mark, b.prob, b.imp)
+		for _, f := range fired {
+			outs, err := ex.closeVanishing(nil, f.mark, f.prob, f.imp)
 			if err != nil {
 				return err
 			}

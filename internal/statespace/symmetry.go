@@ -1,8 +1,6 @@
 package statespace
 
 import (
-	"bytes"
-	"math"
 	"strings"
 
 	"repro/internal/san"
@@ -326,62 +324,4 @@ func nextPermutation(a []int) bool {
 		a[l], a[r] = a[r], a[l]
 	}
 	return i >= 0
-}
-
-// edgeKey is one edge of a member's expansion as the lumpability check
-// compares it: successor class (canonical packed marking and its hash),
-// rate, and impulse vector id.
-type edgeKey struct {
-	h    uint64
-	b    []byte
-	rate float64
-	imp  int32
-}
-
-// cmpEdgeKeys is a total order on edge keys that is zero exactly when both
-// are bit-identical: impulse vector ids are interned by bits (chain.go).
-func cmpEdgeKeys(a, b *edgeKey) int {
-	if a.h != b.h {
-		return cmpUint64(a.h, b.h)
-	}
-	if c := bytes.Compare(a.b, b.b); c != 0 {
-		return c
-	}
-	if c := cmpUint64(math.Float64bits(a.rate), math.Float64bits(b.rate)); c != 0 {
-		return c
-	}
-	return int(a.imp) - int(b.imp)
-}
-
-func cmpUint64(a, b uint64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-// sortEdgeKeys sorts keys in place (insertion sort: a state has few edges,
-// and it allocates nothing).
-func sortEdgeKeys(keys []edgeKey) {
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && cmpEdgeKeys(&keys[j], &keys[j-1]) < 0; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-}
-
-// sameEdgeKeys reports whether two sorted key lists are the same multiset.
-func sameEdgeKeys(a, b []edgeKey) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if cmpEdgeKeys(&a[i], &b[i]) != 0 {
-			return false
-		}
-	}
-	return true
 }

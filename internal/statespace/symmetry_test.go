@@ -19,6 +19,7 @@ type farmVariant struct {
 	failRate func(i int) float64                                           // per-instance failure rate
 	rewards  func(ups []*san.Place, repairs []string) []san.RewardVariable // replaces the default rewards
 	crews    int                                                           // > 0: repairs claim one of crews shared tokens
+	drop     func(i int) int                                               // per-instance tokens the drop gate leaves in down and the repair takes (1; not with crews)
 }
 
 // buildReplicatedFarm composes n two-state components with san.Replicate
@@ -40,9 +41,12 @@ func buildReplicatedFarm(t *testing.T, n int, v farmVariant) *san.CompiledModel 
 		up := m.AddPlace(san.Qualify(prefix, "up"), 1)
 		down := m.AddPlace(san.Qualify(prefix, "down"), 0)
 		ups[i] = up
-		rate := 0.01
+		rate, drop := 0.01, 1
 		if v.failRate != nil {
 			rate = v.failRate(i)
+		}
+		if v.drop != nil {
+			drop = v.drop(i)
 		}
 		fail := m.AddTimedActivity(san.Qualify(prefix, "fail"), mustExpRate(t, rate))
 		fail.AddInputArc(up, 1)
@@ -54,7 +58,7 @@ func buildReplicatedFarm(t *testing.T, n int, v farmVariant) *san.CompiledModel 
 			Probability: func(san.MarkingReader) float64 { return 0.3 },
 			OutputGates: []*san.OutputGate{{
 				Name:      san.Qualify(prefix, "drop"),
-				Transform: func(mw san.MarkingWriter) { mw.SetTokens(down, 1) },
+				Transform: func(mw san.MarkingWriter) { mw.SetTokens(down, drop) },
 			}},
 		})
 		from := down
@@ -67,7 +71,7 @@ func buildReplicatedFarm(t *testing.T, n int, v farmVariant) *san.CompiledModel 
 		}
 		repairs[i] = san.Qualify(prefix, "repair")
 		repair := m.AddTimedActivity(repairs[i], mustExpRate(t, 0.2))
-		repair.AddInputArc(from, 1)
+		repair.AddInputArc(from, drop)
 		repair.AddOutputArc(up, 1)
 		if crew != nil {
 			repair.AddOutputArc(crew, 1)
@@ -251,10 +255,13 @@ func TestQuotientFarm(t *testing.T) {
 	sameAnswers(t, got, flat, 1e-9)
 }
 
-// TestQuotientFallsBackOnAsymmetry builds three farms that look exchangeable
+// TestQuotientFallsBackOnAsymmetry builds four farms that look exchangeable
 // by structure but are not by behavior. Each must fail the member check and
 // certify the flat chain, with the certificate of the flat reference
-// explorer byte for byte.
+// explorer byte for byte. In the index-dependent successor farm instance 0
+// can hold two tokens in its down place, so a member reaches a class its
+// representative does not, and the check fails on a member successor that
+// is not an interned class.
 func TestQuotientFallsBackOnAsymmetry(t *testing.T) {
 	allUp := func(ups []*san.Place) san.RewardVariable {
 		return san.UpFraction("all_up", func(mr san.MarkingReader) bool {
@@ -281,6 +288,12 @@ func TestQuotientFallsBackOnAsymmetry(t *testing.T) {
 		}},
 		"index-dependent impulse": {rewards: func(ups []*san.Place, repairs []string) []san.RewardVariable {
 			return []san.RewardVariable{allUp(ups), san.CompletionCount("repairs0", repairs[0])}
+		}},
+		"index-dependent successor": {drop: func(i int) int {
+			if i == 0 {
+				return 2
+			}
+			return 1
 		}},
 	}
 	for name, v := range variants {
