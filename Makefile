@@ -2,7 +2,7 @@ GO ?= go
 # BENCHTIME tunes the bench target (e.g. BENCHTIME=1x for a CI smoke pass).
 BENCHTIME ?= 1s
 
-.PHONY: all build lint test race vet bench bench-all benchmark identity identity-diff loc cover examples clean
+.PHONY: all build lint test race vet bench bench-all benchmark identity identity-diff loc fma cover examples clean
 
 all: build vet lint test
 
@@ -94,6 +94,20 @@ loc:
 	@git ls-files '*.go' | grep -v '_test\.go$$' | xargs cat | wc -l | sed 's/^/non-test Go lines: /'
 	@git ls-files '*_test.go' | xargs cat | wc -l | sed 's/^/test Go lines: /'
 
+# Fused multiply-adds on arm64 (ROADMAP item 17). gc fuses x*y + z into one
+# instruction on arm64, which rounds once where amd64 rounds twice, unless an
+# explicit float64(...) conversion wraps the product. Cross-builds abesim for
+# arm64 (offline, no arm64 host needed), disassembles it, and prints per
+# repro/ function its FMADDD/FMSUBD/FNMADDD/FNMSUBD count, then the total.
+# Informational: it exits zero whatever the count.
+fma:
+	mkdir -p .fma_build
+	GOARCH=arm64 $(GO) build -o .fma_build/abesim-arm64 ./cmd/abesim
+	$(GO) tool objdump -s '^repro/' .fma_build/abesim-arm64 > .fma_build/objdump.txt
+	@awk '/^TEXT /{fn = $$2; sub(/\(SB\)$$/, "", fn); next} $$4 ~ /^F(N?MADD|N?MSUB)D$$/ {n[fn]++} END {for (f in n) printf "%4d %s\n", n[f], f}' .fma_build/objdump.txt | sort -k2 > .fma_build/fma.txt
+	@cat .fma_build/fma.txt
+	@awk '{n += $$1} END {printf "%d fused multiply-adds in %d repro/ functions\n", n, NR}' .fma_build/fma.txt
+
 # Every benchmark in the repository (slow).
 bench-all:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
@@ -121,4 +135,4 @@ paper-smoke:
 clean:
 	$(GO) clean ./...
 	rm -f coverage.out BENCH_sweep.txt BENCH_sweep.json
-	rm -rf .identity_build
+	rm -rf .identity_build .fma_build

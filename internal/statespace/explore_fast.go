@@ -57,8 +57,8 @@ type timedRef struct {
 // explorer generates one chain: the semantic core that fires activities and
 // closes vanishing markings (explore.go), the chain under construction, and
 // the expansion scratch, reused state to state so steady-state expansion
-// allocates only when the index, the edge storage or the impulse table
-// grows.
+// allocates only when the index, the edge storage, the kind table or the
+// impulse table grows.
 type explorer struct {
 	cm        *san.CompiledModel
 	inst      []*san.Activity
@@ -68,7 +68,8 @@ type explorer struct {
 	maxStates int
 
 	idx         *markIndex
-	edges       edgeStore
+	edges       blockStore[edge]
+	kinds       kindTable
 	imps        impulseTable
 	observedMax []int
 	overBudget  bool
@@ -141,6 +142,7 @@ func newExplorer(cm *san.CompiledModel, opts Options, sym *symmetry) *explorer {
 		nRewards:    nR,
 		maxStates:   opts.MaxStates,
 		idx:         newMarkIndex(),
+		kinds:       newKindTable(),
 		imps:        newImpulseTable(),
 		observedMax: make([]int, nP),
 		seenRate:    make([]bool, model.NumActivities()),
@@ -233,14 +235,15 @@ func (ex *explorer) run() error {
 	return nil
 }
 
-// finish hands the explored chain to gen: the packed markings, the edges
-// and the impulse vectors they name, and the exploration's place partition
-// to res.
+// finish hands the explored chain to gen: the packed markings, the edges,
+// the kinds and impulse vectors they name, and the exploration's place
+// partition to res.
 func (ex *explorer) finish(gen *Generator, res *exploreResult) {
 	ex.edges.finish()
-	gen.arena = ex.idx.arena
 	gen.States = ex.idx.views()
-	gen.blocks, gen.ends = ex.edges.blocks, ex.edges.ends
+	gen.marks = ex.idx.marks.blocks
+	gen.edges = ex.edges
+	gen.kinds = ex.kinds.kinds
 	gen.impulses = ex.imps.vecs
 	res.observedMax = ex.observedMax
 	res.changes = ex.changes
@@ -383,36 +386,45 @@ func (ex *explorer) expand(si int, mark []int, member bool) error {
 
 // step is the edge step for the successor to of marking from, reached at
 // rate and earning the impulses imp. It puts to in canonical form; then the
-// edge of a state being expanded is committed and its successor interned,
-// and that of a member is collected for the check and its successor only
-// looked up. It reports false when the budget runs out or a member's
-// successor is not an interned class.
+// edge of a state being expanded is committed, its successor, impulse
+// vector and kind interned, and that of a member is collected for the check
+// with its successor, impulse vector and kind only looked up. It reports
+// false when the budget runs out or a member's edge names a class, vector
+// or kind that is not interned: no edge of the representative has it.
 func (ex *explorer) step(from, to []int, rate float64, imp []float64, member bool) bool {
 	h := ex.pack(to)
-	id := ex.imps.intern(imp)
 	if member {
 		ti, ok := ex.idx.lookup(ex.packBuf, h)
 		if !ok {
 			return false
 		}
-		ex.memEdges = append(ex.memEdges, edge{to: int32(ti), imp: id, rate: rate})
+		id, ok := ex.imps.lookup(imp)
+		if !ok {
+			return false
+		}
+		k, ok := ex.kinds.lookup(rate, id)
+		if !ok {
+			return false
+		}
+		ex.memEdges = append(ex.memEdges, edge{to: int32(ti), kind: k})
 		return true
 	}
+	id := ex.imps.intern(imp)
 	ti, ok := ex.internPacked(ex.packBuf, h)
 	if !ok {
 		return false
 	}
 	ex.noteChanges(from, ex.canon, id)
-	ex.edges.add(edge{to: int32(ti), imp: id, rate: rate})
+	ex.edges.add(edge{to: int32(ti), kind: ex.kinds.intern(rate, id)})
 	return true
 }
 
 // checkMembers expands every member of class si other than its
 // representative rep, once rep's edges are added, and reports whether each
-// gave rep's multiset of edges — target, rate bits and impulse vector id,
-// ids being interned by bits, so equal ids are equal vectors — and rep's
-// reward rates, bit for bit. A class with no other member, such as every
-// class of the flat chain, passes.
+// gave rep's multiset of edges — target and kind, kinds being interned by
+// rate bits and impulse vector id, and vectors by bits, so equal kinds are
+// equal rates and vectors — and rep's reward rates, bit for bit. A class
+// with no other member, such as every class of the flat chain, passes.
 func (ex *explorer) checkMembers(si int, rep []int) bool {
 	if !ex.iter.start(ex.sym, rep) {
 		return true
@@ -440,12 +452,10 @@ func (ex *explorer) checkMembers(si int, rep []int) bool {
 	return true
 }
 
-// cmpEdges orders edges by target, rate bits and impulse vector id; it is
-// zero exactly when they are bit-identical.
+// cmpEdges orders edges by target and kind; it is zero exactly when they
+// are bit-identical.
 func cmpEdges(a, b edge) int {
-	return cmp.Or(cmp.Compare(a.to, b.to),
-		cmp.Compare(math.Float64bits(a.rate), math.Float64bits(b.rate)),
-		cmp.Compare(a.imp, b.imp))
+	return cmp.Or(cmp.Compare(a.to, b.to), cmp.Compare(a.kind, b.kind))
 }
 
 // rewardRates appends every rate reward's value at mark.

@@ -278,11 +278,12 @@ func TestExploreFastMatchesBaseline(t *testing.T) {
 
 // TestCompactGeneratorMemory bounds the memory of the largest chain the
 // analytic sweep solves, MiniExponential ×2 (30,240 states, 385,056 edges):
-// the certified generator keeps at most 32 bytes per edge, counted from its
-// slices' capacities (a 16-byte edge record, the packed markings and the
-// projections' class maps), and CertifyCascade, as the sweep runs it,
-// allocates at most 26 MB in all, in at most 4,000 allocations, so neither
-// expanding a state nor firing an activity allocates.
+// the certified generator keeps at most 16 bytes per edge, counted from its
+// slices' capacities (an 8-byte edge record, the packed markings and their
+// views, the edge ends and the projections' class maps), and
+// CertifyCascade, as the sweep runs it, allocates at most 13 MB in all, in
+// at most 4,000 allocations, so neither expanding a state nor firing an
+// activity allocates.
 func TestCompactGeneratorMemory(t *testing.T) {
 	cm := buildMiniExponentialX2(t)
 	runtime.GC()
@@ -301,11 +302,11 @@ func TestCompactGeneratorMemory(t *testing.T) {
 	allocated := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
 	mallocs := after.Mallocs - before.Mallocs
 	t.Logf("kept %.1f B per edge; CertifyCascade allocated %.1f MB in %d allocations", kept, allocated, mallocs)
-	if kept > 32 {
-		t.Errorf("generator keeps %.1f B per edge, want at most 32", kept)
+	if kept > 16 {
+		t.Errorf("generator keeps %.1f B per edge, want at most 16", kept)
 	}
-	if allocated > 26 {
-		t.Errorf("CertifyCascade allocated %.1f MB, want at most 26", allocated)
+	if allocated > 13 {
+		t.Errorf("CertifyCascade allocated %.1f MB, want at most 13", allocated)
 	}
 	if mallocs > 4000 {
 		t.Errorf("CertifyCascade made %d allocations, want at most 4,000", mallocs)

@@ -58,15 +58,21 @@ func PerActivityRefusals(cm *san.CompiledModel) []string {
 }
 
 // RetainedBytes counts the bytes g's slices hold, from their capacities:
-// the packed markings and their views, the edges, the impulse vectors, the
-// initial distribution and the projections. The compiled model it shares
-// with its caller is not counted.
+// the marking blocks and the views into them, the edge blocks and their
+// ends, the kind table, the impulse vectors, the initial distribution and
+// the projections. The compiled model it shares with its caller is not
+// counted.
 func (g *Generator) RetainedBytes() int {
 	const header = int(unsafe.Sizeof([]byte(nil)))
-	n := cap(g.States)*header + cap(g.arena) + cap(g.ends)*4 + cap(g.blocks)*header
-	for _, b := range g.blocks {
+	n := cap(g.States)*header + cap(g.marks)*header
+	for _, b := range g.marks {
+		n += cap(b)
+	}
+	n += cap(g.edges.blocks)*header + cap(g.edges.ends)*4 + cap(g.edges.open)*int(unsafe.Sizeof(edge{}))
+	for _, b := range g.edges.blocks {
 		n += cap(b) * int(unsafe.Sizeof(edge{}))
 	}
+	n += cap(g.kinds) * int(unsafe.Sizeof(edgeKind{}))
 	n += cap(g.impulses) * header
 	for _, v := range g.impulses {
 		n += cap(v) * 8

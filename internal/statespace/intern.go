@@ -5,13 +5,13 @@ import (
 	"encoding/binary"
 )
 
-// markIndex interns markings as varint-packed byte strings in one contiguous
-// arena, indexed by an open-addressed table of 64-bit FNV-1a hash buckets
-// with collision-checked equality. Interning a marking costs one pack into a
-// reusable scratch buffer and one probe — no per-state string allocation, no
-// 8-bytes-per-place key — and the packed arena is the only long-lived
-// per-state storage: the generator keeps it, and decodes a marking into
-// reused scratch wherever one is needed.
+// markIndex interns markings as varint-packed byte strings, stored in the
+// blocks of a blockStore (chain.go), indexed by an open-addressed table of
+// 64-bit FNV-1a hash buckets with collision-checked equality. Interning a
+// marking costs one pack into a reusable scratch buffer and one probe — no
+// per-state string allocation, no 8-bytes-per-place key — and the packed
+// blocks are the only long-lived per-state storage: the generator keeps
+// them, and decodes a marking into reused scratch wherever one is needed.
 //
 // State indices are assigned in insertion order, so the explorer's numbering
 // is exactly its BFS discovery order.
@@ -19,8 +19,7 @@ type markIndex struct {
 	table  []int32 // open-addressed slots holding state index + 1; 0 = empty
 	mask   uint64
 	hashes []uint64 // per state: its packed-marking hash
-	ends   []int32  // per state: end offset of its packed bytes in arena
-	arena  []byte
+	marks  blockStore[byte]
 }
 
 func newMarkIndex() *markIndex {
@@ -65,28 +64,29 @@ func hashBytes(b []byte) uint64 {
 }
 
 // len returns the number of interned markings.
-func (mi *markIndex) len() int { return len(mi.ends) }
+func (mi *markIndex) len() int { return len(mi.hashes) }
 
-// views returns every interned marking as a view into the arena, in index
-// order. A view's capacity ends with it, so appending to one cannot reach
-// the next.
+// packedOf returns state si's packed marking, a view into its block that
+// holds until the next insert.
+func (mi *markIndex) packedOf(si int) []byte { return mi.marks.run(si) }
+
+// views finishes the index and returns every interned marking as a view
+// into its block, in index order. A view's capacity ends with it, so
+// appending to one cannot reach the next. The index takes no insert after.
 func (mi *markIndex) views() [][]byte {
-	out := make([][]byte, len(mi.ends))
-	start := int32(0)
-	for si, end := range mi.ends {
-		out[si] = mi.arena[start:end:end]
-		start = end
+	mi.marks.finish()
+	out := make([][]byte, mi.len())
+	for si := range out {
+		out[si] = mi.marks.run(si)
 	}
 	return out
 }
 
-// packedOf returns state si's packed marking (a view into the arena).
-func (mi *markIndex) packedOf(si int) []byte {
-	start := int32(0)
-	if si > 0 {
-		start = mi.ends[si-1]
-	}
-	return mi.arena[start:mi.ends[si]]
+// reset empties the index for reuse as scratch, keeping its table's size.
+func (mi *markIndex) reset() {
+	clear(mi.table)
+	mi.hashes = mi.hashes[:0]
+	mi.marks.reset()
 }
 
 // lookup probes for a packed marking, comparing bytes on every hash match —
@@ -107,15 +107,15 @@ func (mi *markIndex) lookup(packed []byte, h uint64) (int, bool) {
 }
 
 // insert adds a marking known (via lookup) to be absent and returns its new
-// state index. The packed bytes are copied into the arena, so callers may
-// reuse their scratch buffer.
+// state index. The packed bytes are copied into the open block, so callers
+// may reuse their scratch buffer.
 func (mi *markIndex) insert(packed []byte, h uint64) int {
 	si := len(mi.hashes)
-	mi.hashes = append(mi.hashes, h)
-	mi.arena = append(mi.arena, packed...)
-	mi.ends = append(mi.ends, int32(len(mi.arena)))
+	mi.hashes = append(reserve(mi.hashes, 1), h)
+	mi.marks.add(packed...)
+	mi.marks.endState()
 	// Grow at 75% occupancy; growth rehashes from the hashes array, so the
-	// arena is never re-read.
+	// packed markings are never re-read.
 	if (len(mi.hashes)+1)*4 >= len(mi.table)*3 {
 		mi.grow()
 	} else {

@@ -71,8 +71,9 @@ func (g *Generator) project(changes unionFind) []projection {
 		return []projection{g.identity()}
 	}
 	projs := make([]projection, len(comps))
+	idx := newMarkIndex()
 	for i, c := range comps {
-		projs[i] = g.lump(c)
+		projs[i] = g.lump(c, idx)
 		if !g.lumpable(&projs[i]) {
 			return []projection{g.identity()}
 		}
@@ -209,10 +210,11 @@ func (uf unionFind) union(a, b int) {
 }
 
 // lump classifies every state by its tokens on c's places, interning the
-// packed restriction, so class numbers follow the states' BFS order.
-func (g *Generator) lump(c component) projection {
+// packed restriction into idx, scratch it resets first, so class numbers
+// follow the states' BFS order.
+func (g *Generator) lump(c component, idx *markIndex) projection {
 	p := projection{rewards: c.rewards, places: len(c.places), classOf: make([]int32, len(g.States))}
-	idx := newMarkIndex()
+	idx.reset()
 	var buf []byte
 	var mark []int
 	for s := range g.States {
@@ -273,11 +275,11 @@ type stateSig struct {
 	flux  []float64   // per impulse reward: Σ rate·impulse over same-class edges
 }
 
-// classEdge is one cross-class edge as the check compares it.
+// classEdge is one cross-class edge as the check compares it: its class
+// and its kind in Generator.kinds.
 type classEdge struct {
 	class int32
-	imp   int32
-	rate  float64
+	kind  int32
 }
 
 func newClassChecker(g *Generator, p *projection) *classChecker {
@@ -322,17 +324,19 @@ func (ck *classChecker) signature(sig *stateSig, s int32) bool {
 	sig.edges = sig.edges[:0]
 	sig.flux = slices.Grow(sig.flux[:0], len(ck.imps))[:len(ck.imps)]
 	clear(sig.flux)
-	impulses := ck.g.impulses
+	kinds, impulses := ck.g.kinds, ck.g.impulses
 	for _, e := range ck.g.out(int(s)) {
 		if d := ck.p.classOf[e.to]; d != c {
-			sig.edges = append(sig.edges, classEdge{class: d, imp: e.imp, rate: e.rate})
+			sig.edges = append(sig.edges, classEdge{class: d, kind: e.kind})
 			continue
 		}
-		if e.imp == 0 {
+		kd := kinds[e.kind]
+		if kd.imp == 0 {
 			continue
 		}
+		rate, imp := kd.rate(), impulses[kd.imp]
 		for k, ri := range ck.imps {
-			sig.flux[k] += e.rate * impulses[e.imp][ri]
+			sig.flux[k] += float64(rate * imp[ri])
 		}
 	}
 	slices.SortFunc(sig.edges, ck.cmp)
@@ -351,16 +355,20 @@ func (ck *classChecker) signature(sig *stateSig, s int32) bool {
 
 // cmpEdges orders cross-class edges by class, rate bits and the impulse bits
 // of the projection's rewards; it is zero exactly when those agree bit for
-// bit. It compares bits, not ids: an id names the whole vector, rewards
-// outside the projection included.
+// bit. Beyond equal kinds it compares bits, not ids: an impulse id names the
+// whole vector, rewards outside the projection included.
 func (ck *classChecker) cmpEdges(a, b classEdge) int {
 	if a.class != b.class {
 		return int(a.class - b.class)
 	}
-	if c := cmp.Compare(math.Float64bits(a.rate), math.Float64bits(b.rate)); c != 0 {
+	if a.kind == b.kind {
+		return 0
+	}
+	ka, kb := ck.g.kinds[a.kind], ck.g.kinds[b.kind]
+	if c := cmp.Compare(ka.rateBits, kb.rateBits); c != 0 {
 		return c
 	}
-	va, vb := ck.g.impulses[a.imp], ck.g.impulses[b.imp]
+	va, vb := ck.g.impulses[ka.imp], ck.g.impulses[kb.imp]
 	for _, ri := range ck.imps {
 		if c := cmp.Compare(bitsAt(va, ri), bitsAt(vb, ri)); c != 0 {
 			return c

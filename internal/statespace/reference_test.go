@@ -144,7 +144,7 @@ func (ex *refExplorer) expand(si int) error {
 				}
 				imp := ex.imps.intern(o.imp)
 				ex.noteChanges(mark, o.mark, imp)
-				ex.edges.add(edge{to: int32(ti), imp: imp, rate: rate * o.prob})
+				ex.edges.add(edge{to: int32(ti), kind: ex.kinds.intern(rate*o.prob, imp)})
 			}
 		}
 	}
@@ -204,14 +204,15 @@ func (g *Generator) buildCSR(lambda float64) *csr {
 			if to == s {
 				continue
 			}
-			exit += e.rate
+			rate := g.kinds[e.kind].rate()
+			exit += rate
 			if k, ok := offset[to]; ok {
-				m.val[k] += e.rate / lambda
+				m.val[k] += rate / lambda
 				continue
 			}
 			offset[to] = len(m.colIdx)
 			m.colIdx = append(m.colIdx, to)
-			m.val = append(m.val, e.rate/lambda)
+			m.val = append(m.val, rate/lambda)
 		}
 		m.stay[s] = 1 - exit/lambda
 	}

@@ -33,7 +33,7 @@ func (g *Generator) maxExitRate(p *projection) float64 {
 		exit := 0.0
 		for _, e := range g.out(int(r)) {
 			if p.classOf[e.to] != int32(c) {
-				exit += e.rate
+				exit += g.kinds[e.kind].rate()
 			}
 		}
 		if exit > maxExit {
@@ -51,8 +51,8 @@ func (g *Generator) impulseFlux(p *projection, ri int) []float64 {
 	flux := make([]float64, len(p.reps))
 	for c, r := range p.reps {
 		for _, e := range g.out(int(r)) {
-			if e.imp != 0 {
-				flux[c] += e.rate * g.impulses[e.imp][ri]
+			if kd := g.kinds[e.kind]; kd.imp != 0 {
+				flux[c] += float64(kd.rate() * g.impulses[kd.imp][ri])
 			}
 		}
 	}

@@ -41,7 +41,8 @@ type gatherCSR struct {
 func (g *Generator) buildGather(p *projection, lambda float64) *gatherCSR {
 	n := len(p.reps)
 	m := &gatherCSR{rowStart: make([]int32, n+1), stay: make([]float64, n)}
-	counts := make([]int32, n)
+	// Count row d's entries into rowStart[d+1], then prefix-sum, so
+	// rowStart[d] is row d's start.
 	for c, r := range p.reps {
 		exit := 0.0
 		for _, e := range g.out(int(r)) {
@@ -49,33 +50,33 @@ func (g *Generator) buildGather(p *projection, lambda float64) *gatherCSR {
 			if d == int32(c) {
 				continue
 			}
-			exit += e.rate
-			counts[d]++
+			exit += g.kinds[e.kind].rate()
+			m.rowStart[d+1]++
 		}
 		m.stay[c] = 1 - exit/lambda
 	}
-	total := int32(0)
-	for d := 0; d < n; d++ {
-		m.rowStart[d] = total
-		total += counts[d]
+	for d := range n {
+		m.rowStart[d+1] += m.rowStart[d]
 	}
-	m.rowStart[n] = total
+	total := m.rowStart[n]
 	m.srcIdx = make([]int32, total)
 	m.val = make([]float64, total)
-	pos := make([]int32, n)
-	copy(pos, m.rowStart[:n])
+	// rowStart[d] is row d's cursor while the entries are placed, and ends
+	// at row d's end, row d+1's start: shifting it up one row restores it.
 	for c, r := range p.reps {
 		for _, e := range g.out(int(r)) {
 			d := p.classOf[e.to]
 			if d == int32(c) {
 				continue
 			}
-			k := pos[d]
-			pos[d] = k + 1
+			k := m.rowStart[d]
+			m.rowStart[d] = k + 1
 			m.srcIdx[k] = int32(c)
-			m.val[k] = e.rate / lambda
+			m.val[k] = g.kinds[e.kind].rate() / lambda
 		}
 	}
+	copy(m.rowStart[1:], m.rowStart[:n])
+	m.rowStart[0] = 0
 	return m
 }
 

@@ -81,9 +81,9 @@ type StateProb struct {
 type Generator struct {
 	cm *san.CompiledModel
 	// States holds the tangible markings in discovery (BFS) order, each
-	// varint-packed in place-index order: read-only views into one arena,
-	// decoded by Marking. States[0] is the first tangible state reached
-	// from the initial marking.
+	// varint-packed in place-index order: read-only views into the marking
+	// blocks, decoded by Marking. States[0] is the first tangible state
+	// reached from the initial marking.
 	States [][]byte
 	// Initial is the distribution over States at time zero. A tangible
 	// initial marking gives the single atom {0, 1}; a vanishing one may
@@ -94,13 +94,14 @@ type Generator struct {
 	// starts.
 	InitialImpulses []float64
 
-	// arena backs States. The edges of state s are out(s): a run of one
-	// of blocks, which hold 1<<edgeBlockShift consecutive states each, ending
-	// at ends[s]. impulses holds the distinct impulse vectors the edges
-	// name, impulses[0] the nil of every edge that earns none.
-	arena    []byte
-	blocks   [][]edge
-	ends     []int32
+	// marks holds the blocks States views, 1<<blockShift states each. The
+	// edges of state s are out(s), its run in edges. kinds holds the
+	// distinct (rate, impulse vector) pairs the edges name, and impulses
+	// the distinct impulse vectors the kinds name, impulses[0] the nil of
+	// every edge that earns none.
+	marks    [][]byte
+	edges    blockStore[edge]
+	kinds    []edgeKind
 	impulses [][]float64
 
 	// projections are the lumped chains SolveTransient runs, set by
